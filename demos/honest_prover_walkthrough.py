@@ -3,6 +3,8 @@
 The referee hides its question bits inside a lattice ciphertext; the honest
 prover builds a claw state from the ciphertext, commits to a measurement of
 it, and answers the second-round question by measuring the residual qubits.
+The answer is drawn by the closed-form claw sampler; the statevector oracle
+prints the exact Born-rule probability of that answer next to it.
 
 Run: python demos/honest_prover_walkthrough.py
 """
@@ -12,7 +14,8 @@ import numpy as np
 from poqlab import Rng, desk_params, encrypt, run_game_r
 from poqlab.games import j_score
 from poqlab.protocol import referee_first_assessment
-from poqlab.quantum import honest_first_round, honest_second_round
+from poqlab.quantum import (build_claw_state, honest_first_round,
+                            honest_second_round)
 
 params = desk_params()
 print("desk parameters:", f"n={params.n} q={params.q} Q={params.Q} "
@@ -47,6 +50,10 @@ b = honest_second_round(first.claw, y, rng.stream("demo-prover2"))
 a, _, _ = referee_first_assessment(first.w, first.ells, record, params,
                                    rng.stream("demo-referee"))
 print("referee derives a =", a, "; prover answers b =", b)
+bases = ["Y" if bit else "X" for bit in y[:params.d]] + ["XY"]
+law = build_claw_state(first.claw).outcome_distribution(bases)
+print(f"oracle: P(b | claw) = {law[int(''.join(map(str, b)), 2)]:.6f} "
+      f"(claw outcomes range over [{law.min():.6f}, {law.max():.6f}])")
 print("score:", j_score(x, y, a, b))
 
 print("\n--- 2000-trial campaign ---")

@@ -5,7 +5,7 @@ Subpackage map:
   fourier   functions on Z_m^n, transform, uniformity/linearity coefficients
   games     parity games, parity-balanced sets, the claw game and its bias
   lattice   discrete Gaussians, gadget trapdoors, encrypt/decrypt
-  quantum   statevector simulator and the honest prover
+  quantum   the honest prover, its claw sampler, the statevector oracle
   provers   the classical prover model and built-in test provers
   protocol  the encrypted game, share-the-prover experiments, transcripts
   attack    optimal-answer decoding and the distinguishing experiments
@@ -30,8 +30,8 @@ from .protocol import (GameResult, ScoreStats, Transcript, experiment_s1,
                        run_game_j, run_game_r)
 from .provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from .quantum import (ClawDescription, StateVector, apply_zc,
-                      build_claw_state, honest_first_round, honest_j_sample,
-                      honest_second_round, measure)
+                      build_claw_state, honest_first_round,
+                      honest_second_round, measure, sample_claw_outcomes)
 from .attack import (attack_plan, best_score, decode_error, experiment_e,
                      experiment_e_campaign, sampling_bound)
 

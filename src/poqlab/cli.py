@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.game in ("J", "Jseq"):
+    if args.game == "J":
         if args.prover != "honest":
             raise ValueError("the claw game runs the honest strategy only")
         result = protocol.run_game_j(args.d, args.trials, rng,
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="play a game for many trials")
     common(p)
     desk_flags(p)
-    p.add_argument("--game", choices=["J", "Jseq", "R", "Rseq"], required=True)
+    p.add_argument("--game", choices=["J", "R", "Rseq"], required=True)
     p.add_argument("--prover", choices=["honest", "blind", "leak"],
                    default="honest")
     p.add_argument("--trials", type=int, default=1000)

@@ -4,8 +4,9 @@ Everything downstream (games, lattice crypto, the prover simulators) builds on
 the primitives here.  Conventions, fixed once and used everywhere:
 
 * Residues mod q are stored canonically in ``[0, q)``.
-* ``balanced_abs``/``balanced`` give the representative in ``(-q/2, q/2)``;
-  norms and noise are measured on balanced representatives, binary
+* ``balanced_abs``/``balanced`` give the representative in ``(-q/2, q/2)``,
+  which exists only for odd q (they, ``norm1`` and ``norminf`` reject an
+  even q); norms and noise are measured on balanced representatives, binary
   representations and parity tests use the canonical one.
 * Binary representations are big-endian, ``Q = ceil(log2 q)`` bits per
   residue; bit positions are 1-based when a whole vector is indexed.
@@ -84,15 +85,25 @@ def find_prime(lo: int, hi: int) -> int:
 # ---------------------------------------------------------------------------
 # residue arithmetic
 
+def _require_odd(q: int) -> None:
+    if q % 2 == 0:
+        raise ValueError(f"modulus {q} is even; only odd moduli have a "
+                         "balanced representative in (-q/2, q/2)")
+
+
 def balanced(x, q: int):
-    """Representative of x mod q in (-q/2, q/2); accepts scalars or arrays."""
+    """Representative of x mod q in (-q/2, q/2); accepts scalars or arrays.
+    Raises ValueError for an even q."""
+    _require_odd(q)
     r = np.asarray(x) % q
     out = np.where(r > q // 2, r - q, r)
     return int(out) if np.ndim(x) == 0 else out.astype(np.int64)
 
 
 def balanced_abs(x, q: int):
-    """min(x, q - x): the absolute value of the balanced representative."""
+    """min(x, q - x): the absolute value of the balanced representative,
+    at most (q - 1) // 2.  Raises ValueError for an even q."""
+    _require_odd(q)
     r = np.asarray(x) % q
     out = np.minimum(r, q - r)
     return int(out) if np.ndim(x) == 0 else out.astype(np.int64)
@@ -103,6 +114,7 @@ def norm1(v, q: int) -> int:
 
 
 def norminf(v, q: int) -> int:
+    _require_odd(q)
     v = np.atleast_1d(np.asarray(v))
     if v.size == 0:
         return 0

@@ -17,8 +17,8 @@ from .core import Params, Rng, balanced_abs, binary_repr, matmul_mod, norminf
 from .games import j_score
 from .lattice import EncryptionRecord, ZqArray, encrypt, invert
 from .provers import ClassicalProver, TrapdoorLeakProver
-from .quantum import (honest_first_round, honest_j_sample_batch,
-                      honest_second_round, round_one_positions)
+from .quantum import (honest_first_round, honest_second_round,
+                      round_one_positions, sample_claw_outcomes)
 
 REWIND_LIMIT = 14
 
@@ -115,14 +115,19 @@ class GameResult:
 
 def run_game_j(d: int, trials: int, rng: Rng,
                keep_transcripts: bool = False) -> GameResult:
-    """Honest strategy at the claw game, vectorized over trials."""
+    """Honest strategy at the claw game, vectorized over trials: a is the
+    uniform first-round outcome, which leaves the claw
+    (a[:d], a[:d] ^ x[:d], (-1)^{a_d}), and b is that claw measured in y."""
     gen = rng.stream("gameJ/inputs")
     xs = np.hstack([gen.integers(0, 2, size=(trials, d)),
                     np.ones((trials, 1), dtype=np.int64)])
     ys = np.hstack([gen.integers(0, 2, size=(trials, d)),
                     np.ones((trials, 1), dtype=np.int64)])
-    a, b = honest_j_sample_batch(d, xs, ys, rng.stream("gameJ/answers"))
-    u = xs * (1 - 2 * a.astype(np.int64))
+    gen = rng.stream("gameJ/answers")
+    a = gen.integers(0, 2, size=(trials, d + 1))
+    b = sample_claw_outcomes(a[:, :d], a[:, :d] ^ xs[:, :d], 1 - 2 * a[:, d],
+                             ys, gen)
+    u = xs * (1 - 2 * a)
     v = ys + 2 * b.astype(np.int64)
     scores = np.where(((u * v).sum(axis=1) % 4) <= 1, 1, -1)
     transcripts = []
@@ -130,7 +135,7 @@ def run_game_j(d: int, trials: int, rng: Rng,
         for t in range(trials):
             transcripts.append(Transcript(
                 game="J", trial=t, x=xs[t].astype(np.uint8),
-                y=ys[t].astype(np.uint8), a=a[t], b=b[t],
+                y=ys[t].astype(np.uint8), a=a[t].astype(np.uint8), b=b[t],
                 w=np.zeros(0, dtype=np.int64), ells=np.zeros(0, dtype=np.uint8),
                 score=int(scores[t]), e_flag=True, f_flag=True,
                 seed=f"{rng.seed}:gameJ:{t}"))

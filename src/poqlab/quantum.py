@@ -1,16 +1,25 @@
-"""Dense statevector simulation (up to 26 qubits) with the measurement
-conventions used throughout: Y = [[0, i], [-i, 0]] as printed, outcome 0 of a
-W-basis measurement corresponding to the projector (I + W)/2.
+"""The honest quantum prover and the statevector oracle it is checked against.
 
-Also hosts the honest prover: the exact closed-form answer sampler for the
-claw game, and the two rounds of the encrypted game.  The first round never
-materializes the (nQ+1)-qubit state; for a two-branch residual state the
-X-measurements on the non-data qubits are equivalent to uniform bits plus a
-phase XOR, which is what gets simulated.
+Measurement conventions, used throughout: Y = [[0, i], [-i, 0]] as printed,
+outcome 0 of a W-basis measurement corresponding to the projector (I + W)/2.
+
+The honest prover plays both rounds of the encrypted game without a dense
+state.  The first round never materializes the (nQ+1)-qubit state; for a
+two-branch residual state the X-measurements on the non-data qubits are
+equivalent to uniform bits plus a phase XOR, which is what gets simulated.
+The second round measures the remaining (d+1)-qubit claw, and its outcome
+law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
+exact Born-rule answers for a whole batch of claws at O(d) per claw; the
+claw game uses the same sampler.
+
+StateVector, build_claw_state, measure and StateVector.outcome_distribution
+(a dense simulator of up to 26 qubits) are the reference oracle that the
+closed form is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +36,15 @@ BASIS_OPS = {
     "Y": PAULI_Y,
     "XY": (PAULI_X + PAULI_Y) / np.sqrt(2),
 }
+
+
+@functools.cache
+def _eigenbras(basis: str) -> np.ndarray:
+    """Row o is <e_o|, the bra of W's (-1)^o eigenvector.  Computed on first
+    use, so that importing the module does not start LAPACK (about 1 MB of
+    resident memory that the prover itself never needs)."""
+    _, vecs = np.linalg.eigh(BASIS_OPS[basis])  # eigenvalues ascending: -1, +1
+    return vecs[:, ::-1].conj().T
 
 
 @dataclass
@@ -59,6 +77,18 @@ class StateVector:
 
     def _grid(self) -> np.ndarray:
         return self.amplitudes.reshape([2] * self.num_qubits)
+
+    def outcome_distribution(self, bases) -> np.ndarray:
+        """Born-rule probability of every outcome string when qubit j is
+        measured in bases[j]; entry i is the outcome whose bits, qubit 0
+        first, spell i in binary (the amplitude order)."""
+        if len(bases) != self.num_qubits:
+            raise ValueError("one basis per qubit")
+        grid = self._grid()
+        for qubit, basis in enumerate(bases):
+            grid = np.moveaxis(np.tensordot(_eigenbras(basis), grid,
+                                            axes=([1], [qubit])), 0, qubit)
+        return (np.abs(grid) ** 2).reshape(-1)
 
 
 def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
@@ -125,6 +155,15 @@ class ClawDescription:
         ref = self.branch0 if self.branch0 is not None else self.branch1
         return len(ref)
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(branch0, branch1, phase) as sample_claw_outcomes takes them.  A
+        single branch becomes phase 0: one computational branch gives every
+        X, Y and XY outcome with probability 1/2, which is the law of z = 0."""
+        if self.degenerate:
+            zeros = np.zeros(self.d, dtype=np.uint8)
+            return zeros, zeros, 0
+        return self.branch0, self.branch1, self.phase
+
 
 def build_claw_state(claw: ClawDescription) -> StateVector:
     """Qubits 0..d-1 carry the branch bits, qubit d is the coin."""
@@ -142,71 +181,47 @@ def build_claw_state(claw: ClawDescription) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# honest strategy, closed form
+# the claw sampler, closed form
 
-def _win_parity_target(x, y, a) -> int:
-    """Parity of <x, b> needed for u.v to land in {0, 1} mod 4."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
-    base = int(((x * (1 - 2 * a)) * y).sum()) % 4
-    return 0 if base in (0, 1) else 1
+# Every basis operator has a zero diagonal and a unit off-diagonal W[0, 1] =
+# e^{i theta}; for outcome o the entry of (I + (-1)^o W)/2 is (-1)^o e^{i theta}/2.
+_THETA = {name: float(np.angle(op[0, 1])) for name, op in BASIS_OPS.items()}
 
 
-_WIN_PROB = 0.5 * (1 + 1 / np.sqrt(2))
+def coin_zero_probability(branch0, branch1, phase, y, data) -> np.ndarray:
+    """P(coin outcome 0 | data outcomes) for each row of a batch of claws.
 
+    For the claw (|b0, 0> + phase |b1, 1>)/sqrt(2), data qubit j measured in
+    X (y_j = 0) or Y (y_j = 1) and the coin in XY, the Born rule gives
+    P(o) = 2^{-(d+1)} (1 + Re z), z = phase r_XY(o_d) prod_j r_j(o_j)^{s_j},
+    with r_W(o) = (-1)^o W[0, 1] and s_j = b1_j - b0_j.  The d data bits are
+    therefore uniform and the coin bit is 0 with probability
+    (1 + Re z|_{o_d = 0}) / 2.  A phase of 0 (a single branch) gives 1/2.
 
-def honest_j_sample(d: int, x, y, rng: np.random.Generator,
-                    table_cutoff: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """One answer pair from the exact quantum outcome distribution
-    P(a, b) = 2^{-2(d+1)} (1 +- 1/sqrt(2)), + exactly when u.v lands in
-    {0, 1} mod 4.
-
-    For d <= table_cutoff this inverse-samples the full outcome table; above
-    that it uses the equivalent two-stage scheme (a uniform, then b from the
-    conditional), which is also what the batch sampler uses.
+    branch0, branch1, data: (trials, d) bits; phase: (trials,) in {-1, 0, 1};
+    y: (trials, d + 1) or (d + 1,) question bits ending in 1.
     """
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    if len(x) != d + 1 or len(y) != d + 1 or x[-1] != 1 or y[-1] != 1:
+    s = np.asarray(branch1, dtype=np.int64) - np.asarray(branch0, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    d = s.shape[-1]
+    if y.shape[-1] != d + 1 or not (y[..., d] == 1).all():
         raise ValueError("questions are d+1 bits ending in 1")
-    if d <= table_cutoff:
-        n_out = 1 << (d + 1)
-        outs = ((np.arange(n_out)[:, None] >> np.arange(d + 1)[None, :]) & 1)
-        # dots[a_idx, b_idx] = u(a) . v(b)
-        v = (y[None, :] + 2 * outs).astype(np.int64)  # (b_idx, d+1)
-        ua = (x[None, :] * (1 - 2 * outs)).astype(np.int64)  # (a_idx, d+1)
-        dots = (ua @ v.T) % 4
-        probs = np.where((dots == 0) | (dots == 1), 1 + 1 / np.sqrt(2),
-                         1 - 1 / np.sqrt(2)) / (2 ** (2 * (d + 1)))
-        flat = probs.reshape(-1)
-        pick = int(np.searchsorted(np.cumsum(flat), rng.random()))
-        a_idx, b_idx = divmod(pick, n_out)
-        return outs[a_idx].astype(np.uint8), outs[b_idx].astype(np.uint8)
-    a = rng.integers(0, 2, size=d + 1).astype(np.uint8)
-    want_win = rng.random() < _WIN_PROB
-    target = _win_parity_target(x, y, a)
-    if not want_win:
-        target ^= 1
-    b = rng.integers(0, 2, size=d + 1).astype(np.uint8)
-    # x ends in 1, so the final bit can always absorb the parity constraint
-    b[-1] = 0
-    b[-1] = target ^ (int((x * b).sum()) % 2)
-    return a, b
+    theta = np.where(y[..., :d] == 1, _THETA["Y"], _THETA["X"])
+    angle = (np.pi * (np.abs(s) * np.asarray(data, dtype=np.int64)).sum(axis=-1)
+             + (s * theta).sum(axis=-1) + _THETA["XY"])
+    return (1 + np.asarray(phase) * np.cos(angle)) / 2
 
 
-def honest_j_sample_batch(d: int, xs: np.ndarray, ys: np.ndarray,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized two-stage sampler; same distribution as honest_j_sample."""
-    trials = xs.shape[0]
-    a = rng.integers(0, 2, size=(trials, d + 1)).astype(np.int64)
-    base = ((xs * (1 - 2 * a)) * ys).sum(axis=1) % 4
-    target = np.where((base == 0) | (base == 1), 0, 1)
-    target ^= (rng.random(trials) >= _WIN_PROB).astype(np.int64)
-    b = rng.integers(0, 2, size=(trials, d + 1)).astype(np.int64)
-    b[:, -1] = 0
-    b[:, -1] = target ^ ((xs * b).sum(axis=1) % 2)
-    return a.astype(np.uint8), b.astype(np.uint8)
+def sample_claw_outcomes(branch0, branch1, phase, y,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Exact Born-rule samples of the round-two measurement, one (d+1)-bit
+    row per claw: uniform data bits, then the coin from
+    coin_zero_probability.  O(d) work per claw and no statevector."""
+    branch0 = np.asarray(branch0)
+    data = rng.integers(0, 2, size=branch0.shape)
+    p0 = coin_zero_probability(branch0, branch1, phase, y, data)
+    coin = rng.random(len(p0)) >= p0
+    return np.column_stack([data, coin]).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +297,8 @@ def honest_first_round(record: EncryptionRecord, params: Params,
 def honest_second_round(claw: ClawDescription, y,
                         rng: np.random.Generator) -> np.ndarray:
     """Measure data qubit j in X or Y according to y_j, the coin qubit in
-    the rotated XY basis; the d+1 outcome bits are the round-two answer."""
-    y = np.asarray(y, dtype=np.uint8)
-    d = claw.d
-    if len(y) != d + 1 or y[-1] != 1:
-        raise ValueError("round-two question is d+1 bits ending in 1")
-    state = build_claw_state(claw)
-    out = np.zeros(d + 1, dtype=np.uint8)
-    for j in range(d):
-        out[j], state = measure(state, j, "Y" if y[j] else "X", rng)
-    out[d], state = measure(state, d, "XY", rng)
-    return out
+    the rotated XY basis; the d+1 outcome bits are the round-two answer.
+    Sampled in closed form (sample_claw_outcomes), not simulated."""
+    branch0, branch1, phase = claw.rows()
+    return sample_claw_outcomes(branch0[None], branch1[None], np.array([phase]),
+                                y, rng)[0]

@@ -72,6 +72,13 @@ def test_run_rejects_classical_prover_at_claw_game(capsys):
     assert code == 1
 
 
+def test_run_has_no_sequential_claw_game(capsys):
+    # the honest claw-game law does not depend on measurement order
+    code = main(["run", "--game", "Jseq", "--trials", "10"])
+    assert code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_brute_pass_and_fail_exit_codes(capsys):
     code, out = run_cli(capsys, "brute", "--target", "ghz", "--k", "4")
     assert code == 0 and "PASS" in out and "3/4" in out

@@ -23,6 +23,12 @@ def test_balanced_abs_examples():
        st.integers(min_value=3, max_value=10 ** 9))
 def test_balanced_abs_symmetry(x, q):
     x %= q
+    if q % 2 == 0:
+        # an even modulus has no balanced representative
+        for fn in (balanced, balanced_abs, norm1, norminf):
+            with pytest.raises(ValueError):
+                fn(x, q)
+        return
     assert balanced_abs(x, q) == balanced_abs((q - x) % q, q)
     assert balanced_abs(x, q) <= (q - 1) // 2
 

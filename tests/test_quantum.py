@@ -5,10 +5,11 @@ import pytest
 
 from poqlab.core import Rng, desk_params
 from poqlab.lattice import encrypt
+from poqlab.protocol import run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector, apply_zc,
-                            build_claw_state, honest_first_round,
-                            honest_j_sample, honest_j_sample_batch,
-                            honest_second_round, measure, round_one_positions)
+                            build_claw_state, coin_zero_probability,
+                            honest_first_round, honest_second_round, measure,
+                            round_one_positions, sample_claw_outcomes)
 
 
 def stream(label, idx=0, seed=11):
@@ -149,38 +150,50 @@ def test_half_of_answer_pairs_win():
 
 def test_honest_sample_win_rate():
     d = 4
-    gen = stream("h0")
-    wins = 0
     trials = 20_000
-    xs = np.hstack([gen.integers(0, 2, size=(trials, d)), np.ones((trials, 1), int)])
-    ys = np.hstack([gen.integers(0, 2, size=(trials, d)), np.ones((trials, 1), int)])
-    a, b = honest_j_sample_batch(d, xs, ys, gen)
-    u = xs * (1 - 2 * a.astype(np.int64))
-    v = ys + 2 * b.astype(np.int64)
-    wins = (((u * v).sum(axis=1) % 4) <= 1).mean()
+    wins = (1 + run_game_j(d, trials, Rng(11)).stats.mean) / 2
     want = 0.5 * (1 + 1 / np.sqrt(2))
     assert abs(wins - want) <= 4 * np.sqrt(want * (1 - want) / trials)
 
 
-def test_table_and_two_stage_paths_agree():
-    from scipy.stats import chisquare
-    d = 2
-    x = np.array([1, 0, 1], dtype=np.uint8)
-    y = np.array([0, 1, 1], dtype=np.uint8)
-    gen = stream("h1")
-    n = 20_000
-    counts_table = np.zeros((8, 8))
-    counts_two_stage = np.zeros((8, 8))
-    for _ in range(n):
-        a, b = honest_j_sample(d, x, y, gen)  # table path (d <= cutoff)
-        counts_table[int("".join(map(str, a)), 2),
-                     int("".join(map(str, b)), 2)] += 1
-        a, b = honest_j_sample(d, x, y, gen, table_cutoff=0)  # two-stage path
-        counts_two_stage[int("".join(map(str, a)), 2),
-                         int("".join(map(str, b)), 2)] += 1
-    expected = counts_table.reshape(-1).sum() * _joint_table(d, x, y)
-    assert chisquare(counts_table.reshape(-1), expected).pvalue > 1e-4
-    assert chisquare(counts_two_stage.reshape(-1), expected).pvalue > 1e-4
+def _outcomes(width):
+    return np.array(list(itertools.product((0, 1), repeat=width)), dtype=np.int64)
+
+
+def _sampler_law(claws, y):
+    """P(o) for every claw and every outcome o, in amplitude order, as
+    sample_claw_outcomes draws it: uniform data bits, then the coin is 0
+    with coin_zero_probability."""
+    d = claws[0].d
+    outs = _outcomes(d + 1)
+    branch0, branch1, phase = (np.array(col) for col in zip(*(c.rows() for c in claws)))
+    p0 = coin_zero_probability(branch0[:, None], branch1[:, None],
+                               phase[:, None], y, outs[None, :, :d])
+    return np.where(outs[:, d] == 0, p0, 1 - p0) / 2 ** d
+
+
+def _claws(d):
+    bits = [np.array(b, dtype=np.uint8) for b in itertools.product((0, 1), repeat=d)]
+    for b0 in bits:
+        yield ClawDescription(branch0=b0, branch1=None)
+        yield ClawDescription(branch0=None, branch1=b0)
+        for b1 in bits:
+            for phase in (1, -1):
+                yield ClawDescription(branch0=b0, branch1=b1, phase=phase)
+
+
+def test_claw_sampler_law_matches_oracle():
+    # every claw at d <= 4 (both degenerate forms, both phases) in every basis
+    # string: the closed form equals the statevector's Born rule
+    for d in range(1, 5):
+        claws = list(_claws(d))
+        states = [build_claw_state(claw) for claw in claws]
+        for y in _outcomes(d):
+            y = np.append(y, 1)
+            bases = ["Y" if bit else "X" for bit in y[:d]] + ["XY"]
+            want = [state.outcome_distribution(bases) for state in states]
+            np.testing.assert_allclose(_sampler_law(claws, y), want,
+                                       rtol=0, atol=1e-12)
 
 
 def _joint_table(d, x, y):
@@ -191,33 +204,57 @@ def _joint_table(d, x, y):
             v = y.astype(np.int64) + 2 * np.array(b)
             pm = 1 if int((u * v).sum()) % 4 in (0, 1) else -1
             probs[ai, bi] = (1 + pm / np.sqrt(2)) / (1 << (2 * d + 2))
-    return probs.reshape(-1)
+    return probs
 
 
-def test_statevector_path_matches_closed_form_histogram():
-    # matched claw: fix (x, y, a), compare P(b | a) histograms
-    d = 3
-    gen = stream("h2")
-    x = np.array([1, 0, 1, 1], dtype=np.uint8)
-    y = np.array([0, 1, 1, 1], dtype=np.uint8)
-    a = np.array([0, 1, 1, 0], dtype=np.uint8)
-    claw = ClawDescription(branch0=a[:d],
-                           branch1=(a[:d] ^ x[:d]).astype(np.uint8),
-                           phase=(-1) ** int(a[d]))
-    trials = 100_000
-    counts = np.zeros(1 << (d + 1))
-    for _ in range(trials):
-        b = honest_second_round(claw, y, gen)
-        counts[int("".join(map(str, b)), 2)] += 1
-    # conditional closed form P(b | a) = 2^{d+1} * joint
-    cond = np.zeros(1 << (d + 1))
-    for bi, b in enumerate(itertools.product((0, 1), repeat=d + 1)):
-        u = x.astype(np.int64) * (1 - 2 * a.astype(np.int64))
-        v = y.astype(np.int64) + 2 * np.array(b)
-        pm = 1 if int((u * v).sum()) % 4 in (0, 1) else -1
-        cond[bi] = (1 + pm / np.sqrt(2)) / (1 << (d + 1))
-    tv = 0.5 * np.abs(counts / trials - cond).sum()
-    assert tv < 0.02
+def test_game_j_joint_law_matches_table():
+    # run_game_j draws a uniformly and b from the claw (a, a ^ x, (-1)^{a_d})
+    for d in range(1, 4):
+        for x in _outcomes(d):
+            x = np.append(x, 1)
+            for y in _outcomes(d):
+                y = np.append(y, 1)
+                claws = [ClawDescription(branch0=a[:d], branch1=a[:d] ^ x[:d],
+                                         phase=1 - 2 * int(a[d]))
+                         for a in _outcomes(d + 1)]
+                joint = _sampler_law(claws, y) / 2 ** (d + 1)
+                np.testing.assert_allclose(joint, _joint_table(d, x, y),
+                                           rtol=0, atol=1e-12)
+
+
+def test_outcome_distribution_is_born_rule():
+    from scipy.stats import chisquare
+    gen = stream("o0")
+    for n in (1, 2, 3):
+        state = StateVector(n, gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n))
+        state = StateVector(n, state.amplitudes / state.norm())
+        bases = [("X", "Y", "XY")[int(gen.integers(3))] for _ in range(n)]
+        probs = state.outcome_distribution(bases)
+        assert abs(probs.sum() - 1) < 1e-12
+        counts = np.zeros(2 ** n)
+        samples = 2000
+        for _ in range(samples):
+            post, idx = state, 0
+            for qubit, basis in enumerate(bases):
+                bit, post = measure(post, qubit, basis, gen)
+                idx = (idx << 1) | bit
+            counts[idx] += 1
+        assert chisquare(counts, samples * probs).pvalue > 1e-4
+    with pytest.raises(ValueError):
+        StateVector.computational([0, 1]).outcome_distribution(["X"])
+
+
+def test_sampler_batch_shapes_and_question_check():
+    gen = stream("s0")
+    branch0 = np.zeros((5, 3), dtype=np.uint8)
+    branch1 = np.ones((5, 3), dtype=np.uint8)
+    out = sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 1], gen)
+    assert out.shape == (5, 4) and out.dtype == np.uint8
+    with pytest.raises(ValueError):
+        sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 0], gen)
+    claw = ClawDescription(branch0=[0, 1], branch1=[1, 1], phase=-1)
+    with pytest.raises(ValueError):
+        honest_second_round(claw, np.array([0, 1], dtype=np.uint8), gen)
 
 
 def test_degenerate_claw_outcomes_uniform():
