@@ -6,11 +6,22 @@ entries and G stacks the binary gadget (1, 2, ..., 2^{Q-1}) per secret
 coordinate.  Recombining v = A s + e through R turns inversion into decoding
 G s from noise bounded by B = 2 tau (1 + (Q+1) n); parameter validation
 guarantees B < q/4, which makes the decode below exact.
+
+The two trapdoor products, R Abar in gen_trap and R v_top in invert, run in
+float64 BLAS and are exact: R is ternary and the other operand canonical in
+[0, q), so every partial sum is an integer of magnitude below (Q+1) n q,
+which _ternary_matmul_mod requires to be under 2^53 (about 2^36 at the desk
+and separating presets).  Every other product goes through core.matmul_mod.
+
+assess_preimages inverts both shifts w and w + v of a round-one commitment
+and applies the noise-box test; the honest prover and the referee share its
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,7 +134,24 @@ def sample_gaussian(sigma: float, rng: np.random.Generator,
 @dataclass(frozen=True)
 class TrapdoorKey:
     abar: np.ndarray  # (Q+1)n x n, uniform
-    r: np.ndarray     # Qn x (Q+1)n, entries in {-1, 0, 1}
+    # Qn x (Q+1)n float64 with entries in {-1, 0, 1}: products with residues
+    # stay exact while (Q+1) n q < 2^53 (see _ternary_matmul_mod)
+    r: np.ndarray
+
+
+def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+    """(r @ x) % q as int64, for float64 r with entries in {-1, 0, 1} and x
+    canonical in [0, q).
+
+    Every partial sum is an integer of magnitude below k q, k the inner
+    dimension; while k q < 2^53 each one is a float64, so the BLAS product
+    is exact in any summation order.  The bound depends on shapes and q
+    only, so no operand is scanned.
+    """
+    if r.shape[-1] * q >= 1 << 53:
+        raise ValueError(f"ternary product not exact in float64: "
+                         f"{r.shape[-1]} * q = {r.shape[-1] * q} >= 2^53")
+    return (r @ x.astype(np.float64) % q).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -144,8 +172,9 @@ def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, Trapdoo
     trapdoor (Abar, R) that makes invert() work."""
     top_rows = (params.Q + 1) * params.n
     abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
-    r = rng.integers(-1, 2, size=(params.Q * params.n, top_rows), dtype=np.int64)
-    bottom = (_gadget(params) - matmul_mod(r, abar, params.q)) % params.q
+    r = rng.integers(-1, 2, size=(params.Q * params.n, top_rows),
+                     dtype=np.int64).astype(np.float64)
+    bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
     a = np.vstack([abar, bottom])
     return ZqArray(params.q, a), TrapdoorKey(abar=abar, r=r)
 
@@ -166,7 +195,8 @@ def invert(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
     if 6 * bound >= q:
         raise ValueError("parameters leave no decoding margin (need 6B < q)")
     top_rows = (big_q + 1) * n
-    y = (matmul_mod(trap.r, v.values[:top_rows], q) + v.values[top_rows:]) % q
+    y = (_ternary_matmul_mod(trap.r, v.values[:top_rows], q)
+         + v.values[top_rows:]) % q
     rows = y.reshape(n, big_q)  # rows[i, k] = 2^k s_i + E_{i,k} mod q
     delta = balanced(rows[:, 1:] - 2 * rows[:, :-1], q)  # = E_{k+1} - 2 E_k
     powers = (1 << np.arange(big_q - 2, -1, -1)).astype(np.int64)
@@ -221,6 +251,39 @@ def decrypt(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
         return None
     tail = balanced(gamma[params.n - params.d:], params.q)
     return (np.abs(tail) % 2).astype(np.int64)
+
+
+class Preimages(NamedTuple):
+    """Both shifts of a round-one commitment w, inverted through the
+    trapdoor: z0 from w, z1 from w + v (None where inversion fails), and
+    whether each sits within tau of its lattice point (the noise box)."""
+
+    z0: np.ndarray | None
+    z1: np.ndarray | None
+    in_box0: bool
+    in_box1: bool
+
+
+def assess_preimages(w: ZqArray, record: EncryptionRecord,
+                     params: Params) -> Preimages:
+    """Invert w and w + v and apply the noise-box test to each preimage.
+
+    Deterministic in (w, record, params), so the honest prover's result is
+    the one the referee would compute.  w is inverted first: a commitment
+    of the wrong length raises invert's ValueError.
+    """
+    a, v = record.ciphertext.a, record.ciphertext.v
+
+    def preimage(target: ZqArray):
+        z = invert(a, record.trapdoor, target, params)
+        in_box = z is not None and norminf(
+            (target.values - matmul_mod(a.values, z, params.q)) % params.q,
+            params.q) <= params.tau
+        return z, in_box
+
+    z0, in_box0 = preimage(w)
+    z1, in_box1 = preimage(w + v)
+    return Preimages(z0, z1, in_box0, in_box1)
 
 
 def fake_encrypt(message, params: Params,

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import best_score
-from .core import Params, Rng, balanced_abs, binary_repr, matmul_mod, norminf
+from .core import Params, Rng, balanced_abs, binary_repr
 from .games import j_score
-from .lattice import EncryptionRecord, ZqArray, encrypt, invert
+from .lattice import (EncryptionRecord, Preimages, ZqArray, assess_preimages,
+                      encrypt)
 from .provers import ClassicalProver, TrapdoorLeakProver
 from .quantum import (honest_first_round, honest_second_round,
                       round_one_positions, sample_claw_outcomes)
@@ -148,24 +149,26 @@ def run_game_j(d: int, trials: int, rng: Rng,
 
 def referee_first_assessment(w: ZqArray, ells: np.ndarray,
                              record: EncryptionRecord, params: Params,
-                             fallback: np.random.Generator):
+                             fallback: np.random.Generator,
+                             preimages: Preimages | None = None):
     """Referee's round-one bookkeeping: invert both shifts of the prover's
     commitment and derive the answer string it will be scored with.
 
+    preimages, when given, must be assess_preimages(w, record, params); the
+    honest prover has already computed it, so the game passes it on instead
+    of inverting w and w + v a second time.
+
     Returns (a, e_flag, f_flag); on inversion failure a is sampled uniformly.
     """
-    q, n, d, tau = params.q, params.n, params.d, params.tau
+    q, n, d = params.q, params.n, params.d
     if ells.shape != (n * params.Q - d,):
         raise ValueError(f"round-one bits must cover {n * params.Q - d} positions")
-    a_mat = record.ciphertext.a
-    z0 = invert(a_mat, record.trapdoor, w, params)
-    z1 = invert(a_mat, record.trapdoor, w + record.ciphertext.v, params)
+    if preimages is None:
+        preimages = assess_preimages(w, record, params)
+    z0, z1, in_box0, in_box1 = preimages
     if z0 is None or z1 is None:
         return fallback.integers(0, 2, size=d + 1).astype(np.uint8), False, False
 
-    in_box0 = norminf((w.values - matmul_mod(a_mat.values, z0, q)) % q, q) <= tau
-    in_box1 = norminf(((w + record.ciphertext.v).values
-                       - matmul_mod(a_mat.values, z1, q)) % q, q) <= tau
     e_flag = bool(in_box0 and in_box1)
     f_flag = bool((balanced_abs(z0, q) > np.abs(record.gamma)).all())
 
@@ -204,10 +207,11 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
         if prover == "honest":
             first = honest_first_round(record, params,
                                        rng.stream("gameR/prover", t))
-            w, ells = first.w, first.ells
+            w, ells, preimages = first.w, first.ells, first.preimages
             b = honest_second_round(first.claw, y,
                                     rng.stream("gameR/prover2", t))
         else:
+            preimages = None
             if isinstance(prover, TrapdoorLeakProver):
                 prover.set_leak(record.trapdoor)
             coins = rng.stream("gameR/coins", t).integers(0, 1 << 62, size=4)
@@ -220,7 +224,7 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
                 b = prover.second_response(y, mem)
 
         a, e_flag, f_flag = referee_first_assessment(
-            w, ells, record, params, rng.stream("gameR/referee", t))
+            w, ells, record, params, rng.stream("gameR/referee", t), preimages)
         scores[t] = j_score(x, y, a, b)
         e_flags[t], f_flags[t] = e_flag, f_flag
         if keep_transcripts:

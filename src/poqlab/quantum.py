@@ -7,6 +7,9 @@ The honest prover plays both rounds of the encrypted game without a dense
 state.  The first round never materializes the (nQ+1)-qubit state; for a
 two-branch residual state the X-measurements on the non-data qubits are
 equivalent to uniform bits plus a phase XOR, which is what gets simulated.
+The first round's two preimages come from lattice.assess_preimages, and
+that one assessment, carried in FirstRoundResult, is what the referee
+scores the trial with.
 The second round measures the remaining (d+1)-qubit claw, and its outcome
 law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
 exact Born-rule answers for a whole batch of claws at O(d) per claw; the
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, balanced_abs, binary_repr, matmul_mod, norminf
-from .lattice import EncryptionRecord, ZqArray, invert
+from .core import Params, balanced_abs, binary_repr, matmul_mod
+from .lattice import EncryptionRecord, Preimages, ZqArray, assess_preimages
 
 MAX_QUBITS = 26
 
@@ -235,6 +238,7 @@ class FirstRoundResult:
     claw: ClawDescription
     event_e: bool
     event_f: bool
+    preimages: Preimages  # the referee's assessment of w, shared
 
 
 def round_one_positions(params: Params) -> np.ndarray:
@@ -250,7 +254,8 @@ def round_one_positions(params: Params) -> np.ndarray:
 def honest_first_round(record: EncryptionRecord, params: Params,
                        rng: np.random.Generator) -> FirstRoundResult:
     """Prepare w = A r - c v + z, resolve the consistent preimages through
-    the referee's trapdoor, and reduce the residual state to its claw.
+    the referee's trapdoor (assess_preimages), and reduce the residual state
+    to its claw.
 
     The event flags record whether both preimages sat inside the noise box
     (E) and whether no coordinate of the recovered preimage was smaller in
@@ -264,11 +269,8 @@ def honest_first_round(record: EncryptionRecord, params: Params,
     w_vals = (matmul_mod(a.values, r, q) - coin * v.values + box) % q
     w = ZqArray(q, w_vals)
 
-    z0 = invert(a, record.trapdoor, w, params)
-    z1 = invert(a, record.trapdoor, w + v, params)
-    in_box0 = z0 is not None and norminf((w.values - matmul_mod(a.values, z0, q)) % q, q) <= tau
-    in_box1 = z1 is not None and norminf(
-        ((w + v).values - matmul_mod(a.values, z1, q)) % q, q) <= tau
+    preimages = assess_preimages(w, record, params)
+    z0, z1, in_box0, in_box1 = preimages
     event_e = in_box0 and in_box1
     event_f = bool(z0 is not None and
                    (balanced_abs(z0, q) > np.abs(record.gamma)).all())
@@ -291,7 +293,8 @@ def honest_first_round(record: EncryptionRecord, params: Params,
     else:
         claw = ClawDescription(branch0=None, branch1=data_bits(z1))
     return FirstRoundResult(w=w, ells=ells, ell_positions=positions, claw=claw,
-                            event_e=event_e, event_f=event_f)
+                            event_e=event_e, event_f=event_f,
+                            preimages=preimages)
 
 
 def honest_second_round(claw: ClawDescription, y,

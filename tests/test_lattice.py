@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poqlab.core import Rng, balanced, derive_params, desk_params
-from poqlab.lattice import (GaussianSampler, ZqArray, decrypt, encrypt,
-                            fake_encrypt, gen_trap, invert, lwe_oracle,
-                            sample_gaussian, solve_linear_mod)
+from poqlab.lattice import (GaussianSampler, ZqArray, _ternary_matmul_mod,
+                            decrypt, encrypt, fake_encrypt, gen_trap, invert,
+                            lwe_oracle, sample_gaussian, solve_linear_mod)
 
 PARAMS = desk_params()
 
@@ -78,8 +78,43 @@ def test_gen_trap_dimensions():
     assert trap.abar.shape == ((PARAMS.Q + 1) * PARAMS.n, PARAMS.n)
     assert trap.r.shape == (PARAMS.Q * PARAMS.n, (PARAMS.Q + 1) * PARAMS.n)
     assert set(np.unique(trap.r)) <= {-1, 0, 1}
+    assert trap.r.dtype == np.float64  # converted once, for the BLAS products
     np.testing.assert_array_equal(a.values[:(PARAMS.Q + 1) * PARAMS.n],
                                   trap.abar % PARAMS.q)
+
+
+@pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
+                         ids=["desk", "separation"])
+def test_ternary_product_is_exact(params):
+    # R Abar and R v_top against Python integers, at the largest partial sums
+    # the presets allow: R all +1 or all -1 against residues all q - 1
+    q, rows, inner = params.q, params.Q * params.n, (params.Q + 1) * params.n
+    assert inner * q < 2 ** 53
+    gen = stream("tern")
+    rs = [np.ones((rows, inner)), -np.ones((rows, inner)),
+          gen.integers(-1, 2, size=(rows, inner)).astype(np.float64)]
+    operands = [np.full((inner, 2), q - 1, dtype=np.int64),
+                np.full(inner, q - 1, dtype=np.int64),
+                gen.integers(0, q, size=(inner, params.n), dtype=np.int64)]
+    for r in rs:
+        for x in operands:
+            want = (r.astype(np.int64).astype(object) @ x.astype(object)) % q
+            got = _ternary_matmul_mod(r, x, q)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want.astype(np.int64))
+
+
+def test_ternary_product_bound_guard():
+    # exact while inner * q < 2^53, refused from 2^53 on
+    inner = 16
+    x = np.full(inner, (1 << 49) - 2, dtype=np.int64)
+    for sign in (1, -1):
+        r = np.full((2, inner), float(sign))
+        np.testing.assert_array_equal(
+            _ternary_matmul_mod(r, x, (1 << 49) - 1),
+            (sign * inner * ((1 << 49) - 2)) % ((1 << 49) - 1))
+        with pytest.raises(ValueError, match="2\\^53"):
+            _ternary_matmul_mod(r, x, 1 << 49)
 
 
 def test_invert_noiseless():

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from poqlab.core import Rng, derive_params, desk_params
-from poqlab.protocol import (ScoreStats, Transcript, run_experiment_s,
-                             run_game_j, run_game_r)
+from poqlab.lattice import assess_preimages, encrypt
+from poqlab.protocol import (ScoreStats, Transcript, referee_first_assessment,
+                             run_experiment_s, run_game_j, run_game_r)
 from poqlab.provers import BlindProver, TrapdoorLeakProver
+from poqlab.quantum import honest_first_round
 
 PARAMS = desk_params()
 
@@ -80,6 +84,53 @@ def test_game_r_determinism():
     r2 = run_game_r("honest", PARAMS, 40, Rng(13), keep_transcripts=True)
     assert [t.to_line() for t in r1.transcripts] == \
         [t.to_line() for t in r2.transcripts]
+
+
+def _transcript_digest(result) -> str:
+    lines = "\n".join(t.to_line() for t in result.transcripts)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("prover, params, trials, sequential, digest", [
+    ("honest", PARAMS, 20, False,
+     "3f2d3090f6bac7b5c684b87fddc0813acf929cc6544871b2539b8fb322232015"),
+    ("honest", desk_params(d=16, n=16), 4, True,
+     "713ea1eff0a2beb746079d4a1e445e49c1836cfbe771a60a284c63fc8d85de51"),
+    (TrapdoorLeakProver(PARAMS), PARAMS, 20, True,
+     "9e9bb4429057193ce89292067fd0bd4fea4f77d55e939eda8a9a7cdc60249064"),
+], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk"])
+def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
+                                          digest):
+    # any change to the arithmetic or to the random-stream layout moves
+    # these digests; such a change must say why it moved them
+    res = run_game_r(prover, params, trials, Rng(2024), sequential=sequential,
+                     keep_transcripts=True)
+    assert _transcript_digest(res) == digest
+
+
+def test_honest_round_carries_the_referee_assessment():
+    # the preimages the prover hands the referee are exactly what the referee
+    # would compute from (w, record, params), and so is its verdict
+    rng = Rng(29)
+    for t in range(40):
+        inp = rng.stream("gameR/inputs", t)
+        x = inp.integers(0, 2, size=PARAMS.d)
+        record = encrypt(x, PARAMS, rng.stream("gameR/encrypt", t))
+        first = honest_first_round(record, PARAMS, rng.stream("gameR/prover", t))
+        fresh = assess_preimages(first.w, record, PARAMS)
+        for got, want in zip(first.preimages, fresh):
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got == want
+        shared = referee_first_assessment(first.w, first.ells, record, PARAMS,
+                                          rng.stream("gameR/referee", t),
+                                          first.preimages)
+        recomputed = referee_first_assessment(first.w, first.ells, record,
+                                              PARAMS,
+                                              rng.stream("gameR/referee", t))
+        np.testing.assert_array_equal(shared[0], recomputed[0])
+        assert shared[1:] == recomputed[1:]
 
 
 def test_blind_prover_scores_like_all_zero_strategy():

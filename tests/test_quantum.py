@@ -41,11 +41,12 @@ def test_measure_eigenstate_is_deterministic():
 
 
 def test_measure_zero_state_in_x_is_fair():
-    gen = stream("m1")
     zero = StateVector.computational([0])
-    outcomes = np.array([measure(zero, 0, "X", gen)[0] for _ in range(100_000)])
-    p = outcomes.mean()
-    assert abs(p - 0.5) <= 3 * 0.5 / np.sqrt(len(outcomes))
+    np.testing.assert_allclose(zero.outcome_distribution(["X"]), [0.5, 0.5],
+                               atol=1e-12)
+    gen = stream("m1")
+    outcomes = np.array([measure(zero, 0, "X", gen)[0] for _ in range(20_000)])
+    assert abs(outcomes.mean() - 0.5) <= 4 * 0.5 / np.sqrt(len(outcomes))
 
 
 def test_measure_zero_state_in_xy_is_fair():
