@@ -178,6 +178,8 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
 @dataclass(frozen=True)
 class AdvantageReport:
     reps: int
+    reps_real: int
+    reps_uniform: int
     mean_r_real: float
     mean_r_uniform: float
     advantage: float
@@ -188,20 +190,29 @@ class AdvantageReport:
 def experiment_e_campaign(prover: ClassicalProver, params: Params, reps: int,
                           rng: Rng, alpha: int | None = None) -> AdvantageReport:
     """Estimated E[r | arm] for both arms and the distinguishing advantage
-    (difference of means over two)."""
+    (difference of means over two).
+
+    An arm with no repetitions reports mean 0.0, which keeps the means in
+    [-1, 1], but its count is 0 and advantage and stderr are nan: the
+    difference is not measured then.
+    """
     rs = {0: [], 1: []}
     correct = 0
     for rep in range(reps):
         out = experiment_e(prover, params, rng, rep, alpha)
         rs[out.hidden_bit].append(out.r)
         correct += out.guess == out.hidden_bit
-    m0 = float(np.mean(rs[0])) if rs[0] else 0.0
-    m1 = float(np.mean(rs[1])) if rs[1] else 0.0
-    var0 = (1 - m0 ** 2) / max(len(rs[0]), 1)
-    var1 = (1 - m1 ** 2) / max(len(rs[1]), 1)
-    return AdvantageReport(reps=reps, mean_r_real=m0, mean_r_uniform=m1,
-                           advantage=(m0 - m1) / 2,
-                           stderr=float(np.sqrt(var0 + var1)) / 2,
+    n0, n1 = len(rs[0]), len(rs[1])
+    m0 = float(np.mean(rs[0])) if n0 else 0.0
+    m1 = float(np.mean(rs[1])) if n1 else 0.0
+    if n0 and n1:
+        advantage = (m0 - m1) / 2
+        stderr = float(np.sqrt((1 - m0 ** 2) / n0 + (1 - m1 ** 2) / n1)) / 2
+    else:
+        advantage = stderr = float("nan")
+    return AdvantageReport(reps=reps, reps_real=n0, reps_uniform=n1,
+                           mean_r_real=m0, mean_r_uniform=m1,
+                           advantage=advantage, stderr=stderr,
                            guess_accuracy=correct / reps)
 
 

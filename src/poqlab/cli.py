@@ -353,6 +353,7 @@ def cmd_attack(args) -> int:
     report = attack.experiment_e_campaign(prover, params, args.reps,
                                           Rng(args.seed), alpha=alpha)
     print(f"experiment {args.experiment} ({args.prover}): reps={report.reps} "
+          f"(real {report.reps_real}, uniform {report.reps_uniform}) "
           f"E[r|real]={report.mean_r_real:.4f} "
           f"E[r|uniform]={report.mean_r_uniform:.4f} "
           f"advantage={report.advantage:.4f} (stderr {report.stderr:.4f}) "

@@ -6,10 +6,12 @@ flat index sum_j x_j * m**j (little-endian mixed radix).  The transform pairs
 the group with itself through the character x' |-> zeta^{x . x'} with
 zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 
-For indicator and integer-weighted inputs on Z_4^n the transform values are
-Gaussian integers (up to the global |G|^{-1/2} scale), so support detection
-and the linearity coefficient are computed exactly; floating inputs use a
-support cutoff instead.
+The transform runs in floating point for every input.  Supports, on either
+side of the transform, are the entries whose modulus exceeds SUPPORT_EPS, so
+support sizes and the uncertainty products built on them depend on that
+cutoff.  Only the Fraction-valued functions are exact: the linearity
+coefficient of an indicator (eta_set), its quadruple oracle, and the
+collision probability of a rational distribution.
 """
 
 from __future__ import annotations
@@ -145,22 +147,6 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     b = np.fft.fftn(g.values.reshape([gr.m] * gr.n))
     out = np.fft.ifftn(a * b) / np.sqrt(gr.size)
     return GroupFunction(gr, out.reshape(-1))
-
-
-def dft_z4_exact(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized transform of an integer-valued function on Z_4^n.
-
-    Returns integer (real, imag) parts of sum_x w(x) i^{x . x'}; dividing by
-    |G|^{1/2} would give the standard normalization.  Used for exact support
-    counts of indicator transforms.
-    """
-    g = Group(4, n)
-    els = g.elements()
-    dots = (els @ els.T) % 4
-    w = np.asarray(weights, dtype=np.int64)
-    re = ((dots == 0) * 1 - (dots == 2)) @ w
-    im = ((dots == 1) * 1 - (dots == 3)) @ w
-    return re.astype(np.int64), im.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,6 @@ def _all_tables(d: int) -> np.ndarray:
     return np.stack(tables)
 
 
-def is_time_ordered_table(table: np.ndarray) -> bool:
-    """Exhaustive perturbation check: flipping input bit j > i never moves
-    output bit i."""
-    table = np.asarray(table)
-    size, d = table.shape
-    for x_idx in range(size):
-        for j in range(d):
-            other = x_idx ^ (1 << j)
-            if not np.array_equal(table[x_idx, :j], table[other, :j]):
-                return False
-    return True
-
-
 def max_eta_parity_balanced(d: int, time_ordered: bool) -> Fraction:
     """Maximum linearity coefficient over the enumerated family."""
     if d > 2:
@@ -310,13 +297,42 @@ def _best_response_sequential(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
     return out
 
 
+def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.ndarray:
+    """The distinct vectors v_i * v_j over all ordered pairs (i, j), as int16
+    rows in byte order.
+
+    circulants[h, j * size + g] = v_j(g - h), as float32.  Rows are
+    deduplicated as raw bytes, so two pairs share a row exactly when their
+    convolutions agree.
+    """
+    n, size = vecs.shape
+    lhs = vecs.astype(np.float32)
+    # blocks of 8 first players: the whole float32 product (4 MB at d = 2)
+    # left more heap resident and raised the peak RSS of later work
+    pairs = np.empty((n, n * size), dtype=np.int16)
+    for start in range(0, n, 8):
+        pairs[start:start + 8] = np.rint(lhs[start:start + 8] @ circulants)
+    rows = pairs.reshape(-1, size)
+    keys = np.unique(rows.view(np.dtype((np.void, rows.itemsize * size))).ravel())
+    return keys.view(np.int16).reshape(-1, size)
+
+
 def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> Fraction:
     """Exact optimum winning probability over deterministic strategies.
 
     mode 'single' is the one-round k-player game; 'parallel' and 'sequential'
     are the d-fold variants, the latter restricted to time-ordered strategies.
-    The search enumerates all but the last player and computes that player's
-    optimal (time-ordered, in sequential mode) response in closed form.
+    The repeated search sees the first two players only through the
+    convolution of their counting vectors, so it runs over the distinct pair
+    convolutions (1,864 of the 65,536 ordered pairs in parallel mode at d = 2,
+    160 of 4,096 in sequential mode), enumerates the third player for k = 4,
+    and computes the last player's optimal (time-ordered, in sequential mode)
+    response in closed form.
+
+    Exactness: a pair entry counts pairs summing to g, at most 2^d * 2^d = 16
+    at d <= 2, and a triple entry at most 2^(3d) = 64.  So the float32 pair
+    and triple products sum small integers exactly, and every count fits in
+    int16.
     """
     if mode == "single":
         space = (4 ** k) * (1 << (k - 1))
@@ -349,25 +365,27 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     vecs = _counting_vectors(
         np.stack([parity_set_from_strategy(t).elements for t in tables]), d)
     n = vecs.shape[0]
-    # conv_all[j] is the circulant of strategy j: conv_all[j][g, h] = v_j(g - h)
-    conv_all = vecs[:, sub]  # (n, size, size)
+    # circulants[h, j * size + g] = v_j(g - h): column block j is the
+    # circulant of strategy j, shared by the pair and the triple products
+    circulants = vecs[:, sub].transpose(2, 0, 1).reshape(size, n * size)
+    circulants = circulants.astype(np.float32)
 
     def reduce_(t_slice):
         if mode == "sequential":
             return _best_response_sequential(t_slice, d, neg)
         return _best_response_parallel(t_slice, d, neg)
 
-    # all ordered pairs of the first two players
-    pairs = np.einsum("ih,jgh->ijg", vecs, conv_all).reshape(n * n, size)
+    pairs = _distinct_pair_convolutions(vecs, circulants)
     if k == 3:
         best = int(reduce_(pairs).max())
     else:
+        # the third player's product runs in fixed row blocks of the distinct
+        # pairs, so its peak memory does not grow with their number
+        block = 128
         best = 0
-        third = conv_all.transpose(2, 0, 1).reshape(size, n * size).astype(np.float32)
-        chunk = max(1, (1 << 22) // (n * size))
-        for start in range(0, pairs.shape[0], chunk):
-            block = pairs[start:start + chunk].astype(np.float32)
-            t_block = np.rint(block @ third).astype(np.int64).reshape(-1, n, size)
+        for start in range(0, len(pairs), block):
+            rows = pairs[start:start + block].astype(np.float32)
+            t_block = np.rint(rows @ circulants).astype(np.int16).reshape(-1, n, size)
             best = max(best, int(reduce_(t_block).max()))
     return Fraction((1 << d) * best, (1 << d) ** k)
 

@@ -113,7 +113,19 @@ PARAMS6 = desk_params(d=6)
 def test_blind_prover_has_no_advantage():
     report = experiment_e_campaign(BlindProver(PARAMS6), PARAMS6, 400,
                                    Rng(5), alpha=64)
+    assert report.reps_real + report.reps_uniform == 400
     assert abs(report.advantage) <= 3 * report.stderr
+
+
+def test_empty_arm_leaves_advantage_unmeasured():
+    params = desk_params(d=8)
+    report = experiment_e_campaign(TrapdoorLeakProver(params), params, 12,
+                                   Rng(10811))
+    assert (report.reps_real, report.reps_uniform) == (0, 12)
+    assert np.isnan(report.advantage) and np.isnan(report.stderr)
+    # the means stay finite in [-1, 1]; the empty arm reads 0.0
+    assert report.mean_r_real == 0.0
+    assert -1.0 <= report.mean_r_uniform <= 1.0
 
 
 def test_leak_prover_distinguishes():

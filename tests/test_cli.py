@@ -89,6 +89,19 @@ def test_brute_pass_and_fail_exit_codes(capsys):
     assert code == 1  # enumeration ceiling
 
 
+def test_brute_eta_parb_d2_against_parallel_value(capsys):
+    code, out = run_cli(capsys, "brute", "--target", "eta-parb", "--d", "2")
+    assert code == 0
+    assert "value=9/16 bound=9/16 PASS" in out
+
+
+def test_brute_j_d2_against_parallel_value(capsys):
+    code, out = run_cli(capsys, "brute", "--target", "j", "--d", "2")
+    assert code == 0
+    bound = 2 * (9 / 16) ** 0.25
+    assert f"bound={bound:.6f} PASS" in out
+
+
 def test_brute_j_sequential(capsys):
     code, out = run_cli(capsys, "brute", "--target", "j-seq", "--d", "2")
     assert code == 0 and "PASS" in out
@@ -122,6 +135,7 @@ def test_attack_eprime_smoke(capsys):
                         "--d", "4")
     assert code == 0
     assert "advantage=" in out
+    assert "reps=40 (real " in out and ", uniform " in out
 
 
 def test_config_file_defaults_and_overrides(tmp_path, capsys):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from poqlab.fourier import Group, GroupFunction, uniformity_nu
 from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInput,
                           ParityBalancedSet, SearchSpaceTooLarge,
-                          TimeOrderedStrategy, bits_of, ghz4_closed_form,
-                          ghz_score, ghz_strategy_score,
+                          TimeOrderedStrategy, _all_tables,
+                          _best_response_parallel, _best_response_sequential,
+                          _counting_vectors, _distinct_pair_convolutions,
+                          _group_index_tools, _time_ordered_tables, bits_of,
+                          ghz4_closed_form, ghz_score, ghz_strategy_score,
                           ghz_strategy_score_enum, ghz_value_bruteforce,
-                          index_of, is_time_ordered_table, j_bias_bruteforce,
+                          index_of, j_bias_bruteforce,
                           j_bias_fourier_identity, j_sample_inputs, j_score,
                           max_eta_parity_balanced, parity_set_from_strategy,
                           reduce_ghz4_to_ghz3, strategy_from_parity_set)
@@ -88,6 +91,78 @@ def test_repeated_value_parallel_d2():
     four = ghz_value_bruteforce(4, "parallel", 2)
     assert four == Fraction(9, 16)
     assert max_eta_parity_balanced(2, False) <= four
+    # witness: the optimal one-round tuple ((0,0),(0,0),(0,1),(0,1)) on
+    # each coordinate attains the searched value
+    zero = np.zeros((4, 2), dtype=np.uint8)
+    copy = np.stack([bits_of(i, 2) for i in range(4)])
+    tables = [zero, zero, copy, copy]
+    assert ghz_strategy_score(tables, 2) == four
+    assert ghz_strategy_score_enum(tables, 2) == four
+
+
+def _search_inputs(mode, d):
+    tables = _time_ordered_tables(d) if mode == "sequential" else _all_tables(d)
+    _, _, sub, neg = _group_index_tools(d)
+    vecs = _counting_vectors(
+        np.stack([parity_set_from_strategy(t).elements for t in tables]), d)
+    return vecs, vecs[:, sub], neg
+
+
+def _all_ordered_pairs(vecs, conv_all):
+    n, size = vecs.shape
+    return np.einsum("ih,jgh->ijg", vecs, conv_all).reshape(n * n, size)
+
+
+def _repeated_value_all_pairs(k, mode, d):
+    """Reference search: a best response for every ordered pair of the first
+    two players (and every third player at k = 4), no deduplication."""
+    vecs, conv_all, neg = _search_inputs(mode, d)
+    n, size = vecs.shape
+
+    def reduce_(t_slice):
+        if mode == "sequential":
+            return _best_response_sequential(t_slice, d, neg)
+        return _best_response_parallel(t_slice, d, neg)
+
+    pairs = _all_ordered_pairs(vecs, conv_all)
+    if k == 3:
+        best = int(reduce_(pairs).max())
+    else:
+        best = 0
+        third = conv_all.transpose(2, 0, 1).reshape(size, n * size).astype(np.float32)
+        chunk = max(1, (1 << 22) // (n * size))
+        for start in range(0, pairs.shape[0], chunk):
+            block = pairs[start:start + chunk].astype(np.float32)
+            t_block = np.rint(block @ third).astype(np.int64).reshape(-1, n, size)
+            best = max(best, int(reduce_(t_block).max()))
+    return Fraction((1 << d) * best, (1 << d) ** k)
+
+
+# every case the all-pairs reference finishes in under a second
+@pytest.mark.parametrize("k,mode,d", [
+    (3, "parallel", 1), (3, "sequential", 1),
+    (4, "parallel", 1), (4, "sequential", 1),
+    (3, "parallel", 2), (3, "sequential", 2),
+    (4, "sequential", 2),
+])
+def test_repeated_value_matches_all_pairs_reference(k, mode, d):
+    assert ghz_value_bruteforce(k, mode, d) == _repeated_value_all_pairs(k, mode, d)
+
+
+@pytest.mark.parametrize("mode,d,distinct", [
+    ("parallel", 1, None), ("sequential", 1, None),
+    ("parallel", 2, 1864), ("sequential", 2, 160),
+])
+def test_distinct_pair_convolutions_cover_every_ordered_pair(mode, d, distinct):
+    vecs, conv_all, _ = _search_inputs(mode, d)
+    n, size = vecs.shape
+    circulants = conv_all.transpose(2, 0, 1).reshape(size, n * size)
+    rows = _distinct_pair_convolutions(vecs, circulants.astype(np.float32))
+    got = {tuple(r) for r in rows.tolist()}
+    assert len(got) == len(rows)
+    assert got == {tuple(r) for r in _all_ordered_pairs(vecs, conv_all).tolist()}
+    if distinct is not None:
+        assert len(rows) == distinct
 
 
 def test_repeated_value_matches_strategy_scores_d1():
@@ -226,11 +301,15 @@ def test_max_eta_bounds():
 
 
 def test_time_ordered_table_check():
+    tables = _time_ordered_tables(2)
+    # output bit 0 reads 1 input bit, output bit 1 reads 2: 2^2 * 2^4 tables
+    assert len(tables) == 64
+    assert len({t.tobytes() for t in tables}) == 64
     good = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-    assert is_time_ordered_table(good)
+    assert any(np.array_equal(t, good) for t in tables)
     bad = good.copy()
     bad[0, 0] = 1  # first output bit now depends on the second input bit
-    assert not is_time_ordered_table(bad)
+    assert not any(np.array_equal(t, bad) for t in tables)
 
 
 # --- the claw game -----------------------------------------------------------
