@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -143,6 +144,23 @@ def test_full_enumeration_equals_exhaustive_alpha():
         sampled = experiment_e(leak, params, Rng(7), rep, alpha=1 << params.d)
         assert full.rho == sampled.rho
         assert full.r == sampled.r and full.hidden_bit == sampled.hidden_bit
+
+
+@pytest.mark.parametrize("alpha, prover_cls, report", [
+    (None, BlindProver, (16, 10, 6, 0.0, -1 / 3, 1 / 6, 0.24907235301622105,
+                         0.5625)),
+    (None, TrapdoorLeakProver, (16, 10, 6, 1.0, 0.0, 0.5, 0.2041241452319315,
+                                0.8125)),
+    (64, BlindProver, (16, 10, 6, 0.2, 0.0, 0.1, 0.2562550812504343, 0.5625)),
+    (64, TrapdoorLeakProver, (16, 10, 6, 1.0, 0.0, 0.5, 0.2041241452319315,
+                              0.8125)),
+], ids=["all-blind", "all-leak", "alpha64-blind", "alpha64-leak"])
+def test_campaign_pinned_at_fixed_seed(alpha, prover_cls, report):
+    # pins the stream layout of experiment E, enumerated and sampled
+    params = desk_params(d=8)
+    got = experiment_e_campaign(prover_cls(params), params, 16, Rng(2024),
+                                alpha=alpha)
+    assert dataclasses.astuple(got) == report
 
 
 # --- the plan ------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import hashlib
 from pathlib import Path
+
+import pytest
 
 from poqlab.cli import main
 
@@ -51,6 +54,18 @@ def test_run_r_reports_event_rates(capsys):
                         "--trials", "60", "--seed", "1")
     assert code == 0
     assert "E-rate" in out and "F-rate" in out
+
+
+@pytest.mark.parametrize("prover, digest", [
+    ("honest", "efaf8da59120757fceeec67157834546e9ff7d811d83ba9e884764c988e414f7"),
+    ("blind", "b7c38c794cd39e2a52521aef66714aea0eedf61bd0d0fd78ee490e1af4957346"),
+])
+def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest):
+    code, _ = run_cli(capsys, "run", "--game", "R", "--prover", prover,
+                      "--trials", "24", "--seed", "5", "--out", str(tmp_path))
+    assert code == 0
+    data = (tmp_path / f"R_{prover}_seed5.transcripts").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_run_workers_match_serial(tmp_path, capsys):

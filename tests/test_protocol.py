@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -224,6 +225,24 @@ def test_s3_collapses_leak_prover():
     s3 = run_experiment_s(3, TrapdoorLeakProver(PARAMS), PARAMS, 250, Rng(41))
     assert s2.mean >= 0.95
     assert s3.mean <= 0.70
+
+
+@pytest.mark.parametrize("which, prover_cls, stats", [
+    (1, BlindProver, (40, -0.2, 0.15689290811054724, -0.5075100998966726,
+                      0.10751009989667254)),
+    (1, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0)),
+    (2, BlindProver, (40, 0.75, 0.10591481821704042, 0.5424069562946008,
+                      0.9575930437053992)),
+    (2, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0)),
+    (3, BlindProver, (40, 0.75, 0.10591481821704042, 0.5424069562946008,
+                      0.9575930437053992)),
+    (3, TrapdoorLeakProver, (40, 0.5, 0.13867504905630726,
+                             0.22819690384963776, 0.7718030961503622)),
+], ids=["s1-blind", "s1-leak", "s2-blind", "s2-leak", "s3-blind", "s3-leak"])
+def test_experiment_s_pinned_at_fixed_seed(which, prover_cls, stats):
+    # pins the stream layout of the share-the-prover experiments
+    got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40, Rng(2024))
+    assert dataclasses.astuple(got) == stats
 
 
 def test_rewind_budget_enforced():
