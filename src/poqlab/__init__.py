@@ -7,8 +7,10 @@ Subpackage map:
   lattice   discrete Gaussians, gadget trapdoors, encrypt/decrypt
   quantum   the honest prover, its claw sampler, the statevector oracle
   provers   the classical prover model and built-in test provers
-  protocol  the encrypted game, share-the-prover experiments, transcripts
-  attack    optimal-answer decoding and the distinguishing experiments
+  protocol  the round engine (play_round), the total referee, the encrypted
+            game and the claw game, transcripts
+  attack    optimal-answer decoding, rewinding, and the experiments that
+            replay the round: share-the-prover S1-S3 and distinguishing E
   cli       the poqlab command-line tool
 """
 
@@ -23,16 +25,15 @@ from .games import (DeterministicStrategy, ParityBalancedSet,
                     j_bias_fourier_identity, j_sample_inputs, j_score,
                     max_eta_parity_balanced, parity_set_from_strategy,
                     reduce_ghz4_to_ghz3, strategy_from_parity_set)
-from .lattice import (GaussianSampler, decrypt, encrypt, fake_encrypt,
-                      gen_trap, invert, lwe_oracle, sample_gaussian)
-from .protocol import (GameResult, ScoreStats, Transcript, experiment_s1,
-                       experiment_s2, experiment_s3, run_experiment_s,
-                       run_game_j, run_game_r)
+from .lattice import GaussianSampler, decrypt, encrypt, gen_trap, invert
+from .protocol import (FirstRound, GameResult, ScoreStats, Transcript,
+                       play_round, referee_score, run_game_j, run_game_r)
 from .provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from .quantum import (ClawDescription, StateVector, apply_zc,
                       build_claw_state, honest_first_round,
                       honest_second_round, measure, sample_claw_outcomes)
 from .attack import (attack_plan, best_score, decode_error, experiment_e,
-                     experiment_e_campaign, sampling_bound)
+                     experiment_e_campaign, rewind, run_experiment_s,
+                     sampling_bound)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,19 +1,28 @@
-"""Rewinding-adversary machinery: the optimal-answer decoder, the sampled
-score estimator and its deviation bound, and the two distinguishing
-experiments that turn a cheating prover into an attack on the encryption.
+"""Rewinding-adversary machinery: the optimal-answer decoder, the sampling
+deviation bound, and the experiments that replay the protocol's round
+against a classical prover: the share-the-prover experiments S1-S3 and the
+distinguishing experiment E that turns a cheating prover into an attack on
+the encryption.
+
+Every experiment plays its first round through protocol.play_round, on real
+or uniform advice, and rewinds the prover's second round through rewind().
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .core import Params, Rng
-from .games import j_score
-from .lattice import encrypt, ZqArray
-from .provers import ClassicalProver, TrapdoorLeakProver
+from .games import j_sample_inputs
+from .protocol import (ScoreStats, play_round, referee_first_assessment,
+                       referee_score)
+from .provers import ClassicalProver
+
+REWIND_LIMIT = 14
 
 
 def decode_error(b_matrix, w, return_argmin: bool = False):
@@ -73,21 +82,8 @@ def best_score(x, pairs, return_argmax: bool = False):
     return score
 
 
-def best_score_oracle(x, pairs) -> float:
-    """Direct maximization over all answer strings; independent of the
-    decoder above."""
-    x = np.asarray(x, dtype=np.int64)
-    width = len(x)
-    best = -1.0
-    for a_idx in range(1 << width):
-        a = (a_idx >> np.arange(width)) & 1
-        avg = float(np.mean([j_score(x, y, a, b) for y, b in pairs]))
-        best = max(best, avg)
-    return best
-
-
 # ---------------------------------------------------------------------------
-# sampled maxima
+# the sampling bound
 
 def sampling_bound(alpha: int, set_size: float, base: str = "e") -> float:
     """(2 + sqrt(log alpha + 2 log set_size)) / sqrt(alpha).
@@ -101,21 +97,57 @@ def sampling_bound(alpha: int, set_size: float, base: str = "e") -> float:
     return (2 + math.sqrt(log(alpha) + 2 * log(set_size))) / math.sqrt(alpha)
 
 
-def exact_max_mean(table: np.ndarray) -> float:
-    """max over rows of the row mean."""
-    return float(np.asarray(table).mean(axis=1).max())
-
-
-def sampled_max_mean(table: np.ndarray, alpha: int,
-                     rng: np.random.Generator) -> float:
-    """max over rows of the mean over alpha uniformly sampled columns."""
-    table = np.asarray(table)
-    cols = rng.integers(0, table.shape[1], size=alpha)
-    return float(table[:, cols].mean(axis=1).max())
-
-
 # ---------------------------------------------------------------------------
-# distinguishing experiments
+# rewinding experiments
+
+def rewind(prover: ClassicalProver, mem: Any, d: int,
+           indices=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prover's second response to each question, from one first-round
+    memory: (y, b) pairs, where index i asks y = (bits of i, little-endian,
+    then 1), over all 2^d questions when indices is None.  At most
+    2^REWIND_LIMIT questions."""
+    count = 1 << d if indices is None else len(indices)
+    if count > 1 << REWIND_LIMIT:
+        raise ValueError(f"rewinding runs {count} second responses; "
+                         f"the limit is 2^{REWIND_LIMIT}")
+    if indices is None:
+        indices = range(1 << d)
+    bits = np.arange(d)
+    questions = (np.append((int(i) >> bits) & 1, 1).astype(np.uint8)
+                 for i in indices)
+    return [(y, prover.second_response(y, mem)) for y in questions]
+
+
+def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
+                     trials: int, rng: Rng) -> ScoreStats:
+    """Experiments 1-3 on a classical prover.
+
+    1: the prover's own answer string is derived through the trapdoor, so the
+       transcript distribution matches the encrypted game exactly.
+    2: the answer string is instead chosen to maximize the average score
+       against the prover's full second-round response table (rewinding).
+    3: like 2, but the advice pair (A, v) is uniform rather than an
+       encryption, so the hidden bits can play no role.
+    Input, coin, and encryption streams are shared across experiments so the
+    three runs are coupled trial by trial.
+    """
+    if which not in (1, 2, 3):
+        raise ValueError("experiment index must be 1, 2, or 3")
+    d = params.d
+    scores = np.zeros(trials, dtype=np.int64)
+    for t in range(trials):
+        x, y = j_sample_inputs(d, rng.stream("sexp/inputs", t))
+        first = play_round(prover, params, x, rng, "sexp", t, real=which != 3)
+        if which == 1:
+            a, _, _ = referee_first_assessment(
+                first.w, first.ells, first.record, params,
+                rng.stream("sexp/referee", t))
+        else:
+            _, a = best_score(x, rewind(prover, first.mem, d), return_argmax=True)
+        _, _, scores[t], _ = referee_score(x, y, a,
+                                           prover.second_response(y, first.mem))
+    return ScoreStats.from_scores(scores)
+
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
@@ -137,39 +169,20 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
     d = params.d
     arm_rng = rng.stream("expE/arm", rep)
     hidden = int(arm_rng.integers(0, 2))
-    x = np.append(arm_rng.integers(0, 2, size=d), 1).astype(np.uint8)
-    if hidden == 0:
-        record = encrypt(x[:d], params, rng.stream("expE/encrypt", rep))
-        a_mat, v_vec = record.ciphertext.a, record.ciphertext.v
-        if isinstance(prover, TrapdoorLeakProver):
-            prover.set_leak(record.trapdoor)
-    else:
-        gen = rng.stream("expE/uniform", rep)
-        a_mat = ZqArray(params.q, gen.integers(0, params.q,
-                                               size=(params.m, params.n),
-                                               dtype=np.int64))
-        v_vec = ZqArray(params.q, gen.integers(0, params.q, size=params.m,
-                                               dtype=np.int64))
-        if isinstance(prover, TrapdoorLeakProver):
-            prover.set_leak(None)
-    coins = rng.stream("expE/coins", rep).integers(0, 1 << 62, size=4)
-    _, _, mem = prover.first_response(a_mat, v_vec, coins)
-
-    sample_rng = rng.stream("expE/questions", rep)
-    if alpha is None:
-        indices = np.arange(1 << d)
-    elif d <= 20:
-        # the prover is deterministic, so repeated questions add nothing;
-        # sample without replacement (at alpha = 2^d this reproduces the
-        # full enumeration exactly)
-        indices = sample_rng.choice(1 << d, size=min(alpha, 1 << d),
-                                    replace=False)
-    else:
-        indices = sample_rng.integers(0, 1 << d, size=alpha)
-    questions = [np.append(((int(idx) >> np.arange(d)) & 1), 1).astype(np.uint8)
-                 for idx in indices]
-    pairs = [(y, prover.second_response(y, mem)) for y in questions]
-    rho = best_score(x, pairs)
+    x, _ = j_sample_inputs(d, arm_rng)
+    first = play_round(prover, params, x, rng, "expE", rep, real=hidden == 0)
+    indices = None
+    if alpha is not None:
+        sample_rng = rng.stream("expE/questions", rep)
+        if d <= 20:
+            # the prover is deterministic, so repeated questions add nothing;
+            # sample without replacement (at alpha = 2^d this reproduces the
+            # full enumeration exactly)
+            indices = sample_rng.choice(1 << d, size=min(alpha, 1 << d),
+                                        replace=False)
+        else:
+            indices = sample_rng.integers(0, 1 << d, size=alpha)
+    rho = best_score(x, rewind(prover, first.mem, d, indices))
     r = 1 if rng.stream("expE/signal", rep).random() < (1 + rho) / 2 else -1
     return ExperimentOutcome(hidden_bit=hidden, guess=0 if r == 1 else 1,
                              r=r, rho=rho)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,46 +96,8 @@ def cmd_params(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 
-def _make_prover(name: str, params: Params):
-    if name == "blind":
-        return provers.BlindProver(params)
-    if name == "leak":
-        return provers.TrapdoorLeakProver(params)
-    raise ValueError(f"unknown prover {name!r}")
-
-
-def _game_r_chunk(spec) -> list[str]:
-    (prover_name, params, lo, hi, seed, sequential) = spec
-    prover = "honest" if prover_name == "honest" else _make_prover(prover_name, params)
-    rng = Rng(seed)
-    lines = []
-    for trial in range(lo, hi):
-        result = _run_game_r_single(prover, params, trial, rng, sequential)
-        lines.append(result.to_line())
-    return lines
-
-
-def _run_game_r_single(prover, params, trial, rng, sequential):
-    res = protocol.run_game_r(prover, params, 1, _TrialShift(rng, trial),
-                              sequential=sequential, keep_transcripts=True)
-    t = res.transcripts[0]
-    return protocol.Transcript(
-        game=t.game, trial=trial, x=t.x, y=t.y, a=t.a, b=t.b, w=t.w,
-        ells=t.ells, score=t.score, e_flag=t.e_flag, f_flag=t.f_flag,
-        seed=f"{rng.seed}:gameR:{trial}")
-
-
-class _TrialShift:
-    """Rng view that renumbers stream indices so chunked and serial runs of
-    the same seed draw identical randomness per trial."""
-
-    def __init__(self, rng: Rng, base: int):
-        self._rng = rng
-        self._base = base
-        self.seed = rng.seed
-
-    def stream(self, label: str, index: int = 0):
-        return self._rng.stream(label, self._base + index)
+CLASSICAL_PROVERS = {"blind": provers.BlindProver,
+                     "leak": provers.TrapdoorLeakProver}
 
 
 def cmd_run(args) -> int:
@@ -150,42 +111,20 @@ def cmd_run(args) -> int:
             raise ValueError("the claw game runs the honest strategy only")
         result = protocol.run_game_j(args.d, args.trials, rng,
                                      keep_transcripts=out_dir is not None)
-        transcripts = result.transcripts
         extra = ""
     else:
         params = _params_from_args(args)
-        sequential = args.game == "Rseq"
-        if args.workers <= 1:
-            prover = ("honest" if args.prover == "honest"
-                      else _make_prover(args.prover, params))
-            result = protocol.run_game_r(prover, params, args.trials, rng,
-                                         sequential=sequential,
-                                         keep_transcripts=out_dir is not None)
-            transcripts = result.transcripts
-        else:
-            chunk = max(1, args.trials // args.workers)
-            spans = [(args.prover, params, lo, min(lo + chunk, args.trials),
-                      args.seed, sequential)
-                     for lo in range(0, args.trials, chunk)]
-            lines: list[str] = []
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for part in pool.map(_game_r_chunk, spans):
-                    lines.extend(part)
-            transcripts = [protocol.Transcript.from_line(line) for line in lines]
-            both = [t.score for t in transcripts if t.e_flag and t.f_flag]
-            result = protocol.GameResult(
-                stats=protocol.ScoreStats.from_scores(
-                    [t.score for t in transcripts]),
-                transcripts=transcripts,
-                e_rate=float(np.mean([t.e_flag for t in transcripts])),
-                f_rate=float(np.mean([t.f_flag for t in transcripts])),
-                conditional_mean=float(np.mean(both)) if both else None)
+        prover = ("honest" if args.prover == "honest"
+                  else CLASSICAL_PROVERS[args.prover](params))
+        result = protocol.run_game_r(prover, params, args.trials, rng,
+                                     sequential=args.game == "Rseq",
+                                     keep_transcripts=out_dir is not None)
         extra = (f"  E-rate: {result.e_rate:.4f}  F-rate: {result.f_rate:.4f}"
                  f"  conditional-mean: "
                  + (f"{result.conditional_mean:.4f}"
                     if result.conditional_mean is not None else "n/a"))
 
-    stats = result.stats
+    stats, transcripts = result.stats, result.transcripts
     label = f"{args.game}/{args.prover}"
     print(f"{label}: trials={stats.trials} mean={stats.mean:.6f} "
           f"stderr={stats.stderr:.6f} ci95=[{stats.ci95_lo:.6f}, {stats.ci95_hi:.6f}]"
@@ -281,27 +220,22 @@ def cmd_fourier(args) -> int:
             rhs = fourier.dft(f).values * fourier.dft(g).values
             worst = max(worst, float(np.abs(lhs - rhs).max()))
         failures = int(worst > 1e-9)
-    elif args.check == "donoho":
+    elif args.check in ("donoho", "uncertainty"):
         for _ in range(args.samples):
             f = _random_function(group, gen)
             keep = gen.random(group.size) < 0.25
             f = fourier.GroupFunction(group, f.values * keep)
             if not np.abs(f.values).any():
                 continue
-            product = (fourier.support_size(f)
-                       * fourier.support_size(fourier.dft(f)))
-            worst = max(worst, float(group.size - product))
-            failures += not fourier.donoho_stark_check(f)
-    elif args.check == "uncertainty":
-        for _ in range(args.samples):
-            f = _random_function(group, gen)
-            keep = gen.random(group.size) < 0.25
-            f = fourier.GroupFunction(group, f.values * keep)
-            if not np.abs(f.values).any():
-                continue
-            product = fourier.uncertainty_product(f)
-            worst = max(worst, 1.0 - product)
-            failures += product < 1 - 1e-9
+            if args.check == "donoho":
+                product = (fourier.support_size(f)
+                           * fourier.support_size(fourier.dft(f)))
+                worst = max(worst, float(group.size - product))
+                failures += not fourier.donoho_stark_check(f)
+            else:
+                product = fourier.uncertainty_product(f)
+                worst = max(worst, 1.0 - product)
+                failures += product < 1 - 1e-9
     else:
         raise ValueError(f"unknown check {args.check!r}")
     print(f"{args.check} on {args.group}: samples={args.samples} "
@@ -348,7 +282,7 @@ def cmd_attack(args) -> int:
         return 0
 
     params = _params_from_args(args)
-    prover = _make_prover(args.prover, params)
+    prover = CLASSICAL_PROVERS[args.prover](params)
     alpha = None if args.experiment == "E" else args.alpha
     report = attack.experiment_e_campaign(prover, params, args.reps,
                                           Rng(args.seed), alpha=alpha)
@@ -381,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key=value defaults file")
         p.add_argument("--out", type=str, default=None,
                        help="directory for CSV/transcript output")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--log2-mode", action="store_true",
-                       help="use base-2 logs in sampling-slack reports")
 
     def desk_flags(p):
         p.add_argument("--preset", choices=[PAPER_ASYMPTOTIC, DESK], default=DESK)
@@ -433,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=64)
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--log2-mode", action="store_true",
+                   help="use base-2 logs in the plan's sampling slack")
     p.set_defaults(func=cmd_attack)
     return parser
 

@@ -138,23 +138,6 @@ def binary_repr(x, width: int) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
-def binary_parse(bits) -> int:
-    """Inverse of binary_repr for a single big-endian block."""
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-def bit_select(bits, j):
-    """1-based bit selection: a single index or an increasing index sequence."""
-    bits = np.asarray(bits)
-    if np.ndim(j) == 0:
-        return int(bits[int(j) - 1])
-    idx = np.asarray(j, dtype=np.int64) - 1
-    return bits[idx].astype(np.uint8)
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a @ b) % q without int64 overflow.
 

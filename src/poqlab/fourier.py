@@ -9,9 +9,8 @@ zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 The transform runs in floating point for every input.  Supports, on either
 side of the transform, are the entries whose modulus exceeds SUPPORT_EPS, so
 support sizes and the uncertainty products built on them depend on that
-cutoff.  Only the Fraction-valued functions are exact: the linearity
-coefficient of an indicator (eta_set), its quadruple oracle, and the
-collision probability of a rational distribution.
+cutoff.  Only the Fraction-valued linearity coefficient of an indicator
+(eta_set) is exact.
 """
 
 from __future__ import annotations
@@ -202,32 +201,6 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
     pair_collisions = sum(c * c for c in counts.values())
     # P[x+y=z+w] = pair_collisions / t^4 ; P[x=y] = 1/t
     return Fraction(pair_collisions, t ** 4) / Fraction(1, t)
-
-
-def eta_quadruple_bruteforce(s: SubsetOfGroup) -> Fraction:
-    """Independent oracle: enumerate all quadruples.  |G| <= 256 only."""
-    if s.group.size > 256:
-        raise ValueError("brute-force oracle limited to |G| <= 256")
-    els = np.flatnonzero(s.mask)
-    if els.size == 0:
-        raise ZeroFunction("eta of the empty set")
-    coords = s.group.elements()[els]
-    t = len(els)
-    m = s.group.m
-    hits = 0
-    for a in coords:
-        for b in coords:
-            ab = (a + b) % m
-            for c in coords:
-                for d_ in coords:
-                    if np.array_equal(ab, (c + d_) % m):
-                        hits += 1
-    return Fraction(hits, t ** 4) / Fraction(1, t)
-
-
-def collision_probability(p: np.ndarray) -> Fraction:
-    """sum p_i^2 for an exact rational distribution."""
-    return sum((Fraction(x) ** 2 for x in p), start=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -139,39 +139,26 @@ def strategy_from_parity_set(ps: ParityBalancedSet) -> np.ndarray:
     return (((ps.elements - x) % 4) // 2).astype(np.uint8)
 
 
-def _time_ordered_tables(d: int) -> np.ndarray:
-    """All tables of time-ordered functions {0,1}^d -> {0,1}^d.
-
-    Output bit i (0-based) may depend only on input bits 0..i.
-    """
-    per_bit = []
-    for i in range(d):
-        inputs = 1 << (i + 1)
-        per_bit.append(list(itertools.product((0, 1), repeat=inputs)))
-    tables = []
-    for combo in itertools.product(*per_bit):
-        table = np.zeros((1 << d, d), dtype=np.uint8)
-        for x_idx in range(1 << d):
-            for i in range(d):
-                prefix = x_idx & ((1 << (i + 1)) - 1)
-                table[x_idx, i] = combo[i][prefix]
-        tables.append(table)
-    return np.stack(tables)
-
-
-def _all_tables(d: int) -> np.ndarray:
-    outs = np.stack([bits_of(i, d) for i in range(1 << d)])
-    tables = []
-    for combo in itertools.product(range(1 << d), repeat=1 << d):
-        tables.append(outs[list(combo)])
-    return np.stack(tables)
+def _tables(d: int, width: int, time_ordered: bool) -> np.ndarray:
+    """Every table {0,1}^d -> {0,1}^width as bits, shape (count, 2^d, width),
+    rows indexed by the little-endian input.  In the time-ordered family
+    output bit i < d reads only input bits 0..i; later bits read them all."""
+    nq = 1 << d
+    cols = []   # per output bit: (choices, 2^d) values of each allowed function
+    for i in range(width):
+        inputs = 2 << i if time_ordered and i < d else nq
+        funcs = (np.arange(1 << inputs)[:, None] >> np.arange(inputs)) & 1
+        cols.append(funcs[:, np.arange(nq) & (inputs - 1)])
+    grids = np.meshgrid(*[np.arange(len(c)) for c in cols], indexing="ij")
+    return np.stack([c[g.ravel()] for c, g in zip(cols, grids)],
+                    axis=-1).astype(np.uint8)
 
 
 def max_eta_parity_balanced(d: int, time_ordered: bool) -> Fraction:
     """Maximum linearity coefficient over the enumerated family."""
     if d > 2:
         raise SearchSpaceTooLarge(f"eta enumeration capped at d <= 2, got {d}")
-    tables = _time_ordered_tables(d) if time_ordered else _all_tables(d)
+    tables = _tables(d, d, time_ordered)
     return max(parity_set_from_strategy(t).eta() for t in tables)
 
 
@@ -263,17 +250,10 @@ def _best_response_parallel(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
     decomposes class by class.
     """
     # order group elements as (class r, lift a): element = r + 2a coordinatewise
-    order = np.zeros(4 ** d, dtype=np.int64)
-    pos = 0
     lifts = 1 << d
-    for r_idx in range(1 << d):
-        r = bits_of(r_idx, d).astype(np.int64)
-        for a_idx in range(lifts):
-            a = bits_of(a_idx, d).astype(np.int64)
-            g = (r + 2 * a) % 4
-            order[pos] = int((g * 4 ** np.arange(d)).sum())
-            pos += 1
-    gathered = t_slice[..., neg[order]]
+    bits = (np.arange(lifts)[:, None] >> np.arange(d)) & 1
+    order = ((bits[:, None, :] + 2 * bits[None, :, :]) * 4 ** np.arange(d)).sum(-1)
+    gathered = t_slice[..., neg[order.ravel()]]
     shaped = gathered.reshape(t_slice.shape[:-1] + (1 << d, lifts))
     return shaped.max(axis=-1).sum(axis=-1)
 
@@ -284,12 +264,10 @@ def _best_response_sequential(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
     # index array with axis order (r_0, c_0, r_1, c_1, ..., r_{d-1}, c_{d-1});
     # reducing innermost-first alternates max over lifts and sum over classes
     shape = (2,) * (2 * d)
-    idx = np.zeros(shape, dtype=np.int64)
-    for combo in itertools.product((0, 1), repeat=2 * d):
-        g = [(combo[2 * i] + 2 * combo[2 * i + 1]) % 4 for i in range(d)]
-        flat = int(sum(gj * 4 ** j for j, gj in enumerate(g)))
-        idx[combo] = neg[flat]
-    gathered = t_slice[..., idx.reshape(-1)].reshape(t_slice.shape[:-1] + shape)
+    combos = np.indices(shape).reshape(2 * d, -1)
+    g = combos[0::2] + 2 * combos[1::2]                  # (d, 4^d) coordinates
+    idx = neg[(g * 4 ** np.arange(d)[:, None]).sum(axis=0)]
+    gathered = t_slice[..., idx].reshape(t_slice.shape[:-1] + shape)
     # innermost coordinate first: max over its lift, sum over its class
     out = gathered
     for _ in range(d):
@@ -360,7 +338,7 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
 
     if k not in (3, 4):
         raise SearchSpaceTooLarge(f"repeated modes support k in (3, 4), got {k}")
-    tables = _time_ordered_tables(d) if mode == "sequential" else _all_tables(d)
+    tables = _tables(d, d, mode == "sequential")
     size, _, sub, neg = _group_index_tools(d)
     vecs = _counting_vectors(
         np.stack([parity_set_from_strategy(t).elements for t in tables]), d)
@@ -461,38 +439,15 @@ def _score_tensor(d: int) -> np.ndarray:
     return np.where((dots == 0) | (dots == 1), 1, -1).astype(np.int8)
 
 
-def _alice_tables(d: int) -> np.ndarray:
-    """All response tables as answer indices, shape (count, 2^d)."""
-    return np.array(list(itertools.product(range(1 << (d + 1)), repeat=1 << d)),
-                    dtype=np.int64)
-
-
-def _bob_tables(d: int, time_ordered: bool) -> np.ndarray:
-    if not time_ordered:
-        return _alice_tables(d)
-    per_bit = []
-    for i in range(d):
-        per_bit.append(list(itertools.product((0, 1), repeat=1 << (i + 1))))
-    per_bit.append(list(itertools.product((0, 1), repeat=1 << d)))  # last bit free
-    tables = []
-    for combo in itertools.product(*per_bit):
-        row = np.zeros(1 << d, dtype=np.int64)
-        for y_idx in range(1 << d):
-            bits = [combo[i][y_idx & ((1 << (i + 1)) - 1)] for i in range(d)]
-            bits.append(combo[d][y_idx])
-            row[y_idx] = index_of(bits)
-        tables.append(row)
-    return np.array(tables, dtype=np.int64)
-
-
 def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     """Exact max |expected score| over deterministic strategy pairs; the
     sequential variant restricts the second player to time-ordered tables."""
     if d > 2:
         raise SearchSpaceTooLarge(f"claw-game enumeration capped at d <= 2, got {d}")
     score = _score_tensor(d)
-    alice = _alice_tables(d)
-    bob = _bob_tables(d, sequential)
+    weights = 1 << np.arange(d + 1)   # answer tables as answer indices
+    alice = _tables(d, d + 1, False).astype(np.int64) @ weights
+    bob = _tables(d, d + 1, sequential).astype(np.int64) @ weights
     nq, na = 1 << d, 1 << (d + 1)
     u_all = np.zeros((alice.shape[0], nq, na), dtype=np.int64)
     for x_idx in range(nq):
@@ -502,7 +457,7 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     for y_idx in range(nq):
         one_hot[y_idx * na + bob[:, y_idx], cols] = 1.0
     sums = u_all.reshape(alice.shape[0], -1).astype(np.float32) @ one_hot
-    best = int(np.rint(np.abs(sums).max()))
+    best = int(np.rint(max(sums.max(), -sums.min())))   # no |sums| copy
     return Fraction(best, nq * nq)
 
 

@@ -54,10 +54,6 @@ class ZqArray:
     def __neg__(self) -> "ZqArray":
         return ZqArray(self.q, -self.values)
 
-    def matmul(self, other: "ZqArray") -> "ZqArray":
-        self._check(other)
-        return ZqArray(self.q, matmul_mod(self.values, other.values, self.q))
-
     @property
     def shape(self):
         return self.values.shape
@@ -92,17 +88,6 @@ class GaussianSampler:
         object.__setattr__(self, "_cdf", np.cumsum(pmf))
         object.__setattr__(self, "_pmf", pmf)
 
-    def pmf(self, j: int) -> float:
-        """Probability of j under the (possibly truncated) distribution."""
-        sup, pmf = self._support, self._pmf
-        if self.tau is not None:
-            keep = np.abs(sup) <= self.tau
-            total = pmf[keep].sum()
-            if abs(j) > self.tau:
-                return 0.0
-            return float(pmf[sup == j].sum() / total) if (sup == j).any() else 0.0
-        return float(pmf[sup == j].sum()) if (sup == j).any() else 0.0
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else size
         accept = 1.0
@@ -121,11 +106,6 @@ class GaussianSampler:
             out[filled:filled + take] = draws[:take]
             filled += take
         return int(out[0]) if size is None else out
-
-
-def sample_gaussian(sigma: float, rng: np.random.Generator,
-                    tau: int | None = None, size: int | None = None):
-    return GaussianSampler(sigma, tau).sample(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -284,77 +264,3 @@ def assess_preimages(w: ZqArray, record: EncryptionRecord,
     z0, in_box0 = preimage(w)
     z1, in_box1 = preimage(w + v)
     return Preimages(z0, z1, in_box0, in_box1)
-
-
-def fake_encrypt(message, params: Params,
-                 rng: np.random.Generator) -> Ciphertext:
-    """Same shape as encrypt but with uniform A and untruncated noise; there
-    is no trapdoor, so nothing in the output can decrypt it."""
-    h = np.asarray(message, dtype=np.int64)
-    if h.shape != (params.d,) or not np.isin(h, (0, 1)).all():
-        raise ValueError(f"message must be {params.d} bits")
-    a = rng.integers(0, params.q, size=(params.m, params.n), dtype=np.int64)
-    sampler = GaussianSampler(params.sigma)
-    s = sampler.sample(rng, params.n)
-    e = sampler.sample(rng, params.m)
-    m_vec = np.zeros(params.n, dtype=np.int64)
-    m_vec[params.n - params.d:] = h
-    gamma = (2 * s + m_vec) % params.q
-    v = (matmul_mod(a, gamma, params.q) + e) % params.q
-    return Ciphertext(a=ZqArray(params.q, a), v=ZqArray(params.q, v))
-
-
-def lwe_oracle(kind: str, params: Params, rng: np.random.Generator,
-               sigma: float | None = None):
-    """Infinite stream of (a, b) pairs: 'real' fixes a hidden secret and
-    emits (a, a.s + e); 'uniform' emits uniform pairs."""
-    if kind not in ("real", "uniform"):
-        raise ValueError("kind must be 'real' or 'uniform'")
-    q, n = params.q, params.n
-    if kind == "real":
-        secret = rng.integers(0, q, size=n, dtype=np.int64)
-        sampler = GaussianSampler(sigma if sigma is not None else params.sigma)
-        while True:
-            a = rng.integers(0, q, size=n, dtype=np.int64)
-            b = (int(matmul_mod(a, secret, q)) + sampler.sample(rng)) % q
-            yield a, int(b)
-    else:
-        while True:
-            a = rng.integers(0, q, size=n, dtype=np.int64)
-            yield a, int(rng.integers(0, q))
-
-
-def solve_linear_mod(a_rows: np.ndarray, b: np.ndarray, q: int) -> np.ndarray | None:
-    """Gaussian elimination mod prime q; None if the system is singular.
-
-    Test oracle for the noiseless LWE stream: n clean samples determine the
-    secret exactly.
-    """
-    a = [[int(v) % q for v in row] for row in np.asarray(a_rows)]
-    rhs = [int(v) % q for v in np.asarray(b)]
-    n = len(a[0])
-    if len(a) < n:
-        return None
-    row = 0
-    where = [-1] * n
-    for col in range(n):
-        pivot = next((r for r in range(row, len(a)) if a[r][col] % q), None)
-        if pivot is None:
-            return None
-        a[row], a[pivot] = a[pivot], a[row]
-        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-        inv = pow(a[row][col], q - 2, q)
-        a[row] = [v * inv % q for v in a[row]]
-        rhs[row] = rhs[row] * inv % q
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(v - factor * w) % q for v, w in zip(a[r], a[row])]
-                rhs[r] = (rhs[r] - factor * rhs[row]) % q
-        where[col] = row
-        row += 1
-        if row == len(a):
-            break
-    if any(w < 0 for w in where):
-        return None
-    return np.array([rhs[where[c]] for c in range(n)], dtype=np.int64)

@@ -1,6 +1,13 @@
-"""Referee/prover orchestration: the encrypted two-round game (one-shot and
-sequential), its claw-game counterpart for the honest strategy, the three
-share-the-prover experiments, and transcript/statistics plumbing.
+"""The round engine and the games built on it: the encrypted two-round game
+(one-shot and sequential), its claw-game counterpart for the honest
+strategy, and transcript/statistics plumbing.
+
+A round: the referee sends advice (A, v), the prover commits to (w, ells),
+the referee inverts the commitment through its trapdoor into an answer
+string a, and the prover answers a question y with b.  play_round plays the
+first half for game R and for the experiments in attack.py, which replay it
+on real or uniform advice.  The referee is total: a message that is not well
+formed loses the trial (score -1); it is never coerced and never raises.
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
 any trial subset can be recomputed independently and reruns are bit-exact.
@@ -9,19 +16,17 @@ any trial subset can be recomputed independently and reruns are bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from .attack import best_score
 from .core import Params, Rng, balanced_abs, binary_repr
-from .games import j_score
+from .games import j_sample_inputs, j_score
 from .lattice import (EncryptionRecord, Preimages, ZqArray, assess_preimages,
                       encrypt)
-from .provers import ClassicalProver, TrapdoorLeakProver
+from .provers import TrapdoorLeakProver
 from .quantum import (honest_first_round, honest_second_round,
                       round_one_positions, sample_claw_outcomes)
-
-REWIND_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,12 @@ def _bits_str(bits) -> str:
 
 @dataclass(frozen=True)
 class Transcript:
-    """One full game record; every field round-trips through the line format."""
+    """One full game record; every field round-trips through the line format.
+
+    A trial the referee rejected records its rejected commitment as empty w
+    and ells, a rejected b as zeros, and the answer string a that loses
+    against the recorded b, so it rescores to -1.
+    """
 
     game: str
     trial: int
@@ -145,10 +155,66 @@ def run_game_j(d: int, trials: int, rng: Rng,
 
 
 # ---------------------------------------------------------------------------
-# the encrypted game
+# the round engine
 
-def referee_first_assessment(w: ZqArray, ells: np.ndarray,
-                             record: EncryptionRecord, params: Params,
+@dataclass(frozen=True)
+class FirstRound:
+    """Round one of a trial as the referee sees it: its encryption record
+    (None on uniform advice) and the prover's commitment (w, ells), plus the
+    memory the prover's second round reads.  The honest prover's memory is
+    its claw, and it hands over the referee's preimage assessment of w."""
+
+    record: EncryptionRecord | None
+    w: Any
+    ells: Any
+    mem: Any
+    preimages: Preimages | None = None
+
+
+def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
+               index: int, real: bool = True) -> FirstRound:
+    """Round one of trial `index`, drawn from the streams `label`/....
+
+    real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
+    pair (A, v) that hides nothing (stream uniform).  The honest prover, the
+    string 'honest', needs real advice and measures with stream prover.  A
+    ClassicalProver commits with coins from stream coins; a
+    TrapdoorLeakProver is first handed the trapdoor, or None.
+    """
+    q, m, n = params.q, params.m, params.n
+    if real:
+        record = encrypt(x[:params.d], params,
+                         rng.stream(f"{label}/encrypt", index))
+        a_mat, v_vec = record.ciphertext.a, record.ciphertext.v
+    else:
+        record = None
+        gen = rng.stream(f"{label}/uniform", index)
+        a_mat = ZqArray(q, gen.integers(0, q, size=(m, n), dtype=np.int64))
+        v_vec = ZqArray(q, gen.integers(0, q, size=m, dtype=np.int64))
+    if prover == "honest":
+        first = honest_first_round(record, params,
+                                   rng.stream(f"{label}/prover", index))
+        return FirstRound(record, first.w, first.ells, first.claw,
+                          first.preimages)
+    if isinstance(prover, TrapdoorLeakProver):
+        prover.set_leak(None if record is None else record.trapdoor)
+    coins = rng.stream(f"{label}/coins", index).integers(0, 1 << 62, size=4)
+    return FirstRound(record, *prover.first_response(a_mat, v_vec, coins))
+
+
+def _bits(message, length: int) -> np.ndarray | None:
+    """message as uint8 when it is `length` integer entries in {0, 1}."""
+    try:
+        arr = np.asarray(message)
+    except (TypeError, ValueError):   # ragged nesting
+        return None
+    if (arr.shape != (length,) or arr.dtype.kind not in "biu"
+            or not ((arr == 0) | (arr == 1)).all()):
+        return None
+    return arr.astype(np.uint8)
+
+
+def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
                              fallback: np.random.Generator,
                              preimages: Preimages | None = None):
     """Referee's round-one bookkeeping: invert both shifts of the prover's
@@ -158,11 +224,15 @@ def referee_first_assessment(w: ZqArray, ells: np.ndarray,
     honest prover has already computed it, so the game passes it on instead
     of inverting w and w + v a second time.
 
-    Returns (a, e_flag, f_flag); on inversion failure a is sampled uniformly.
+    Returns (a, e_flag, f_flag).  a is None when the commitment is rejected:
+    w is not a ZqArray of shape (m,) modulo q, or ells is not nQ - d bits.
+    On inversion failure a is sampled uniformly.
     """
     q, n, d = params.q, params.n, params.d
-    if ells.shape != (n * params.Q - d,):
-        raise ValueError(f"round-one bits must cover {n * params.Q - d} positions")
+    ells = _bits(ells, n * params.Q - d)
+    if (ells is None or not isinstance(w, ZqArray) or w.q != q
+            or w.values.shape != (params.m,)):
+        return None, False, False
     if preimages is None:
         preimages = assess_preimages(w, record, params)
     z0, z1, in_box0, in_box1 = preimages
@@ -179,6 +249,29 @@ def referee_first_assessment(w: ZqArray, ells: np.ndarray,
     a[d] = int((diff & ells).sum()) % 2
     return a, e_flag, f_flag
 
+
+def referee_score(x, y, a, b) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The referee's verdict on a round: (a, b, score, accepted), with a and
+    b as recorded.
+
+    a is None when the commitment was rejected; b is rejected unless it is
+    d + 1 bits.  A rejected trial scores -1 and records b (zeros when b was
+    the rejected message) with the answer string that loses against it:
+    zeros, with a_{d+1} set so that u.v mod 4 lands in {2, 3}.
+    """
+    bits = _bits(b, len(x))
+    if a is not None and bits is not None:
+        return a, bits, j_score(x, y, a, bits), True
+    if bits is None:
+        bits = np.zeros(len(x), dtype=np.uint8)
+    a = np.zeros(len(x), dtype=np.uint8)
+    # x and y end in 1, so flipping a_{d+1} moves u.v by 2 mod 4
+    a[-1] = j_score(x, y, a, bits) == 1
+    return a, bits, -1, False
+
+
+# ---------------------------------------------------------------------------
+# the encrypted game
 
 def run_game_r(prover, params: Params, trials: int, rng: Rng,
                sequential: bool = False,
@@ -199,39 +292,30 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
     transcripts: list[Transcript] = []
 
     for t in range(trials):
-        inp = rng.stream("gameR/inputs", t)
-        x = np.append(inp.integers(0, 2, size=d), 1).astype(np.uint8)
-        y = np.append(inp.integers(0, 2, size=d), 1).astype(np.uint8)
-        record = encrypt(x[:d], params, rng.stream("gameR/encrypt", t))
-
+        x, y = j_sample_inputs(d, rng.stream("gameR/inputs", t))
+        first = play_round(prover, params, x, rng, "gameR", t)
         if prover == "honest":
-            first = honest_first_round(record, params,
-                                       rng.stream("gameR/prover", t))
-            w, ells, preimages = first.w, first.ells, first.preimages
-            b = honest_second_round(first.claw, y,
-                                    rng.stream("gameR/prover2", t))
+            b = honest_second_round(first.mem, y, rng.stream("gameR/prover2", t))
+        elif sequential:
+            b = [prover.respond_bit(j, y[:j + 1], first.mem) for j in range(d + 1)]
         else:
-            preimages = None
-            if isinstance(prover, TrapdoorLeakProver):
-                prover.set_leak(record.trapdoor)
-            coins = rng.stream("gameR/coins", t).integers(0, 1 << 62, size=4)
-            w, ells, mem = prover.first_response(
-                record.ciphertext.a, record.ciphertext.v, coins)
-            if sequential:
-                b = np.array([prover.respond_bit(j, y[:j + 1], mem)
-                              for j in range(d + 1)], dtype=np.uint8)
-            else:
-                b = prover.second_response(y, mem)
+            b = prover.second_response(y, first.mem)
 
         a, e_flag, f_flag = referee_first_assessment(
-            w, ells, record, params, rng.stream("gameR/referee", t), preimages)
-        scores[t] = j_score(x, y, a, b)
+            first.w, first.ells, first.record, params,
+            rng.stream("gameR/referee", t), first.preimages)
+        committed = a is not None
+        a, b, scores[t], accepted = referee_score(x, y, a, b)
+        e_flag, f_flag = e_flag and accepted, f_flag and accepted
         e_flags[t], f_flags[t] = e_flag, f_flag
         if keep_transcripts:
+            w = first.w.values.copy() if committed else np.zeros(0, dtype=np.int64)
+            ells = (np.array(first.ells, dtype=np.uint8) if committed
+                    else np.zeros(0, dtype=np.uint8))
             transcripts.append(Transcript(
-                game=game, trial=t, x=x, y=y, a=a, b=b, w=w.values.copy(),
-                ells=ells.copy(), score=int(scores[t]), e_flag=e_flag,
-                f_flag=f_flag, seed=f"{rng.seed}:gameR:{t}"))
+                game=game, trial=t, x=x, y=y, a=a, b=b, w=w, ells=ells,
+                score=int(scores[t]), e_flag=e_flag, f_flag=f_flag,
+                seed=f"{rng.seed}:gameR:{t}"))
 
     both = e_flags & f_flags
     conditional = float(scores[both].mean()) if both.any() else None
@@ -240,71 +324,3 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
                       e_rate=float(e_flags.mean()),
                       f_rate=float(f_flags.mean()),
                       conditional_mean=conditional)
-
-
-# ---------------------------------------------------------------------------
-# the share-the-prover experiments
-
-def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
-                     trials: int, rng: Rng) -> ScoreStats:
-    """Experiments 1-3 on a classical prover.
-
-    1: the prover's own answer string is derived through the trapdoor, so the
-       transcript distribution matches the encrypted game exactly.
-    2: the answer string is instead chosen to maximize the average score
-       against the prover's full second-round response table (rewinding).
-    3: like 2, but the advice pair (A, v) is uniform rather than an
-       encryption, so the hidden bits can play no role.
-    Input, coin, and encryption streams are shared across experiments so the
-    three runs are coupled trial by trial.
-    """
-    if which not in (1, 2, 3):
-        raise ValueError("experiment index must be 1, 2, or 3")
-    d = params.d
-    if which in (2, 3) and d > REWIND_LIMIT:
-        raise ValueError(f"rewinding runs 2^d second responses; d <= {REWIND_LIMIT}")
-    scores = np.zeros(trials, dtype=np.int64)
-    for t in range(trials):
-        inp = rng.stream("sexp/inputs", t)
-        x = np.append(inp.integers(0, 2, size=d), 1).astype(np.uint8)
-        y = np.append(inp.integers(0, 2, size=d), 1).astype(np.uint8)
-        record = encrypt(x[:d], params, rng.stream("sexp/encrypt", t))
-        if which == 3:
-            gen = rng.stream("sexp/uniform", t)
-            a_mat = ZqArray(params.q, gen.integers(
-                0, params.q, size=(params.m, params.n), dtype=np.int64))
-            v_vec = ZqArray(params.q, gen.integers(0, params.q, size=params.m,
-                                                   dtype=np.int64))
-            if isinstance(prover, TrapdoorLeakProver):
-                prover.set_leak(None)
-        else:
-            a_mat, v_vec = record.ciphertext.a, record.ciphertext.v
-            if isinstance(prover, TrapdoorLeakProver):
-                prover.set_leak(record.trapdoor)
-        coins = rng.stream("sexp/coins", t).integers(0, 1 << 62, size=4)
-        w, ells, mem = prover.first_response(a_mat, v_vec, coins)
-
-        if which == 1:
-            a, _, _ = referee_first_assessment(
-                w, ells, record, params, rng.stream("sexp/referee", t))
-        else:
-            pairs = []
-            for idx in range(1 << d):
-                yq = np.append(((idx >> np.arange(d)) & 1), 1).astype(np.uint8)
-                pairs.append((yq, prover.second_response(yq, mem)))
-            _, a = best_score(x, pairs, return_argmax=True)
-        b = prover.second_response(y, mem)
-        scores[t] = j_score(x, y, a, b)
-    return ScoreStats.from_scores(scores)
-
-
-def experiment_s1(prover, params, trials, rng):
-    return run_experiment_s(1, prover, params, trials, rng)
-
-
-def experiment_s2(prover, params, trials, rng):
-    return run_experiment_s(2, prover, params, trials, rng)
-
-
-def experiment_s3(prover, params, trials, rng):
-    return run_experiment_s(3, prover, params, trials, rng)

@@ -31,9 +31,11 @@ class ClassicalProver:
         raise NotImplementedError
 
     def second_response(self, y: np.ndarray, mem: Any) -> np.ndarray:
+        # answers are kept as given: the referee rejects any that is not a
+        # bit, where a uint8 cast would wrap or raise
         y = np.asarray(y, dtype=np.uint8)
         return np.array([self.respond_bit(j, y[:j + 1], mem)
-                         for j in range(len(y))], dtype=np.uint8)
+                         for j in range(len(y))])
 
 
 def _coin_bit(coins: np.ndarray, *context: int) -> int:

@@ -12,9 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poqlab.attack import (attack_plan, best_score, best_score_oracle,
-                           exact_max_mean, experiment_e_campaign,
-                           sampled_max_mean, sampling_bound)
+from poqlab.attack import (attack_plan, best_score, experiment_e_campaign,
+                           sampling_bound)
 from poqlab.core import Rng, desk_params
 from poqlab.fourier import (Group, GroupFunction, SubsetOfGroup, convolve, dft,
                             donoho_stark_check, support_size,
@@ -26,6 +25,9 @@ from poqlab.games import (DeterministicStrategy, bits_of, ghz4_closed_form,
 from poqlab.lattice import ZqArray, decrypt, encrypt, gen_trap, invert
 from poqlab.protocol import run_game_j, run_game_r
 from poqlab.provers import BlindProver, TrapdoorLeakProver
+
+from oracles import (best_score_oracle, exact_max_mean, sampled_max_mean,
+                     zq_matmul)
 
 DESK = desk_params()
 
@@ -186,7 +188,7 @@ def test_criterion_07_lattice_contract():
         s = gen.integers(0, DESK.q, size=DESK.n, dtype=np.int64)
         e = gen.integers(-2 * DESK.tau, 2 * DESK.tau + 1, size=DESK.m,
                          dtype=np.int64)
-        v = ZqArray(DESK.q, a.matmul(ZqArray(DESK.q, s)).values + e)
+        v = ZqArray(DESK.q, zq_matmul(a, ZqArray(DESK.q, s)).values + e)
         got = invert(a, trap, v, DESK)
         assert got is not None and np.array_equal(got, s)
 

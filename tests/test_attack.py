@@ -4,12 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from poqlab.attack import (attack_plan, best_score, best_score_oracle,
-                           decode_error, exact_max_mean, experiment_e,
-                           experiment_e_campaign, sampled_max_mean,
-                           sampling_bound)
+from poqlab.attack import (attack_plan, best_score, decode_error,
+                           experiment_e, experiment_e_campaign, sampling_bound)
 from poqlab.core import Rng, desk_params
 from poqlab.provers import BlindProver, TrapdoorLeakProver
+
+from oracles import best_score_oracle, exact_max_mean, sampled_max_mean
 
 
 # --- decoding ----------------------------------------------------------------

@@ -68,20 +68,6 @@ def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_run_workers_match_serial(tmp_path, capsys):
-    for prover in ("blind", "honest"):
-        base = ("run", "--game", "R", "--prover", prover, "--trials", "24",
-                "--seed", "5")
-        code1, _ = run_cli(capsys, *base, "--out", str(tmp_path / "serial"))
-        code2, _ = run_cli(capsys, *base, "--workers", "3",
-                           "--out", str(tmp_path / "par"))
-        assert code1 == code2 == 0
-        name = f"R_{prover}_seed5.transcripts"
-        f1 = (tmp_path / "serial" / name).read_bytes()
-        f2 = (tmp_path / "par" / name).read_bytes()
-        assert f1 == f2
-
-
 def test_run_rejects_classical_prover_at_claw_game(capsys):
     code = main(["run", "--game", "J", "--prover", "blind", "--trials", "10"])
     assert code == 1
@@ -142,6 +128,12 @@ def test_attack_plan_prints_worked_figures(capsys):
     assert "0.01886" in out
     assert "0.1617" in out       # published threshold figure
     assert "0.1627" in out       # recomputed sum, shown alongside
+
+
+def test_log2_mode_belongs_to_attack_only(capsys):
+    # only the attack plan reads --log2-mode
+    assert main(["params", "--log2-mode"]) == 2
+    assert "unrecognized arguments: --log2-mode" in capsys.readouterr().err
 
 
 def test_attack_eprime_smoke(capsys):

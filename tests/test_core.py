@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poqlab.core import (InvalidDeskParams, NoPrimeInRange, Params, Rng,
-                         balanced, balanced_abs, binary_parse, binary_repr,
-                         bit_select, derive_params, desk_params, find_prime,
-                         is_prime, matmul_mod, norm1, norminf)
+                         balanced, balanced_abs, binary_repr, derive_params,
+                         desk_params, find_prime, is_prime, matmul_mod, norm1,
+                         norminf)
+
+from oracles import binary_parse, bit_select
 
 
 # --- balanced absolute value -------------------------------------------------

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from poqlab.fourier import (Group, GroupFunction, GroupMismatch, SubsetOfGroup,
-                            ZeroFunction, collision_probability, convolve, dft,
-                            donoho_stark_check,
-                            eta_quadruple_bruteforce, eta_set, idft,
-                            linearity_eta, support_size,
+                            ZeroFunction, convolve, dft, donoho_stark_check,
+                            eta_set, idft, linearity_eta, support_size,
                             uncertainty_bound_check, uncertainty_product,
                             uniformity_nu)
+
+from oracles import collision_probability, eta_quadruple_bruteforce
 
 
 def dft_z4_exact(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from poqlab.fourier import Group, GroupFunction, uniformity_nu
 from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInput,
                           ParityBalancedSet, SearchSpaceTooLarge,
-                          TimeOrderedStrategy, _all_tables,
-                          _best_response_parallel, _best_response_sequential,
-                          _counting_vectors, _distinct_pair_convolutions,
-                          _group_index_tools, _time_ordered_tables, bits_of,
+                          TimeOrderedStrategy, _best_response_parallel,
+                          _best_response_sequential, _counting_vectors,
+                          _distinct_pair_convolutions, _group_index_tools,
+                          _tables, bits_of,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
                           ghz_strategy_score_enum, ghz_value_bruteforce,
                           index_of, j_bias_bruteforce,
@@ -101,7 +101,7 @@ def test_repeated_value_parallel_d2():
 
 
 def _search_inputs(mode, d):
-    tables = _time_ordered_tables(d) if mode == "sequential" else _all_tables(d)
+    tables = _tables(d, d, mode == "sequential")
     _, _, sub, neg = _group_index_tools(d)
     vecs = _counting_vectors(
         np.stack([parity_set_from_strategy(t).elements for t in tables]), d)
@@ -301,7 +301,7 @@ def test_max_eta_bounds():
 
 
 def test_time_ordered_table_check():
-    tables = _time_ordered_tables(2)
+    tables = _tables(2, 2, True)
     # output bit 0 reads 1 input bit, output bit 1 reads 2: 2^2 * 2^4 tables
     assert len(tables) == 64
     assert len({t.tobytes() for t in tables}) == 64
@@ -310,6 +310,23 @@ def test_time_ordered_table_check():
     bad = good.copy()
     bad[0, 0] = 1  # first output bit now depends on the second input bit
     assert not any(np.array_equal(t, bad) for t in tables)
+
+
+@pytest.mark.parametrize("d,width", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_tables_match_definition(d, width):
+    # every map {0,1}^d -> {0,1}^width, and those whose output bit i < d
+    # reads input bits 0..i only, each exactly once
+    every = [np.array(rows, dtype=np.uint8) for rows in itertools.product(
+        itertools.product((0, 1), repeat=width), repeat=1 << d)]
+
+    def time_ordered(t):
+        return all(t[x, i] == t[x & ((2 << i) - 1), i]
+                   for x in range(1 << d) for i in range(min(d, width)))
+
+    for ordered in (False, True):
+        got = [t.tobytes() for t in _tables(d, width, ordered)]
+        want = {t.tobytes() for t in every if not ordered or time_ordered(t)}
+        assert len(got) == len(set(got)) and set(got) == want
 
 
 # --- the claw game -----------------------------------------------------------

@@ -3,12 +3,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poqlab.attack import run_experiment_s
 from poqlab.core import Rng, derive_params, desk_params
 from poqlab.lattice import assess_preimages, encrypt
-from poqlab.protocol import (ScoreStats, Transcript, referee_first_assessment,
-                             run_experiment_s, run_game_j, run_game_r)
-from poqlab.provers import BlindProver, TrapdoorLeakProver
+from poqlab.protocol import (ScoreStats, Transcript, play_round,
+                             referee_first_assessment, run_game_j, run_game_r)
+from poqlab.lattice import ZqArray
+from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from poqlab.quantum import honest_first_round
 
 PARAMS = desk_params()
@@ -180,6 +184,152 @@ def test_referee_samples_answer_on_inversion_failure():
     final_bits = np.array([t.a[-1] for t in res.transcripts])
     assert 0.3 < final_bits.mean() < 0.7
     assert abs(res.stats.mean) <= 0.3  # no better than chance play
+
+
+# --- the round engine -------------------------------------------------------------
+
+class _AdviceRecorder(TrapdoorLeakProver):
+    def first_response(self, a, v, coins):
+        self.advice = (a, v, self.leak)
+        return super().first_response(a, v, coins)
+
+
+def test_play_round_arms():
+    from scipy.stats import chisquare
+    prover = _AdviceRecorder(PARAMS)
+    x = np.array([1, 0, 1, 1, 1], dtype=np.uint8)
+    # the uniform arm: no encryption, no key, uniform A
+    first = play_round(prover, PARAMS, x, Rng(5), "test", 0, real=False)
+    a, v, leak = prover.advice
+    assert first.record is None and leak is None
+    assert a.shape == (PARAMS.m, PARAMS.n) and v.shape == (PARAMS.m,)
+    bins = np.histogram(a.values.reshape(-1), bins=16, range=(0, PARAMS.q))[0]
+    assert chisquare(bins).pvalue > 1e-3
+    # the real arm: the prover sees the ciphertext and, here, its trapdoor
+    first = play_round(prover, PARAMS, x, Rng(5), "test", 0)
+    a, v, leak = prover.advice
+    assert a is first.record.ciphertext.a and v is first.record.ciphertext.v
+    assert leak is first.record.trapdoor
+    np.testing.assert_array_equal(first.record.message, x[:PARAMS.d])
+
+
+# --- a total referee --------------------------------------------------------------
+
+ROUND_ONE_BITS = PARAMS.n * PARAMS.Q - PARAMS.d
+
+
+def _commitment(kind: str, seed: int):
+    q, m = PARAMS.q, PARAMS.m
+    gen = np.random.default_rng(seed)
+    return {
+        "zero": ZqArray(q, np.zeros(m, dtype=np.int64)),
+        "random": ZqArray(q, gen.integers(0, q, size=m)),
+        "short": ZqArray(q, np.zeros(m - 1, dtype=np.int64)),
+        "long": ZqArray(q, np.zeros(m + 1, dtype=np.int64)),
+        "other-modulus": ZqArray(q + 2, np.zeros(m, dtype=np.int64)),
+        "plain-array": np.zeros(m, dtype=np.int64),
+        "none": None,
+    }[kind]
+
+
+_ENTRY = st.one_of(st.sampled_from([0, 1]), st.booleans(),
+                   st.integers(-2 ** 70, 2 ** 70), st.floats(), st.none())
+
+
+@st.composite
+def _message(draw, length: int):
+    """length random bits, as a list or an array of some dtype, or corrupted:
+    one entry replaced by an arbitrary value, or one entry too few or many."""
+    seed = draw(st.integers(0, 2 ** 32))
+    bits = np.random.default_rng(seed).integers(0, 2, size=length).tolist()
+    how = draw(st.sampled_from(["list", "array", "entry", "short", "long"]))
+    if how == "array":
+        return np.array(bits, dtype=draw(st.sampled_from(
+            [np.uint8, np.int64, np.bool_, np.float64])))
+    if how == "entry":
+        bits[draw(st.integers(0, length - 1))] = draw(_ENTRY)
+    elif how == "short":
+        bits.pop()
+    elif how == "long":
+        bits.append(draw(_ENTRY))
+    return bits
+
+
+def _are_bits(message, length: int) -> bool:
+    """Well formed: `length` integer or boolean entries, each 0 or 1."""
+    values = list(message)
+    return len(values) == length and all(
+        isinstance(v, (int, np.integer, np.bool_)) and v in (0, 1)
+        for v in values)
+
+
+class _FuzzProver(ClassicalProver):
+    """Replays fixed, possibly malformed messages."""
+
+    def __init__(self, w, ells, answers):
+        self.w, self.ells, self.answers = w, ells, answers
+
+    def first_response(self, a, v, coins):
+        return self.w, self.ells, None
+
+    def respond_bit(self, j, y_prefix, mem):
+        return self.answers[j]
+
+    def second_response(self, y, mem):
+        return self.answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(w_kind=st.sampled_from(["zero", "random", "short", "long",
+                               "other-modulus", "plain-array", "none"]),
+       w_seed=st.integers(0, 2 ** 32), ells=_message(ROUND_ONE_BITS),
+       answers=_message(PARAMS.d + 1), sequential=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_referee_is_total(w_kind, w_seed, ells, answers, sequential, seed):
+    d = PARAMS.d
+    if sequential:   # respond_bit is asked exactly d + 1 times
+        answers = (list(answers) + [0] * (d + 1))[:d + 1]
+    w = _commitment(w_kind, w_seed)
+    res = run_game_r(_FuzzProver(w, ells, answers), PARAMS, 1, Rng(seed),
+                     sequential=sequential, keep_transcripts=True)
+    t = res.transcripts[0]
+    well_formed = (w_kind in ("zero", "random")
+                   and _are_bits(ells, ROUND_ONE_BITS)
+                   and _are_bits(answers, d + 1))
+    if not well_formed:
+        assert t.score == -1 and not t.e_flag and not t.f_flag
+    else:
+        np.testing.assert_array_equal(t.b, np.asarray(answers, dtype=np.uint8))
+    assert t.rescore() == t.score == res.stats.mean
+    line = t.to_line()
+    back = Transcript.from_line(line)
+    assert back.to_line() == line
+    for key in ("x", "y", "a", "b", "w", "ells"):
+        np.testing.assert_array_equal(getattr(back, key), getattr(t, key))
+
+
+def test_malformed_messages_lose_every_trial():
+    # a key-leak prover that could otherwise win every trial
+    class Five(TrapdoorLeakProver):
+        def respond_bit(self, j, y_prefix, mem):
+            return 5 if j == self.params.d else super().respond_bit(j, y_prefix, mem)
+
+    class Sevens(TrapdoorLeakProver):
+        def first_response(self, a, v, coins):
+            w, ells, mem = super().first_response(a, v, coins)
+            return w, ells + 7, mem
+
+    class Short(TrapdoorLeakProver):
+        def first_response(self, a, v, coins):
+            w, ells, mem = super().first_response(a, v, coins)
+            return ZqArray(w.q, w.values[:-1]), ells, mem
+
+    for prover in (Five(PARAMS), Sevens(PARAMS), Short(PARAMS)):
+        res = run_game_r(prover, PARAMS, 3, Rng(1), sequential=True,
+                         keep_transcripts=True)
+        assert [t.score for t in res.transcripts] == [-1, -1, -1]
+        assert [t.rescore() for t in res.transcripts] == [-1, -1, -1]
+        assert res.e_rate == res.f_rate == 0.0
 
 
 def test_sequential_matches_one_shot_for_time_ordered_provers():
