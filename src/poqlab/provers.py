@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, balanced
-from .lattice import TrapdoorKey, ZqArray, invert
+from .core import Params
+from .lattice import TrapdoorKey, ZqArray, decrypt
 
 
 class ClassicalProver:
@@ -81,12 +81,7 @@ class TrapdoorLeakProver(ClassicalProver):
         p = self.params
         w = ZqArray(p.q, np.zeros(p.m, dtype=np.int64))
         ells = np.zeros(p.n * p.Q - p.d, dtype=np.uint8)
-        known = None
-        if self.leak is not None:
-            gamma = invert(a, self.leak, v, p)
-            if gamma is not None:
-                tail = balanced(gamma[p.n - p.d:], p.q)
-                known = (np.abs(tail) % 2).astype(np.uint8)
+        known = None if self.leak is None else decrypt(a, self.leak, v, p)
         return w, ells, {"x": known, "coins": coins}
 
     def respond_bit(self, j, y_prefix, mem):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from poqlab.attack import run_experiment_s
 from poqlab.core import Rng, derive_params, desk_params
-from poqlab.lattice import assess_preimages, encrypt
+from poqlab.lattice import ZqArray, assess_preimages, encrypt
 from poqlab.protocol import (ScoreStats, Transcript, play_round,
                              referee_first_assessment, run_game_j, run_game_r)
-from poqlab.lattice import ZqArray
 from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from poqlab.quantum import honest_first_round
 
