@@ -12,7 +12,7 @@ import numpy as np
 
 from poqlab import (BlindProver, Rng, TrapdoorLeakProver, attack_plan,
                     best_score, decode_error, desk_params,
-                    experiment_e_campaign)
+                    experiment_e_campaign, j_score)
 
 print("=== the decoder behind the rewinding ===")
 x = np.array([1, 0, 1, 1], dtype=np.int64)
@@ -20,8 +20,9 @@ pairs = [(np.array([1, 1, 0, 1]), np.array([0, 1, 0, 0])),
          (np.array([0, 0, 1, 1]), np.array([1, 0, 0, 1])),
          (np.array([1, 0, 1, 1]), np.array([0, 0, 1, 0]))]
 rows = np.array([x & y for y, _ in pairs])
-targets = np.array([0 if int((x * (y + 2 * b)).sum()) % 4 in (0, 1) else 1
-                    for y, b in pairs])
+# target 1 where the all-zero first answer loses the pair
+zeros = np.zeros_like(x)
+targets = np.array([int(j_score(x, y, zeros, b) == -1) for y, b in pairs])
 print("decode instance rows (x AND y):")
 print(rows)
 print("targets:", targets, " minimum flips:", decode_error(rows, targets))
@@ -29,12 +30,12 @@ print("best reachable average score:", best_score(x, pairs))
 
 print("\n=== the two arms, measured ===")
 params = desk_params(d=6)
-leak = experiment_e_campaign(TrapdoorLeakProver(params), params, 600,
+leak = experiment_e_campaign(TrapdoorLeakProver(params), params, 150,
                              Rng(99), alpha=64)
 print(f"key-leak prover:  E[r|real] = {leak.mean_r_real:+.3f}, "
       f"E[r|uniform] = {leak.mean_r_uniform:+.3f}, "
       f"advantage = {leak.advantage:.3f} +- {leak.stderr:.3f}")
-blind = experiment_e_campaign(BlindProver(params), params, 600,
+blind = experiment_e_campaign(BlindProver(params), params, 150,
                               Rng(100), alpha=64)
 print(f"blind prover:     E[r|real] = {blind.mean_r_real:+.3f}, "
       f"E[r|uniform] = {blind.mean_r_uniform:+.3f}, "

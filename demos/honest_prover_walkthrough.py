@@ -38,8 +38,10 @@ print(f"ciphertext: A is {record.ciphertext.a.shape}, "
 first = honest_first_round(record, params, rng.stream("demo-prover"))
 print(f"prover commits w (length {len(first.w.values)}) and "
       f"{len(first.ells)} measurement bits")
-print("both-preimages event:", first.event_e,
-      " no-wraparound event:", first.event_f)
+a, e_flag, f_flag = referee_first_assessment(first.w, first.ells, record,
+                                             params, rng.stream("demo-referee"))
+print("referee's events: both preimages in the box (E):", e_flag,
+      " no wraparound (F):", f_flag)
 if not first.claw.degenerate:
     print("claw branches:", first.claw.branch0, first.claw.branch1,
           " phase:", first.claw.phase)
@@ -47,8 +49,6 @@ if not first.claw.degenerate:
           first.claw.branch0 ^ first.claw.branch1)
 
 b = honest_second_round(first.claw, y, rng.stream("demo-prover2"))
-a, _, _ = referee_first_assessment(first.w, first.ells, record, params,
-                                   rng.stream("demo-referee"))
 print("referee derives a =", a, "; prover answers b =", b)
 bases = ["Y" if bit else "X" for bit in y[:params.d]] + ["XY"]
 law = build_claw_state(first.claw).outcome_distribution(bases)
@@ -56,8 +56,8 @@ print(f"oracle: P(b | claw) = {law[int(''.join(map(str, b)), 2)]:.6f} "
       f"(claw outcomes range over [{law.min():.6f}, {law.max():.6f}])")
 print("score:", j_score(x, y, a, b))
 
-print("\n--- 2000-trial campaign ---")
-result = run_game_r("honest", params, 2000, rng)
+print("\n--- 400-trial campaign ---")
+result = run_game_r("honest", params, 400, rng)
 print(f"mean score {result.stats.mean:.4f} "
       f"(ci95 [{result.stats.ci95_lo:.4f}, {result.stats.ci95_hi:.4f}])")
 print(f"event rates: E {result.e_rate:.4f}, F {result.f_rate:.4f}")

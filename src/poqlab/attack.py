@@ -6,6 +6,8 @@ the encryption.
 
 Every experiment plays its first round through protocol.play_round, on real
 or uniform advice, and rewinds the prover's second round through rewind().
+best_score judges the rewound answers by the referee's rules (its answer
+check and games.j_score), so a rewound prover scores as in game R.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Any
 import numpy as np
 
 from .core import Params, Rng
-from .games import j_sample_inputs
-from .protocol import (ScoreStats, play_round, referee_first_assessment,
+from .games import j_sample_inputs, j_score
+from .protocol import (ScoreStats, _bits, play_round, referee_first_assessment,
                        referee_score)
 from .provers import ClassicalProver
 
@@ -60,22 +62,24 @@ def best_score(x, pairs, return_argmax: bool = False):
     second-player question/answer pairs, maximized over her answer string.
 
     Row j of the decode instance is x AND y_j; the target bit w_j records
-    whether <x, y_j + 2 b_j> already lands in {0, 1} mod 4.  Flipping by an
-    answer pattern z toggles row j exactly when <x AND y_j, z> = 1, so the
-    maximization is a minimum-distance decode.
+    whether the all-zero answer loses against (y_j, b_j), by games.j_score.
+    Flipping by an answer pattern z toggles row j exactly when
+    <x AND y_j, z> = 1, so the maximization is a minimum-distance decode.
+    An answer b_j that the referee rejects (protocol.referee_score: anything
+    but d + 1 bits) loses for every answer string: a zero row, target 1.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
     x = np.asarray(x, dtype=np.int64)
-    rows, targets = [], []
-    for y, b in pairs:
-        y = np.asarray(y, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if len(y) != len(x) or len(b) != len(x):
-            raise ValueError("all strings must share the length of x")
-        rows.append(x & y)
-        targets.append(0 if int((x * (y + 2 * b)).sum()) % 4 in (0, 1) else 1)
-    err, z = decode_error(np.array(rows), np.array(targets), return_argmin=True)
+    ys = np.array([y for y, _ in pairs], dtype=np.int64)
+    if ys.shape != (len(pairs), len(x)):
+        raise ValueError("every question must share the length of x")
+    answers = [_bits(b, len(x)) for _, b in pairs]
+    valid = np.array([b is not None for b in answers])
+    zeros = np.zeros_like(x)
+    bs = np.array([zeros if b is None else b for b in answers])
+    targets = np.where(valid, j_score(x, ys, zeros, bs) == -1, 1)
+    err, z = decode_error((x & ys) * valid[:, None], targets, return_argmin=True)
     score = 1 - 2 * err / len(pairs)
     if return_argmax:
         return score, z

@@ -7,6 +7,8 @@ parity game is a function {0,1}^d -> {0,1}^d, stored as a table indexed by
 the little-endian integer encoding of the input bits.  Each such strategy is
 equivalent to a parity-balanced subset of Z_4^d via s(x) = x + 2 f(x); all
 search code works on the subset side where the win condition is linear.
+j_score is the claw game's one score rule; every claw-game score in poqlab
+(search, bias identity, referee, rewinding decoder) goes through it.
 """
 
 from __future__ import annotations
@@ -417,26 +419,15 @@ def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def j_score(x, y, a, b) -> int:
-    """+1 iff u . v = sum x_i (-1)^{a_i} (y_i + 2 b_i) is 0 or 1 mod 4."""
+def j_score(x, y, a, b):
+    """+1 iff u . v = sum x_i (-1)^{a_i} (y_i + 2 b_i) is 0 or 1 mod 4, else -1.
+    The last axis holds the d+1 bits; leading axes broadcast to an array of
+    scores, and four single strings give an int."""
     x, y, a, b = (np.asarray(v, dtype=np.int64) for v in (x, y, a, b))
-    if not (len(x) == len(y) == len(a) == len(b)):
+    if not (x.shape[-1] == y.shape[-1] == a.shape[-1] == b.shape[-1]):
         raise ValueError("x, y, a, b must share one length")
-    u = x * (1 - 2 * a)
-    v = y + 2 * b
-    return 1 if int((u * v).sum()) % 4 in (0, 1) else -1
-
-
-def _score_tensor(d: int) -> np.ndarray:
-    """score[x_idx, y_idx, a_idx, b_idx] over the 2^d x 2^d x 2^(d+1) x 2^(d+1)
-    question/answer grid."""
-    nq, na = 1 << d, 1 << (d + 1)
-    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(nq)]).astype(np.int64)
-    outs = np.stack([bits_of(i, d + 1) for i in range(na)]).astype(np.int64)
-    u = xs[:, None, :] * (1 - 2 * outs[None, :, :])     # (x, a, d+1)
-    v = xs[:, None, :] + 2 * outs[None, :, :]           # (y, b, d+1)
-    dots = np.einsum("xai,ybi->xyab", u, v) % 4
-    return np.where((dots == 0) | (dots == 1), 1, -1).astype(np.int8)
+    dots = (x * (1 - 2 * a) * (y + 2 * b)).sum(axis=-1) % 4
+    return np.where(dots <= 1, 1, -1) if dots.ndim else 1 - 2 * int(dots > 1)
 
 
 def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
@@ -444,18 +435,19 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     sequential variant restricts the second player to time-ordered tables."""
     if d > 2:
         raise SearchSpaceTooLarge(f"claw-game enumeration capped at d <= 2, got {d}")
-    score = _score_tensor(d)
+    nq, na = 1 << d, 1 << (d + 1)
+    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(nq)])
+    outs = np.stack([bits_of(i, d + 1) for i in range(na)])
+    # score[x_idx, y_idx, a_idx, b_idx] over every question and answer index
+    score = j_score(xs[:, None, None, None], xs[None, :, None, None],
+                    outs[None, None, :, None], outs[None, None, None, :])
     weights = 1 << np.arange(d + 1)   # answer tables as answer indices
     alice = _tables(d, d + 1, False).astype(np.int64) @ weights
     bob = _tables(d, d + 1, sequential).astype(np.int64) @ weights
-    nq, na = 1 << d, 1 << (d + 1)
-    u_all = np.zeros((alice.shape[0], nq, na), dtype=np.int64)
-    for x_idx in range(nq):
-        u_all += score[x_idx][:, alice[:, x_idx], :].transpose(1, 0, 2)
+    # u_all[i, y, b]: Alice's table i summed over x against answer b to y
+    u_all = score[np.arange(nq), :, alice].sum(axis=1)
     one_hot = np.zeros((nq * na, bob.shape[0]), dtype=np.float32)
-    cols = np.arange(bob.shape[0])
-    for y_idx in range(nq):
-        one_hot[y_idx * na + bob[:, y_idx], cols] = 1.0
+    one_hot[np.arange(nq) * na + bob, np.arange(bob.shape[0])[:, None]] = 1.0
     sums = u_all.reshape(alice.shape[0], -1).astype(np.float32) @ one_hot
     best = int(np.rint(max(sums.max(), -sums.min())))   # no |sums| copy
     return Fraction(best, nq * nq)
@@ -509,13 +501,10 @@ def j_bias_fourier_identity(s: DeterministicStrategy,
     d = s.d
     if d > 3:
         raise SearchSpaceTooLarge("identity check capped at d <= 3")
-    total = Fraction(0)
-    for xi in range(1 << d):
-        x = np.append(bits_of(xi, d), 1)
-        for yi in range(1 << d):
-            y = np.append(bits_of(yi, d), 1)
-            total += j_score(x, y, s.outputs[xi], t.outputs[yi])
-    direct = total / (1 << d) ** 2
+    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(1 << d)])
+    scores = j_score(xs[:, None], xs[None, :], s.outputs[:, None],
+                     t.outputs[None, :])
+    direct = Fraction(int(scores.sum()), (1 << d) ** 2)
 
     u_sub, v_sub = _strategy_image_sets(s, t)
     scale = 2 ** (-d / 2)

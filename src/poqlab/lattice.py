@@ -4,8 +4,10 @@ The trapdoor pair is the classic two-block construction: a uniform top block
 Abar with (Q+1)n rows, and a bottom block G - R Abar where R has small
 entries and G stacks the binary gadget (1, 2, ..., 2^{Q-1}) per secret
 coordinate.  Recombining v = A s + e through R turns inversion into decoding
-G s from noise bounded by B = 2 tau (1 + (Q+1) n); parameter validation
-guarantees B < q/4, which makes the decode below exact.
+G s from noise bounded by B = 2 tau (1 + (Q+1) n).  invert's decode is exact
+when 3B < q/2 (its 6B < q guard), and every Params meets that: tau =
+floor(q / (4 m Q)) with m = (2Q+1) n gives 6B < q whenever Q >= 3, and Q < 3
+leaves tau = 0 (6B/q < 0.17 for odd primes q < 2 * 10^5 and n <= 64).
 
 The two trapdoor products, R Abar in gen_trap and R v_top in invert, run in
 float64 BLAS and are exact: R is ternary and the other operand canonical in
@@ -46,13 +48,6 @@ class ZqArray:
     def __add__(self, other: "ZqArray") -> "ZqArray":
         self._check(other)
         return ZqArray(self.q, (self.values + other.values) % self.q)
-
-    def __sub__(self, other: "ZqArray") -> "ZqArray":
-        self._check(other)
-        return ZqArray(self.q, (self.values - other.values) % self.q)
-
-    def __neg__(self) -> "ZqArray":
-        return ZqArray(self.q, -self.values)
 
     @property
     def shape(self):

@@ -8,6 +8,8 @@ string a, and the prover answers a question y with b.  play_round plays the
 first half for game R and for the experiments in attack.py, which replay it
 on real or uniform advice.  The referee is total: a message that is not well
 formed loses the trial (score -1); it is never coerced and never raises.
+Its rules live once: the answer string quantum.round_one_answer, the score
+games.j_score, the message check _bits (attack.best_score applies it too).
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
 any trial subset can be recomputed independently and reruns are bit-exact.
@@ -20,13 +22,13 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng, balanced_abs, binary_repr
+from .core import Params, Rng, balanced_abs
 from .games import j_sample_inputs, j_score
 from .lattice import (EncryptionRecord, Preimages, ZqArray, assess_preimages,
                       encrypt)
 from .provers import TrapdoorLeakProver
 from .quantum import (honest_first_round, honest_second_round,
-                      round_one_positions, sample_claw_outcomes)
+                      round_one_answer, sample_claw_outcomes)
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,7 @@ def run_game_j(d: int, trials: int, rng: Rng,
     a = gen.integers(0, 2, size=(trials, d + 1))
     b = sample_claw_outcomes(a[:, :d], a[:, :d] ^ xs[:, :d], 1 - 2 * a[:, d],
                              ys, gen)
-    u = xs * (1 - 2 * a)
-    v = ys + 2 * b.astype(np.int64)
-    scores = np.where(((u * v).sum(axis=1) % 4) <= 1, 1, -1)
+    scores = j_score(xs, ys, a, b)
     transcripts = []
     if keep_transcripts:
         for t in range(trials):
@@ -241,13 +241,7 @@ def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
 
     e_flag = bool(in_box0 and in_box1)
     f_flag = bool((balanced_abs(z0, q) > np.abs(record.gamma)).all())
-
-    a = np.zeros(d + 1, dtype=np.uint8)
-    a[:d] = (z0[n - d:] % 2).astype(np.uint8)
-    positions = round_one_positions(params)
-    diff = (binary_repr(z0, params.Q) ^ binary_repr(z1, params.Q))[positions - 1]
-    a[d] = int((diff & ells).sum()) % 2
-    return a, e_flag, f_flag
+    return round_one_answer(z0, z1, ells, params), e_flag, f_flag
 
 
 def referee_score(x, y, a, b) -> tuple[np.ndarray, np.ndarray, int, bool]:

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from .core import Params
+from .games import j_score
 from .lattice import TrapdoorKey, ZqArray, decrypt
 
 
@@ -90,9 +91,8 @@ class TrapdoorLeakProver(ClassicalProver):
             return _coin_bit(mem["coins"], j, *y_prefix)
         if j < p.d:
             return 0
-        # final bit: x here is the decrypted d bits; the game's x ends in 1,
-        # so flipping b_{d+1} shifts u.v by exactly 2 when needed
-        x = np.concatenate([mem["x"], [1]]).astype(np.int64)
-        y = np.asarray(y_prefix, dtype=np.int64)
-        base = int((x * y).sum()) % 4
-        return 0 if base in (0, 1) else 1
+        # final bit: the game's x ends in 1, so against a = 0 flipping
+        # b_{d+1} moves u.v by exactly 2 when the all-zero answer loses
+        x = np.concatenate([mem["x"], [1]])
+        zeros = np.zeros_like(x)
+        return int(j_score(x, y_prefix, zeros, zeros) == -1)

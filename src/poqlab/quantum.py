@@ -8,8 +8,9 @@ state.  The first round never materializes the (nQ+1)-qubit state; for a
 two-branch residual state the X-measurements on the non-data qubits are
 equivalent to uniform bits plus a phase XOR, which is what gets simulated.
 The first round's two preimages come from lattice.assess_preimages, and
-that one assessment, carried in FirstRoundResult, is what the referee
-scores the trial with.
+round_one_answer turns them into the answer string a that the referee
+scores and the prover reads its claw from; the E and F flags are the
+referee's alone (protocol.referee_first_assessment).
 The second round measures the remaining (d+1)-qubit claw, and its outcome
 law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
 exact Born-rule answers for a whole batch of claws at O(d) per claw; the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, balanced_abs, binary_repr, matmul_mod
+from .core import Params, binary_repr, matmul_mod
 from .lattice import EncryptionRecord, Preimages, ZqArray, assess_preimages
 
 MAX_QUBITS = 26
@@ -233,11 +234,8 @@ def sample_claw_outcomes(branch0, branch1, phase, y,
 @dataclass(frozen=True)
 class FirstRoundResult:
     w: ZqArray
-    ells: np.ndarray          # bits indexed by positions kept in round one
-    ell_positions: np.ndarray  # the 1-based bit positions those bits answer
+    ells: np.ndarray     # bits at the positions round_one_positions lists
     claw: ClawDescription
-    event_e: bool
-    event_f: bool
     preimages: Preimages  # the referee's assessment of w, shared
 
 
@@ -251,50 +249,44 @@ def round_one_positions(params: Params) -> np.ndarray:
                     dtype=np.int64)
 
 
+def round_one_answer(z0: np.ndarray, z1: np.ndarray, ells: np.ndarray,
+                     params: Params) -> np.ndarray:
+    """The round-one answer string a of the claw left by preimages z0 and z1
+    and measurement bits ells: the data bits of z0 (the parities of its last
+    d coordinates), then the parity of ells over the round-one positions
+    where z0 and z1 differ.  The claw is (a[:d], z1's data bits,
+    (-1)^{a_d}); the referee scores the trial with a."""
+    n, d = params.n, params.d
+    diff = (binary_repr(z0, params.Q)
+            ^ binary_repr(z1, params.Q))[round_one_positions(params) - 1]
+    return np.append(z0[n - d:] % 2, (diff & ells).sum() % 2).astype(np.uint8)
+
+
 def honest_first_round(record: EncryptionRecord, params: Params,
                        rng: np.random.Generator) -> FirstRoundResult:
     """Prepare w = A r - c v + z, resolve the consistent preimages through
     the referee's trapdoor (assess_preimages), and reduce the residual state
-    to its claw.
-
-    The event flags record whether both preimages sat inside the noise box
-    (E) and whether no coordinate of the recovered preimage was smaller in
-    balanced absolute value than the encryption offset (F).
-    """
+    to its claw: two branches when both preimages sit inside the noise box,
+    else the one branch that does."""
     q, n, m, tau, d = params.q, params.n, params.m, params.tau, params.d
     a, v = record.ciphertext.a, record.ciphertext.v
     r = rng.integers(0, q, size=n, dtype=np.int64)
     coin = int(rng.integers(0, 2))
     box = rng.integers(-tau, tau + 1, size=m, dtype=np.int64)
-    w_vals = (matmul_mod(a.values, r, q) - coin * v.values + box) % q
-    w = ZqArray(q, w_vals)
+    w = ZqArray(q, matmul_mod(a.values, r, q) - coin * v.values + box)
 
     preimages = assess_preimages(w, record, params)
     z0, z1, in_box0, in_box1 = preimages
-    event_e = in_box0 and in_box1
-    event_f = bool(z0 is not None and
-                   (balanced_abs(z0, q) > np.abs(record.gamma)).all())
-
-    positions = round_one_positions(params)
-    ells = rng.integers(0, 2, size=len(positions)).astype(np.uint8)
-
-    def data_bits(z):
-        return (z[n - d:] % 2).astype(np.uint8)
-
-    if event_e:
-        bits0 = binary_repr(z0, params.Q)
-        bits1 = binary_repr(z1, params.Q)
-        diff = (bits0 ^ bits1)[positions - 1]
-        phase = 1 if int((ells & diff).sum()) % 2 == 0 else -1
-        claw = ClawDescription(branch0=data_bits(z0), branch1=data_bits(z1),
-                               phase=phase)
+    ells = rng.integers(0, 2, size=n * params.Q - d).astype(np.uint8)
+    if in_box0 and in_box1:
+        answer = round_one_answer(z0, z1, ells, params)
+        claw = ClawDescription(branch0=answer[:d], branch1=z1[n - d:] % 2,
+                               phase=1 - 2 * int(answer[d]))
     elif in_box0:
-        claw = ClawDescription(branch0=data_bits(z0), branch1=None)
+        claw = ClawDescription(branch0=z0[n - d:] % 2, branch1=None)
     else:
-        claw = ClawDescription(branch0=None, branch1=data_bits(z1))
-    return FirstRoundResult(w=w, ells=ells, ell_positions=positions, claw=claw,
-                            event_e=event_e, event_f=event_f,
-                            preimages=preimages)
+        claw = ClawDescription(branch0=None, branch1=z1[n - d:] % 2)
+    return FirstRoundResult(w=w, ells=ells, claw=claw, preimages=preimages)
 
 
 def honest_second_round(claw: ClawDescription, y,

@@ -9,8 +9,8 @@ import numpy as np
 
 from poqlab.core import Params, matmul_mod
 from poqlab.fourier import SubsetOfGroup, ZeroFunction
-from poqlab.games import j_score
 from poqlab.lattice import GaussianSampler, ZqArray
+from poqlab.protocol import referee_score
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,15 @@ def collision_probability(p: np.ndarray) -> Fraction:
 # attack
 
 def best_score_oracle(x, pairs) -> float:
-    """Direct maximization of the average score over all answer strings;
+    """Direct maximization over all answer strings of the average score the
+    referee gives (protocol.referee_score, so a malformed b loses);
     independent of attack.decode_error."""
     x = np.asarray(x, dtype=np.int64)
     width = len(x)
     best = -1.0
     for a_idx in range(1 << width):
         a = (a_idx >> np.arange(width)) & 1
-        avg = float(np.mean([j_score(x, y, a, b) for y, b in pairs]))
+        avg = float(np.mean([referee_score(x, y, a, b)[2] for y, b in pairs]))
         best = max(best, avg)
     return best
 

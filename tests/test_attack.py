@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from poqlab.attack import (attack_plan, best_score, decode_error,
-                           experiment_e, experiment_e_campaign, sampling_bound)
+                           experiment_e, experiment_e_campaign, rewind,
+                           sampling_bound)
 from poqlab.core import Rng, desk_params
+from poqlab.games import j_sample_inputs, j_score
+from poqlab.protocol import play_round, referee_score
 from poqlab.provers import BlindProver, TrapdoorLeakProver
 
 from oracles import best_score_oracle, exact_max_mean, sampled_max_mean
@@ -73,6 +76,56 @@ def test_best_score_exhaustive_up_to_d3():
                 for y, b in pairs])
             assert got >= zero_avg - 1e-12
             assert -1 <= got <= 1
+
+
+def test_best_score_loses_malformed_answers_like_the_referee():
+    # an answer that is not d + 1 bits loses against every answer string
+    gen = np.random.default_rng(5)
+    d = 3
+    ys = [np.append((i >> np.arange(d)) & 1, 1) for i in range(1 << d)]
+    malformed = [np.array([0, 5, 0, 1]), np.array([1, -1, 0, 0]),
+                 np.array([0, 1, 1]), [0, [1, 0], 1, 1]]
+    for xb in range(1 << (d + 1)):
+        x = (xb >> np.arange(d + 1)) & 1
+        pairs = [(y, gen.integers(0, 2, size=d + 1)) for y in ys]
+        # on well-formed pairs the referee-scored oracle is the plain maximum
+        plain = max(np.mean([j_score(x, y, (a >> np.arange(d + 1)) & 1, b)
+                             for y, b in pairs]) for a in range(1 << (d + 1)))
+        assert best_score_oracle(x, pairs) == plain
+        for j, bad in enumerate(malformed):
+            pairs[2 * j] = (ys[2 * j], bad)
+        assert best_score(x, pairs) == best_score_oracle(x, pairs)
+    assert best_score(x, [(ys[0], bad) for bad in malformed]) == -1.0
+
+
+class FiveForOneProver(TrapdoorLeakProver):
+    """The key-leak prover, answering 5 wherever it would answer 1."""
+
+    def respond_bit(self, j, y_prefix, mem):
+        bit = super().respond_bit(j, y_prefix, mem)
+        return 5 if bit == 1 else bit
+
+
+def test_rewound_score_is_the_referee_score():
+    # experiment E's rho is the referee-scored mean at the argmax answer, so
+    # answers of 5 lose there as they do in game R
+    params = desk_params()
+    prover, rng = FiveForOneProver(params), Rng(7)
+    real_rhos = []
+    for rep in range(6):
+        out = experiment_e(prover, params, rng, rep)
+        arm_rng = rng.stream("expE/arm", rep)
+        hidden = int(arm_rng.integers(0, 2))
+        x, _ = j_sample_inputs(params.d, arm_rng)
+        first = play_round(prover, params, x, rng, "expE", rep,
+                           real=hidden == 0)
+        pairs = rewind(prover, first.mem, params.d)
+        rho, a = best_score(x, pairs, return_argmax=True)
+        assert out.hidden_bit == hidden and out.rho == rho
+        assert rho == np.mean([referee_score(x, y, a, b)[2] for y, b in pairs])
+        if hidden == 0:
+            real_rhos.append(rho)
+    assert real_rhos and max(real_rhos) < 1.0
 
 
 def test_best_score_empty_pairs():

@@ -1,4 +1,4 @@
-"""Smoke test: the fast demos run to completion as scripts."""
+"""Smoke test: every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -26,3 +26,14 @@ def test_parity_games_demo():
 
 def test_fourier_demo():
     assert "eta({1,3}) = 1" in run_demo("fourier_uncertainty.py")
+
+
+def test_honest_prover_walkthrough_demo():
+    out = run_demo("honest_prover_walkthrough.py")
+    assert ("referee's events: both preimages in the box (E): True"
+            "  no wraparound (F): True") in out
+
+
+def test_distinguishing_attack_demo():
+    out = run_demo("distinguishing_attack.py")
+    assert "targets: [1 1 0]  minimum flips: 0" in out

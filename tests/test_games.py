@@ -355,6 +355,24 @@ def test_j_score_examples():
         j_score([1, 1], [0, 1], [0], [0, 0])
 
 
+def test_j_score_batched_matches_scalar():
+    gen = np.random.default_rng(3)
+    x, y, a, b = gen.integers(0, 2, size=(4, 50, 4))
+    got = j_score(x, y, a, b)
+    assert got.shape == (50,)
+    for t in range(50):
+        want = j_score(x[t], y[t], a[t], b[t])
+        assert isinstance(want, int) and got[t] == want
+    # the question-by-answer grid that j_bias_bruteforce scores at d = 2
+    xs = np.array([np.append((i >> np.arange(2)) & 1, 1) for i in range(4)])
+    outs = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    grid = j_score(xs[:, None, None, None], xs[None, :, None, None],
+                   outs[None, None, :, None], outs[None, None, None, :])
+    assert grid.shape == (4, 4, 8, 8)
+    for i, j, k, l in itertools.product(range(4), range(4), range(8), range(8)):
+        assert grid[i, j, k, l] == j_score(xs[i], xs[j], outs[k], outs[l])
+
+
 def _j_bias_oracle_d1():
     """Second enumeration with the loops permuted (second player outermost)."""
     inputs = [np.array([b, 1], dtype=np.uint8) for b in (0, 1)]

@@ -5,7 +5,7 @@ import pytest
 
 from poqlab.core import Rng, desk_params
 from poqlab.lattice import encrypt
-from poqlab.protocol import run_game_j
+from poqlab.protocol import referee_first_assessment, run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector, apply_zc,
                             build_claw_state, coin_zero_probability,
                             honest_first_round, honest_second_round, measure,
@@ -280,9 +280,8 @@ def test_round_one_positions_skip_claw_bits():
 
 
 def test_referee_answer_matches_prover_claw():
-    # both sides compute the round-one answer string from the same data: the
-    # referee through the trapdoor, the prover through its claw bookkeeping
-    from poqlab.protocol import referee_first_assessment
+    # the referee inverts w itself and derives the answer string; the
+    # prover's claw must be the one that answer string describes
     params = desk_params()
     rng = Rng(47)
     checked = 0
@@ -291,10 +290,11 @@ def test_referee_answer_matches_prover_claw():
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
         first = honest_first_round(record, params, rng.stream("prover", t))
-        a, e_flag, f_flag = referee_first_assessment(
+        a, e_flag, _ = referee_first_assessment(
             first.w, first.ells, record, params, rng.stream("ref", t))
-        assert e_flag == first.event_e and f_flag == first.event_f
-        if first.event_e:
+        # event E (both preimages in the noise box) is what leaves two branches
+        assert e_flag == (not first.claw.degenerate)
+        if e_flag:
             np.testing.assert_array_equal(a[:params.d], first.claw.branch0)
             assert (first.claw.phase == -1) == bool(a[params.d])
             checked += 1
@@ -311,14 +311,16 @@ def test_honest_first_round_events_and_claw():
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
         first = honest_first_round(record, params, rng.stream("prover", t))
-        e_hits += first.event_e
-        f_hits += first.event_f
-        if first.event_e and first.event_f:
+        _, e_flag, f_flag = referee_first_assessment(
+            first.w, first.ells, record, params, rng.stream("ref", t))
+        e_hits += e_flag
+        f_hits += f_flag
+        if e_flag and f_flag:
             both += 1
             got = (first.claw.branch0 ^ first.claw.branch1)
             np.testing.assert_array_equal(got, x.astype(np.uint8))
         assert first.w.values.shape == (params.m,)
-        assert len(first.ells) == len(first.ell_positions)
+        assert len(first.ells) == len(round_one_positions(params))
     bound_e, bound_f = params.event_bounds()
     assert e_hits / trials >= bound_e - 0.05
     assert f_hits / trials >= bound_f - 0.05
