@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -157,6 +158,37 @@ def test_sampled_max_deviation_within_bound():
     reps = 200
     estimates = [sampled_max_mean(table, alpha, gen) for _ in range(reps)]
     assert abs(np.mean(estimates) - lam) <= sampling_bound(alpha, 256, base="e")
+
+
+# --- rewinding ------------------------------------------------------------------
+
+def _rewound_digest(prover, real: bool) -> str:
+    """SHA-256 of the rewound questions and answers at d = 8, enumerated and
+    at sampled indices with repeats, as uint8 rows."""
+    params = desk_params(d=8)
+    rng = Rng(8080)
+    x, _ = j_sample_inputs(params.d, rng.stream("pin/inputs"))
+    first = play_round(prover, params, x, rng, "pin", 0, real=real)
+    indices = np.random.default_rng(8).integers(0, 1 << params.d, size=40)
+    digest = hashlib.sha256()
+    for pairs in (rewind(prover, first.mem, params.d),
+                  rewind(prover, first.mem, params.d, indices)):
+        digest.update(np.array([y for y, _ in pairs], dtype=np.uint8).tobytes())
+        digest.update(np.array([b for _, b in pairs], dtype=np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("prover_cls, real, digest", [
+    (TrapdoorLeakProver, True,
+     "0ace2a8dc1722a96cb6262fd39df4463a023d8716b492e8b917854f77c994d12"),
+    (TrapdoorLeakProver, False,
+     "185e35c2aaeb2735656e692c5b6002fa0fdd93510bf5e6dbddcc4a77b9d9c170"),
+    (BlindProver, True,
+     "4d74b27889e2ae15bb88de7c27c197fde04eeef60f2d9c2290dec916cb301e12"),
+], ids=["leak-real", "leak-uniform", "blind"])
+def test_rewound_tables_pinned_at_fixed_seed(prover_cls, real, digest):
+    # pins what rewinding asks and what each built-in prover answers
+    assert _rewound_digest(prover_cls(desk_params(d=8)), real) == digest
 
 
 # --- distinguishing experiments -------------------------------------------------
