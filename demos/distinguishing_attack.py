@@ -12,21 +12,34 @@ import numpy as np
 
 from poqlab import (BlindProver, Rng, TrapdoorLeakProver, attack_plan,
                     best_score, decode_error, desk_params,
-                    experiment_e_campaign, j_score)
+                    experiment_e_campaign, j_sample_inputs, j_score,
+                    play_round, rewind)
 
 print("=== the decoder behind the rewinding ===")
 x = np.array([1, 0, 1, 1], dtype=np.int64)
-pairs = [(np.array([1, 1, 0, 1]), np.array([0, 1, 0, 0])),
-         (np.array([0, 0, 1, 1]), np.array([1, 0, 0, 1])),
-         (np.array([1, 0, 1, 1]), np.array([0, 0, 1, 0]))]
-rows = np.array([x & y for y, _ in pairs])
-# target 1 where the all-zero first answer loses the pair
+ys = np.array([[1, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 1]])
+bs = np.array([[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
+rows = x & ys
+# target 1 where the all-zero first answer loses the question
 zeros = np.zeros_like(x)
-targets = np.array([int(j_score(x, y, zeros, b) == -1) for y, b in pairs])
+targets = (j_score(x, ys, zeros, bs) == -1).astype(np.int64)
 print("decode instance rows (x AND y):")
 print(rows)
 print("targets:", targets, " minimum flips:", decode_error(rows, targets))
-print("best reachable average score:", best_score(x, pairs))
+print("best reachable average score:", best_score(x, ys, bs))
+
+print("\n=== rewinding one first round ===")
+# rewind asks respond_bit once per question level, with each distinct
+# question prefix once, and returns every question with its answer
+params = desk_params(d=6)
+rng = Rng(98)
+x6, _ = j_sample_inputs(params.d, rng.stream("demo/inputs"))
+prover = TrapdoorLeakProver(params)
+for real in (True, False):
+    first = play_round(prover, params, x6, rng, "demo", 0, real=real)
+    ys, bs = rewind(prover, first.mem, params.d)
+    print(f"{'real' if real else 'uniform'} advice: {len(ys)} questions "
+          f"rewound, best reachable score {best_score(x6, ys, bs):+.3f}")
 
 print("\n=== the two arms, measured ===")
 params = desk_params(d=6)

@@ -5,9 +5,13 @@ distinguishing experiment E that turns a cheating prover into an attack on
 the encryption.
 
 Every experiment plays its first round through protocol.play_round, on real
-or uniform advice, and rewinds the prover's second round through rewind().
-best_score judges the rewound answers by the referee's rules (its answer
-check and games.j_score), so a rewound prover scores as in game R.
+or uniform advice, and rewinds the prover's second round through rewind(),
+which walks the d + 1 question levels once and asks the prover's
+respond_bit each distinct question prefix once (provers.answer_table).  The
+prover is deterministic and sees only the prefix, so this is the table of
+its second responses exactly.  best_score judges the rewound answers by the
+referee's rules (its answer check and games.j_score), so a rewound prover
+scores as in game R.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import numpy as np
 
 from .core import Params, Rng
 from .games import j_sample_inputs, j_score
-from .protocol import (ScoreStats, _bits, play_round, referee_first_assessment,
-                       referee_score)
-from .provers import ClassicalProver
+from .protocol import (ScoreStats, _bit_rows, play_round,
+                       referee_first_assessment, referee_score)
+from .provers import ClassicalProver, answer_table
 
 REWIND_LIMIT = 14
 
@@ -57,30 +61,29 @@ def decode_error(b_matrix, w, return_argmin: bool = False):
     return best
 
 
-def best_score(x, pairs, return_argmax: bool = False):
-    """Best average score the first player can still reach against the given
-    second-player question/answer pairs, maximized over her answer string.
+def best_score(x, ys, bs, return_argmax: bool = False):
+    """Best average score the first player can still reach against the
+    second player's answers bs to questions ys (both (k, d + 1), row by
+    row), maximized over her answer string.
 
     Row j of the decode instance is x AND y_j; the target bit w_j records
     whether the all-zero answer loses against (y_j, b_j), by games.j_score.
     Flipping by an answer pattern z toggles row j exactly when
     <x AND y_j, z> = 1, so the maximization is a minimum-distance decode.
-    An answer b_j that the referee rejects (protocol.referee_score: anything
-    but d + 1 bits) loses for every answer string: a zero row, target 1.
+    An answer row that the referee rejects (protocol._bit_rows: anything but
+    d + 1 bits) loses for every answer string: a zero row, target 1.
     """
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
     x = np.asarray(x, dtype=np.int64)
-    ys = np.array([y for y, _ in pairs], dtype=np.int64)
-    if ys.shape != (len(pairs), len(x)):
+    ys = np.asarray(ys, dtype=np.int64)
+    if not len(ys):
+        raise ValueError("need at least one question")
+    if ys.ndim != 2 or ys.shape[1] != len(x):
         raise ValueError("every question must share the length of x")
-    answers = [_bits(b, len(x)) for _, b in pairs]
-    valid = np.array([b is not None for b in answers])
+    bs, valid = _bit_rows(bs, *ys.shape)
     zeros = np.zeros_like(x)
-    bs = np.array([zeros if b is None else b for b in answers])
     targets = np.where(valid, j_score(x, ys, zeros, bs) == -1, 1)
     err, z = decode_error((x & ys) * valid[:, None], targets, return_argmin=True)
-    score = 1 - 2 * err / len(pairs)
+    score = 1 - 2 * err / len(ys)
     if return_argmax:
         return score, z
     return score
@@ -105,21 +108,22 @@ def sampling_bound(alpha: int, set_size: float, base: str = "e") -> float:
 # rewinding experiments
 
 def rewind(prover: ClassicalProver, mem: Any, d: int,
-           indices=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The prover's second response to each question, from one first-round
-    memory: (y, b) pairs, where index i asks y = (bits of i, little-endian,
-    then 1), over all 2^d questions when indices is None.  At most
+           indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """The prover's second responses from one first-round memory, as arrays
+    (ys, bs) of questions and answers: row i asks y = (bits of indices[i],
+    little-endian, then 1), over all 2^d questions in index order when
+    indices is None.  Each distinct question prefix is asked once
+    (provers.answer_table); repeated indices keep their rows.  At most
     2^REWIND_LIMIT questions."""
     count = 1 << d if indices is None else len(indices)
     if count > 1 << REWIND_LIMIT:
         raise ValueError(f"rewinding runs {count} second responses; "
                          f"the limit is 2^{REWIND_LIMIT}")
-    if indices is None:
-        indices = range(1 << d)
-    bits = np.arange(d)
-    questions = (np.append((int(i) >> bits) & 1, 1).astype(np.uint8)
-                 for i in indices)
-    return [(y, prover.second_response(y, mem)) for y in questions]
+    indices = (np.arange(count) if indices is None
+               else np.asarray(indices, dtype=np.int64))
+    ys = np.ones((count, d + 1), dtype=np.uint8)
+    ys[:, :d] = (indices[:, None] >> np.arange(d)) & 1
+    return ys, answer_table(prover, ys, mem)
 
 
 def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
@@ -147,7 +151,8 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
                 first.w, first.ells, first.record, params,
                 rng.stream("sexp/referee", t))
         else:
-            _, a = best_score(x, rewind(prover, first.mem, d), return_argmax=True)
+            _, a = best_score(x, *rewind(prover, first.mem, d),
+                              return_argmax=True)
         _, _, scores[t], _ = referee_score(x, y, a,
                                            prover.second_response(y, first.mem))
     return ScoreStats.from_scores(scores)
@@ -186,7 +191,7 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
                                         replace=False)
         else:
             indices = sample_rng.integers(0, 1 << d, size=alpha)
-    rho = best_score(x, rewind(prover, first.mem, d, indices))
+    rho = best_score(x, *rewind(prover, first.mem, d, indices))
     r = 1 if rng.stream("expE/signal", rep).random() < (1 + rho) / 2 else -1
     return ExperimentOutcome(hidden_bit=hidden, guess=0 if r == 1 else 1,
                              r=r, rho=rho)

@@ -206,26 +206,6 @@ def ghz_strategy_score(tables: list[np.ndarray], d: int) -> Fraction:
     return Fraction((1 << d) * zero_tuples, (1 << d) ** k)
 
 
-def ghz_strategy_score_enum(tables: list[np.ndarray], d: int) -> Fraction:
-    """Independent oracle: enumerate the referee's even-parity questions."""
-    k = len(tables)
-    per_instance = [x for x in itertools.product((0, 1), repeat=k)
-                    if sum(x) % 2 == 0]
-    wins = 0
-    total = 0
-    for combo in itertools.product(per_instance, repeat=d):
-        total += 1
-        answers = []
-        for player in range(k):
-            x_bits = [combo[i][player] for i in range(d)]
-            answers.append(tables[player][index_of(x_bits)])
-        ok = all(
-            (sum(combo[i]) + 2 * sum(int(a[i]) for a in answers)) % 4 == 0
-            for i in range(d))
-        wins += ok
-    return Fraction(wins, total)
-
-
 def reduce_ghz4_to_ghz3(tables4: list[np.ndarray], t_bits) -> list[np.ndarray]:
     """Fold the last two players of a 4-player strategy into one 3-player
     strategy seeded by the bit string t.

@@ -22,6 +22,7 @@ result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,16 +80,17 @@ class GaussianSampler:
         support = np.arange(-cut, cut + 1)
         weights = np.exp(-(support.astype(float) ** 2) / (2 * self.sigma ** 2))
         pmf = weights / weights.sum()
+        accept = 1.0
+        if self.tau is not None:
+            accept = max(float(pmf[np.abs(support) <= self.tau].sum()), 1e-12)
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_cdf", np.cumsum(pmf))
         object.__setattr__(self, "_pmf", pmf)
+        object.__setattr__(self, "_accept", accept)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else size
-        accept = 1.0
-        if self.tau is not None:
-            accept = max(float(self._pmf[np.abs(self._support) <= self.tau].sum()),
-                         1e-12)
+        accept = self._accept
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:
@@ -135,10 +137,13 @@ class Ciphertext:
     v: ZqArray  # length m
 
 
+@functools.lru_cache(maxsize=16)
 def _gadget(params: Params) -> np.ndarray:
+    """The gadget matrix G of params, read-only and built once."""
     g = np.zeros((params.Q * params.n, params.n), dtype=np.int64)
     for i in range(params.n):
         g[i * params.Q:(i + 1) * params.Q, i] = 1 << np.arange(params.Q)
+    g.setflags(write=False)
     return g
 
 
@@ -197,16 +202,22 @@ class EncryptionRecord:
     message: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
+def _noise_sampler(params: Params) -> GaussianSampler:
+    """The truncated Gaussian of s and e, tabulated once per Params."""
+    return GaussianSampler(params.sigma, params.tau)
+
+
 def encrypt(message, params: Params, rng: np.random.Generator) -> EncryptionRecord:
     """v = A (2s + M) + e with s, e truncated-Gaussian and M carrying the
     message bits in the last d coordinates."""
     h = np.asarray(message, dtype=np.int64)
-    if h.shape != (params.d,) or not np.isin(h, (0, 1)).all():
+    if h.shape != (params.d,) or not ((h == 0) | (h == 1)).all():
         raise ValueError(f"message must be {params.d} bits")
     if params.tau < 1:
         raise ValueError("parameters are not runnable: tau = 0")
     a, trap = gen_trap(params, rng)
-    sampler = GaussianSampler(params.sigma, params.tau)
+    sampler = _noise_sampler(params)
     s = sampler.sample(rng, params.n)
     e = sampler.sample(rng, params.m)
     m_vec = np.zeros(params.n, dtype=np.int64)

@@ -9,7 +9,8 @@ first half for game R and for the experiments in attack.py, which replay it
 on real or uniform advice.  The referee is total: a message that is not well
 formed loses the trial (score -1); it is never coerced and never raises.
 Its rules live once: the answer string quantum.round_one_answer, the score
-games.j_score, the message check _bits (attack.best_score applies it too).
+games.j_score, the message check _bit_rows (_bits for one message;
+attack.best_score checks each rewound answer with it).
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
 any trial subset can be recomputed independently and reruns are bit-exact.
@@ -26,7 +27,7 @@ from .core import Params, Rng, balanced_abs
 from .games import j_sample_inputs, j_score
 from .lattice import (EncryptionRecord, Preimages, ZqArray, assess_preimages,
                       encrypt)
-from .provers import TrapdoorLeakProver
+from .provers import TrapdoorLeakProver, answer_table
 from .quantum import (honest_first_round, honest_second_round,
                       round_one_answer, sample_claw_outcomes)
 
@@ -202,16 +203,27 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
     return FirstRound(record, *prover.first_response(a_mat, v_vec, coins))
 
 
+def _bit_rows(messages, count: int,
+              length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The referee's message check over the rows of messages: a row is
+    accepted when it is `length` integer entries in {0, 1}, and every row is
+    rejected unless messages is a (count, length) integer array.  Returns
+    the rows as uint8, zeros where rejected, and which were accepted."""
+    try:
+        arr = np.asarray(messages)
+    except (TypeError, ValueError):   # ragged nesting
+        arr = None
+    if arr is None or arr.shape != (count, length) or arr.dtype.kind not in "biu":
+        return (np.zeros((count, length), dtype=np.uint8),
+                np.zeros(count, dtype=bool))
+    valid = ((arr == 0) | (arr == 1)).all(axis=1)
+    return np.where(valid[:, None], arr, 0).astype(np.uint8), valid
+
+
 def _bits(message, length: int) -> np.ndarray | None:
     """message as uint8 when it is `length` integer entries in {0, 1}."""
-    try:
-        arr = np.asarray(message)
-    except (TypeError, ValueError):   # ragged nesting
-        return None
-    if (arr.shape != (length,) or arr.dtype.kind not in "biu"
-            or not ((arr == 0) | (arr == 1)).all()):
-        return None
-    return arr.astype(np.uint8)
+    rows, valid = _bit_rows([message], 1, length)
+    return rows[0] if valid[0] else None
 
 
 def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
@@ -272,8 +284,9 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
                keep_transcripts: bool = False) -> GameResult:
     """The encrypted game: prover is either the string 'honest' or a
     ClassicalProver.  Sequential mode feeds round-two question bits one at a
-    time (honest measurement order is already sequential, so only classical
-    provers behave differently there)."""
+    time: a classical prover's respond_bit answers one prefix per level
+    (provers.answer_table), where one-shot mode asks its second_response
+    (the honest measurement order is already sequential)."""
     if params.d < 1:
         raise ValueError("need d >= 1")
     if not params.game_r_runnable:
@@ -291,7 +304,7 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
         if prover == "honest":
             b = honest_second_round(first.mem, y, rng.stream("gameR/prover2", t))
         elif sequential:
-            b = [prover.respond_bit(j, y[:j + 1], first.mem) for j in range(d + 1)]
+            b = answer_table(prover, y[None], first.mem)[0]
         else:
             b = prover.second_response(y, first.mem)
 

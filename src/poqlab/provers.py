@@ -1,10 +1,16 @@
 """Classical prover model: deterministic first/second response algorithms
 driven by explicit coin registers, plus the two built-in test provers.
 
-A prover must answer round two bit by bit (respond_bit), never looking past
-the question prefix it has been shown; the whole-question second_response is
-derived from that, so sequential and one-shot runs of the same prover agree
-by construction.
+Round two has one hook, respond_bit(j, prefixes, mem): bit j of the answer to
+each row of prefixes, a (k, j + 1) array of question prefixes, as k integers.
+A prover never sees a question bit past the one it answers, and being
+deterministic it answers a prefix the same way each time it is asked.
+answer_table asks the hook level by level, each distinct prefix once;
+second_response, the sequential game and rewinding (attack.rewind) all go
+through it, so sequential, one-shot and rewound runs of the same prover agree
+by construction.  Answers are kept as given, so the referee rejects any that
+is not a bit; an answer column that is not k integers answers -1 (not a bit)
+for every question it was asked for.
 """
 
 from __future__ import annotations
@@ -28,21 +34,54 @@ class ClassicalProver:
                        coins: np.ndarray) -> tuple[ZqArray, np.ndarray, Any]:
         raise NotImplementedError
 
-    def respond_bit(self, j: int, y_prefix: np.ndarray, mem: Any) -> int:
+    def respond_bit(self, j: int, prefixes: np.ndarray, mem: Any):
+        """Bit j of the answer to each row of the (k, j + 1) prefixes."""
         raise NotImplementedError
 
     def second_response(self, y: np.ndarray, mem: Any) -> np.ndarray:
-        # answers are kept as given: the referee rejects any that is not a
-        # bit, where a uint8 cast would wrap or raise
-        y = np.asarray(y, dtype=np.uint8)
-        return np.array([self.respond_bit(j, y[:j + 1], mem)
-                         for j in range(len(y))])
+        return answer_table(self, np.asarray(y, dtype=np.uint8)[None], mem)[0]
 
 
-def _coin_bit(coins: np.ndarray, *context: int) -> int:
-    """One deterministic pseudorandom bit from the coin register."""
-    payload = coins.tobytes() + b"/" + b",".join(str(c).encode() for c in context)
-    return hashlib.sha256(payload).digest()[0] & 1
+def _column(answers, count: int) -> np.ndarray | None:
+    """answers as int64 when they are `count` integer entries."""
+    try:
+        arr = np.asarray(answers)
+    except (TypeError, ValueError):   # ragged nesting
+        return None
+    if arr.shape != (count,) or arr.dtype.kind not in "biu":
+        return None
+    return arr.astype(np.int64)
+
+
+def answer_table(prover: ClassicalProver, questions: np.ndarray,
+                 mem: Any) -> np.ndarray:
+    """The prover's answers to each row of questions, a (k, d + 1) uint8
+    array, as a (k, d + 1) int64 table.
+
+    Level j calls respond_bit once, with each distinct (j + 1)-bit prefix
+    once; repeated questions keep their rows.  A column that is not one
+    integer per prefix answers -1 for all its rows.
+    """
+    k, width = questions.shape
+    table = np.empty((k, width), dtype=np.int64)
+    group = np.zeros(k, dtype=np.int64)   # each row's prefix, ranked
+    for j in range(width):
+        _, first, group = np.unique(2 * group + questions[:, j],
+                                    return_index=True, return_inverse=True)
+        column = _column(prover.respond_bit(j, questions[first, :j + 1], mem),
+                         len(first))
+        table[:, j] = -1 if column is None else column[group]
+    return table
+
+
+def _coin_bits(coins: np.ndarray, j: int, prefixes: np.ndarray) -> np.ndarray:
+    """One deterministic pseudorandom bit per prefix row from the coin
+    register: the low bit of SHA-256(coins "/" j "," the prefix bits joined
+    by ",")."""
+    head = coins.tobytes() + f"/{j},".encode()
+    return np.array([hashlib.sha256(head + ",".join(map(str, row)).encode())
+                     .digest()[0] & 1 for row in prefixes.tolist()],
+                    dtype=np.uint8)
 
 
 @dataclass
@@ -57,8 +96,8 @@ class BlindProver(ClassicalProver):
                         dtype=np.uint8)
         return w, ells, None
 
-    def respond_bit(self, j, y_prefix, mem):
-        return 0
+    def respond_bit(self, j, prefixes, mem):
+        return np.zeros(len(prefixes), dtype=np.uint8)
 
 
 @dataclass
@@ -69,7 +108,7 @@ class TrapdoorLeakProver(ClassicalProver):
     all-zero first-round answer: commit to w = A.0 so the referee derives
     a = 0, then steer each u.v into {0, 1} mod 4 with the final answer bit.
     Without the key (uniform ciphertext arm) it falls back to coin-derived
-    answers.
+    answers, one hash of each prefix.
     """
 
     params: Params
@@ -85,14 +124,13 @@ class TrapdoorLeakProver(ClassicalProver):
         known = None if self.leak is None else decrypt(a, self.leak, v, p)
         return w, ells, {"x": known, "coins": coins}
 
-    def respond_bit(self, j, y_prefix, mem):
-        p = self.params
+    def respond_bit(self, j, prefixes, mem):
         if mem["x"] is None:
-            return _coin_bit(mem["coins"], j, *y_prefix)
-        if j < p.d:
-            return 0
+            return _coin_bits(mem["coins"], j, prefixes)
+        if j < self.params.d:
+            return np.zeros(len(prefixes), dtype=np.uint8)
         # final bit: the game's x ends in 1, so against a = 0 flipping
         # b_{d+1} moves u.v by exactly 2 when the all-zero answer loses
-        x = np.concatenate([mem["x"], [1]])
+        x = np.append(mem["x"], 1)
         zeros = np.zeros_like(x)
-        return int(j_score(x, y_prefix, zeros, zeros) == -1)
+        return (j_score(x, prefixes, zeros, zeros) == -1).astype(np.uint8)

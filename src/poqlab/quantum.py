@@ -239,14 +239,18 @@ class FirstRoundResult:
     preimages: Preimages  # the referee's assessment of w, shared
 
 
+@functools.lru_cache(maxsize=16)
 def round_one_positions(params: Params) -> np.ndarray:
     """1-based bit positions measured in round one: every position except the
     final (least significant) bit of each of the last d coordinates, which
-    together with the coin qubit carry the claw."""
+    together with the coin qubit carry the claw.  Read-only, built once per
+    Params."""
     n, q_bits, d = params.n, params.Q, params.d
     excluded = {(n - d + j) * q_bits for j in range(1, d + 1)}
-    return np.array([p for p in range(1, n * q_bits + 1) if p not in excluded],
-                    dtype=np.int64)
+    pos = np.array([p for p in range(1, n * q_bits + 1) if p not in excluded],
+                   dtype=np.int64)
+    pos.setflags(write=False)
+    return pos
 
 
 def round_one_answer(z0: np.ndarray, z1: np.ndarray, ells: np.ndarray,

@@ -3,12 +3,14 @@ of what poqlab computes, and the small helpers the tests build inputs with."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from poqlab.core import Params, matmul_mod
 from poqlab.fourier import SubsetOfGroup, ZeroFunction
+from poqlab.games import index_of
 from poqlab.lattice import GaussianSampler, ZqArray
 from poqlab.protocol import referee_score
 
@@ -108,6 +110,30 @@ def solve_linear_mod(a_rows: np.ndarray, b: np.ndarray, q: int) -> np.ndarray | 
     if any(w < 0 for w in where):
         return None
     return np.array([rhs[where[c]] for c in range(n)], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# games
+
+def ghz_strategy_score_enum(tables: list[np.ndarray], d: int) -> Fraction:
+    """Parity-game score of per-player tables, by enumerating the referee's
+    even-parity questions."""
+    k = len(tables)
+    per_instance = [x for x in itertools.product((0, 1), repeat=k)
+                    if sum(x) % 2 == 0]
+    wins = 0
+    total = 0
+    for combo in itertools.product(per_instance, repeat=d):
+        total += 1
+        answers = []
+        for player in range(k):
+            x_bits = [combo[i][player] for i in range(d)]
+            answers.append(tables[player][index_of(x_bits)])
+        ok = all(
+            (sum(combo[i]) + 2 * sum(int(a[i]) for a in answers)) % 4 == 0
+            for i in range(d))
+        wins += ok
+    return Fraction(wins, total)
 
 
 # ---------------------------------------------------------------------------

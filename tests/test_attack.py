@@ -11,7 +11,7 @@ from poqlab.attack import (attack_plan, best_score, decode_error,
 from poqlab.core import Rng, desk_params
 from poqlab.games import j_sample_inputs, j_score
 from poqlab.protocol import play_round, referee_score
-from poqlab.provers import BlindProver, TrapdoorLeakProver
+from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 
 from oracles import best_score_oracle, exact_max_mean, sampled_max_mean
 
@@ -50,14 +50,14 @@ def test_best_score_single_pair():
     x = np.array([1, 0, 1], dtype=np.int64)
     y = np.array([1, 1, 1], dtype=np.int64)
     b = np.array([0, 0, 0], dtype=np.int64)
-    assert best_score(x, [(y, b)]) == 1.0
+    assert best_score(x, [y], [b]) == 1.0
 
 
 def test_best_score_matches_direct_max_d1():
     x = np.array([1, 1], dtype=np.int64)
     pairs = [(np.array([yb, 1], dtype=np.int64),
               np.zeros(2, dtype=np.int64)) for yb in (0, 1)]
-    assert best_score(x, pairs) == best_score_oracle(x, pairs)
+    assert best_score(x, *zip(*pairs)) == best_score_oracle(x, pairs)
 
 
 def test_best_score_exhaustive_up_to_d3():
@@ -68,7 +68,7 @@ def test_best_score_exhaustive_up_to_d3():
         for xb in range(1 << (d + 1)):
             x = ((xb >> np.arange(d + 1)) & 1).astype(np.int64)
             pairs = [(y, gen.integers(0, 2, size=d + 1)) for y in ys]
-            got = best_score(x, pairs)
+            got = best_score(x, *zip(*pairs))
             want = best_score_oracle(x, pairs)
             assert abs(got - want) < 1e-12
             # max dominates the all-zero answer
@@ -80,31 +80,34 @@ def test_best_score_exhaustive_up_to_d3():
 
 
 def test_best_score_loses_malformed_answers_like_the_referee():
-    # an answer that is not d + 1 bits loses against every answer string
+    # an answer row that is not d + 1 bits loses against every answer string
     gen = np.random.default_rng(5)
     d = 3
-    ys = [np.append((i >> np.arange(d)) & 1, 1) for i in range(1 << d)]
-    malformed = [np.array([0, 5, 0, 1]), np.array([1, -1, 0, 0]),
-                 np.array([0, 1, 1]), [0, [1, 0], 1, 1]]
+    ys = np.array([np.append((i >> np.arange(d)) & 1, 1) for i in range(1 << d)])
     for xb in range(1 << (d + 1)):
         x = (xb >> np.arange(d + 1)) & 1
-        pairs = [(y, gen.integers(0, 2, size=d + 1)) for y in ys]
+        bs = gen.integers(0, 2, size=(1 << d, d + 1))
+        pairs = list(zip(ys, bs))
         # on well-formed pairs the referee-scored oracle is the plain maximum
         plain = max(np.mean([j_score(x, y, (a >> np.arange(d + 1)) & 1, b)
                              for y, b in pairs]) for a in range(1 << (d + 1)))
-        assert best_score_oracle(x, pairs) == plain
-        for j, bad in enumerate(malformed):
-            pairs[2 * j] = (ys[2 * j], bad)
-        assert best_score(x, pairs) == best_score_oracle(x, pairs)
-    assert best_score(x, [(ys[0], bad) for bad in malformed]) == -1.0
+        assert best_score_oracle(x, pairs) == plain == best_score(x, ys, bs)
+        bs[0, 1], bs[2, 3], bs[4, 0] = 5, -1, 2
+        assert best_score(x, ys, bs) == best_score_oracle(x, list(zip(ys, bs)))
+    # a table that is not one row of d + 1 integers per question: floats,
+    # too few bits or rows, ragged data; every question loses
+    ragged = [list(b) for b in bs[:-1]] + [[0, [1, 0], 1, 1]]
+    for bad in (bs % 2 * 1.0, bs[:, :d] % 2, bs[:-1] % 2, ragged, None):
+        assert best_score(x, ys, bad) == -1.0
+    assert best_score_oracle(x, list(zip(ys, bs % 2 * 1.0))) == -1.0
 
 
 class FiveForOneProver(TrapdoorLeakProver):
     """The key-leak prover, answering 5 wherever it would answer 1."""
 
-    def respond_bit(self, j, y_prefix, mem):
-        bit = super().respond_bit(j, y_prefix, mem)
-        return 5 if bit == 1 else bit
+    def respond_bit(self, j, prefixes, mem):
+        bits = super().respond_bit(j, prefixes, mem)
+        return np.where(bits == 1, 5, bits)
 
 
 def test_rewound_score_is_the_referee_score():
@@ -120,10 +123,11 @@ def test_rewound_score_is_the_referee_score():
         x, _ = j_sample_inputs(params.d, arm_rng)
         first = play_round(prover, params, x, rng, "expE", rep,
                            real=hidden == 0)
-        pairs = rewind(prover, first.mem, params.d)
-        rho, a = best_score(x, pairs, return_argmax=True)
+        ys, bs = rewind(prover, first.mem, params.d)
+        rho, a = best_score(x, ys, bs, return_argmax=True)
         assert out.hidden_bit == hidden and out.rho == rho
-        assert rho == np.mean([referee_score(x, y, a, b)[2] for y, b in pairs])
+        assert rho == np.mean([referee_score(x, y, a, b)[2]
+                               for y, b in zip(ys, bs)])
         if hidden == 0:
             real_rhos.append(rho)
     assert real_rhos and max(real_rhos) < 1.0
@@ -131,7 +135,7 @@ def test_rewound_score_is_the_referee_score():
 
 def test_best_score_empty_pairs():
     with pytest.raises(ValueError):
-        best_score(np.array([1, 1]), [])
+        best_score(np.array([1, 1]), [], [])
 
 
 # --- sampling bound ----------------------------------------------------------
@@ -171,10 +175,10 @@ def _rewound_digest(prover, real: bool) -> str:
     first = play_round(prover, params, x, rng, "pin", 0, real=real)
     indices = np.random.default_rng(8).integers(0, 1 << params.d, size=40)
     digest = hashlib.sha256()
-    for pairs in (rewind(prover, first.mem, params.d),
-                  rewind(prover, first.mem, params.d, indices)):
-        digest.update(np.array([y for y, _ in pairs], dtype=np.uint8).tobytes())
-        digest.update(np.array([b for _, b in pairs], dtype=np.uint8).tobytes())
+    for ys, bs in (rewind(prover, first.mem, params.d),
+                   rewind(prover, first.mem, params.d, indices)):
+        digest.update(ys.astype(np.uint8).tobytes())
+        digest.update(bs.astype(np.uint8).tobytes())
     return digest.hexdigest()
 
 
@@ -189,6 +193,57 @@ def _rewound_digest(prover, real: bool) -> str:
 def test_rewound_tables_pinned_at_fixed_seed(prover_cls, real, digest):
     # pins what rewinding asks and what each built-in prover answers
     assert _rewound_digest(prover_cls(desk_params(d=8)), real) == digest
+
+
+def _question_sets(d: int):
+    """Enumerated, sampled and repeated question indices at dimension d."""
+    gen = np.random.default_rng(d)
+    sampled = gen.choice(1 << d, size=max(1, (1 << d) // 3), replace=False)
+    repeated = gen.integers(0, 1 << d, size=(1 << d) + 3)
+    return {"enumerated": None, "sampled": sampled, "repeated": repeated}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rewind_equals_per_question_second_response(d):
+    params = desk_params(d=d)
+    rng = Rng(300 + d)
+    x, _ = j_sample_inputs(d, rng.stream("eq/inputs"))
+    cases = [(BlindProver(params), True), (TrapdoorLeakProver(params), True),
+             (TrapdoorLeakProver(params), False),
+             (FiveForOneProver(params), True)]
+    for prover, real in cases:
+        first = play_round(prover, params, x, rng, "eq", 0, real=real)
+        for indices in _question_sets(d).values():
+            ys, bs = rewind(prover, first.mem, d, indices)
+            asked = np.arange(1 << d) if indices is None else indices
+            np.testing.assert_array_equal(ys[:, :d] @ (1 << np.arange(d)), asked)
+            assert (ys[:, d] == 1).all()
+            np.testing.assert_array_equal(
+                bs, [prover.second_response(y, first.mem) for y in ys])
+
+
+class CountingProver(ClassicalProver):
+    """Answers a hash of each prefix and records every prefix it is asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def respond_bit(self, j, prefixes, mem):
+        assert prefixes.shape[1] == j + 1   # no question bit past j
+        rows = [tuple(row) for row in prefixes.tolist()]
+        self.asked.extend(rows)
+        return np.array([hash(row) & 1 for row in rows])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rewind_asks_each_distinct_prefix_once(d):
+    for indices in _question_sets(d).values():
+        prover = CountingProver()
+        ys, bs = rewind(prover, None, d, indices)
+        prefixes = {tuple(y[:j + 1]) for y in ys.tolist() for j in range(d + 1)}
+        assert sorted(prover.asked) == sorted(prefixes)
+        for y, b in zip(ys.tolist(), bs.tolist()):
+            assert b == [hash(tuple(y[:j + 1])) & 1 for j in range(d + 1)]
 
 
 # --- distinguishing experiments -------------------------------------------------

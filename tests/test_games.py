@@ -14,12 +14,14 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           _distinct_pair_convolutions, _group_index_tools,
                           _tables, bits_of,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
-                          ghz_strategy_score_enum, ghz_value_bruteforce,
+                          ghz_value_bruteforce,
                           index_of, j_bias_bruteforce,
                           j_bias_fourier_identity, j_sample_inputs, j_score,
                           max_eta_parity_balanced, parity_set_from_strategy,
                           reduce_ghz4_to_ghz3, strategy_from_parity_set)
 from poqlab.core import Rng
+
+from oracles import ghz_strategy_score_enum
 
 ONE_BIT_FUNCS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poqlab.attack import run_experiment_s
+from poqlab.attack import best_score, rewind, run_experiment_s
 from poqlab.core import Rng, derive_params, desk_params
 from poqlab.lattice import ZqArray, assess_preimages, encrypt
 from poqlab.protocol import (ScoreStats, Transcript, play_round,
                              referee_first_assessment, run_game_j, run_game_r)
 from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from poqlab.quantum import honest_first_round
+
+from oracles import best_score_oracle
 
 PARAMS = desk_params()
 
@@ -263,19 +265,29 @@ def _are_bits(message, length: int) -> bool:
 
 
 class _FuzzProver(ClassicalProver):
-    """Replays fixed, possibly malformed messages."""
+    """Replays fixed, possibly malformed messages.  Round two comes whole
+    from second_response when `whole`, else through respond_bit, which
+    answers every prefix of level j with answers[j], packed into its column
+    as `packing` says: one entry per prefix, a bare entry, one entry too
+    many, float zeros, or ragged data."""
 
-    def __init__(self, w, ells, answers):
+    def __init__(self, w, ells, answers, packing, whole):
         self.w, self.ells, self.answers = w, ells, answers
+        self.packing, self.whole = packing, whole
 
     def first_response(self, a, v, coins):
         return self.w, self.ells, None
 
-    def respond_bit(self, j, y_prefix, mem):
-        return self.answers[j]
+    def respond_bit(self, j, prefixes, mem):
+        entry, k = self.answers[j], len(prefixes)
+        return {"column": [entry] * k, "bare": entry,
+                "extra": [entry] * (k + 1), "floats": np.zeros(k),
+                "ragged": [[entry, 0]] + [entry] * (k - 1)}[self.packing]
 
     def second_response(self, y, mem):
-        return self.answers
+        if self.whole:
+            return self.answers
+        return super().second_response(y, mem)
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,18 +295,23 @@ class _FuzzProver(ClassicalProver):
                                "other-modulus", "plain-array", "none"]),
        w_seed=st.integers(0, 2 ** 32), ells=_message(ROUND_ONE_BITS),
        answers=_message(PARAMS.d + 1), sequential=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-def test_referee_is_total(w_kind, w_seed, ells, answers, sequential, seed):
+       packing=st.sampled_from(["column", "bare", "extra", "floats",
+                                "ragged"]),
+       whole=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_referee_is_total(w_kind, w_seed, ells, answers, sequential, packing,
+                          whole, seed):
     d = PARAMS.d
-    if sequential:   # respond_bit is asked exactly d + 1 times
+    whole = whole and not sequential   # Rseq always asks respond_bit
+    if not whole:   # respond_bit is asked for each of the d + 1 bits
         answers = (list(answers) + [0] * (d + 1))[:d + 1]
-    w = _commitment(w_kind, w_seed)
-    res = run_game_r(_FuzzProver(w, ells, answers), PARAMS, 1, Rng(seed),
-                     sequential=sequential, keep_transcripts=True)
+    prover = _FuzzProver(_commitment(w_kind, w_seed), ells, answers, packing,
+                         whole)
+    res = run_game_r(prover, PARAMS, 1, Rng(seed), sequential=sequential,
+                     keep_transcripts=True)
     t = res.transcripts[0]
+    answers_ok = _are_bits(answers, d + 1) and (whole or packing == "column")
     well_formed = (w_kind in ("zero", "random")
-                   and _are_bits(ells, ROUND_ONE_BITS)
-                   and _are_bits(answers, d + 1))
+                   and _are_bits(ells, ROUND_ONE_BITS) and answers_ok)
     if not well_formed:
         assert t.score == -1 and not t.e_flag and not t.f_flag
     else:
@@ -305,13 +322,20 @@ def test_referee_is_total(w_kind, w_seed, ells, answers, sequential, seed):
     assert back.to_line() == line
     for key in ("x", "y", "a", "b", "w", "ells"):
         np.testing.assert_array_equal(getattr(back, key), getattr(t, key))
+    if not whole:
+        # rewound, every question loses to a malformed answer column
+        ys, bs = rewind(prover, None, d)
+        score = best_score(t.x, ys, bs)
+        assert score == best_score_oracle(t.x, list(zip(ys, bs)))
+        assert score == -1.0 or answers_ok
 
 
 def test_malformed_messages_lose_every_trial():
     # a key-leak prover that could otherwise win every trial
     class Five(TrapdoorLeakProver):
-        def respond_bit(self, j, y_prefix, mem):
-            return 5 if j == self.params.d else super().respond_bit(j, y_prefix, mem)
+        def respond_bit(self, j, prefixes, mem):
+            bits = super().respond_bit(j, prefixes, mem)
+            return np.full(len(prefixes), 5) if j == self.params.d else bits
 
     class Sevens(TrapdoorLeakProver):
         def first_response(self, a, v, coins):
