@@ -65,9 +65,12 @@ def answer_table(prover: ClassicalProver, questions: np.ndarray,
     k, width = questions.shape
     table = np.empty((k, width), dtype=np.int64)
     group = np.zeros(k, dtype=np.int64)   # each row's prefix, ranked
+    first = np.arange(min(k, 1))          # a row per distinct prefix
     for j in range(width):
-        _, first, group = np.unique(2 * group + questions[:, j],
-                                    return_index=True, return_inverse=True)
+        # once every row has its own prefix, longer prefixes stay distinct
+        if len(first) < k:
+            _, first, group = np.unique(2 * group + questions[:, j],
+                                        return_index=True, return_inverse=True)
         column = _column(prover.respond_bit(j, questions[first, :j + 1], mem),
                          len(first))
         table[:, j] = -1 if column is None else column[group]

@@ -19,8 +19,9 @@ from poqlab.fourier import (Group, GroupFunction, SubsetOfGroup, convolve, dft,
                             donoho_stark_check, support_size,
                             uncertainty_bound_check, uncertainty_product)
 from poqlab.games import (DeterministicStrategy, bits_of, ghz4_closed_form,
-                          ghz_strategy_score, ghz_value_bruteforce, j_bias_fourier_identity,
-                          max_eta_parity_balanced, reduce_ghz4_to_ghz3)
+                          ghz_strategy_score, ghz_value_bruteforce,
+                          j_bias_fourier_identity, max_eta_parity_balanced,
+                          reduce_ghz4_to_ghz3)
 from poqlab.lattice import ZqArray, decrypt, encrypt, gen_trap, invert
 from poqlab.protocol import run_game_j, run_game_r
 from poqlab.provers import BlindProver, TrapdoorLeakProver
