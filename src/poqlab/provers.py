@@ -39,6 +39,7 @@ class ClassicalProver:
         raise NotImplementedError
 
     def second_response(self, y: np.ndarray, mem: Any) -> np.ndarray:
+        """The answer to one whole question y, asked bit by bit."""
         return answer_table(self, np.asarray(y, dtype=np.uint8)[None], mem)[0]
 
 

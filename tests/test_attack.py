@@ -200,7 +200,7 @@ def _question_sets(d: int):
     gen = np.random.default_rng(d)
     sampled = gen.choice(1 << d, size=max(1, (1 << d) // 3), replace=False)
     repeated = gen.integers(0, 1 << d, size=(1 << d) + 3)
-    return {"enumerated": None, "sampled": sampled, "repeated": repeated}
+    return None, sampled, repeated
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -213,7 +213,7 @@ def test_rewind_equals_per_question_second_response(d):
              (FiveForOneProver(params), True)]
     for prover, real in cases:
         first = play_round(prover, params, x, rng, "eq", 0, real=real)
-        for indices in _question_sets(d).values():
+        for indices in _question_sets(d):
             ys, bs = rewind(prover, first.mem, d, indices)
             asked = np.arange(1 << d) if indices is None else indices
             np.testing.assert_array_equal(ys[:, :d] @ (1 << np.arange(d)), asked)
@@ -237,7 +237,7 @@ class CountingProver(ClassicalProver):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_rewind_asks_each_distinct_prefix_once(d):
-    for indices in _question_sets(d).values():
+    for indices in _question_sets(d):
         prover = CountingProver()
         ys, bs = rewind(prover, None, d, indices)
         prefixes = {tuple(y[:j + 1]) for y in ys.tolist() for j in range(d + 1)}
