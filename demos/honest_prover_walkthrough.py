@@ -39,7 +39,8 @@ first = honest_first_round(record, params, rng.stream("demo-prover"))
 print(f"prover commits w (length {len(first.w.values)}) and "
       f"{len(first.ells)} measurement bits")
 a, e_flag, f_flag = referee_first_assessment(first.w, first.ells, record,
-                                             params, rng.stream("demo-referee"))
+                                             params,
+                                             lambda: rng.stream("demo-referee"))
 print("referee's events: both preimages in the box (E):", e_flag,
       " no wraparound (F):", f_flag)
 if not first.claw.degenerate:

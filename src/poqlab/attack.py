@@ -16,6 +16,7 @@ scores as in game R.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -30,13 +31,20 @@ from .provers import ClassicalProver, answer_table
 
 REWIND_LIMIT = 14
 
+# decode_error scores its answer patterns in blocks whose c-column product
+# holds at most this many entries (1 MiB of uint8); at d = 8 every pattern
+# of a full enumeration fits in one block
+_DECODE_BLOCK = 1 << 20
+
 
 def decode_error(b_matrix, w, return_argmin: bool = False):
     """min over z in {0,1}^{d+1} of the Hamming weight of B z xor w.
 
-    Zero columns of B cannot affect the product, so the loop runs over the
-    nonzero columns only (their count is at most the weight of the question
-    string that built B).
+    Zero columns of B cannot affect the product, so the search runs over
+    the nonzero columns only (their count k is at most the weight of the
+    question string that built B).  The 2^k patterns are scored in index
+    order, in blocks of at most _DECODE_BLOCK product entries, and the
+    argmin is the first pattern that reaches the minimum.
     """
     b_matrix = np.asarray(b_matrix, dtype=np.uint8) % 2
     w = np.asarray(w, dtype=np.uint8) % 2
@@ -46,11 +54,18 @@ def decode_error(b_matrix, w, return_argmin: bool = False):
     nonzero = np.flatnonzero(b_matrix.any(axis=0))
     best = int(w.sum())
     best_z = np.zeros(width, dtype=np.uint8)
-    if len(nonzero):
-        bn = b_matrix[:, nonzero].astype(np.int64)
-        k = len(nonzero)
-        patterns = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1)
-        errs = (((patterns @ bn.T) % 2) ^ w[None, :]).sum(axis=1)
+    k = len(nonzero)
+    bn_t = b_matrix[:, nonzero].T
+    step = max(_DECODE_BLOCK // c, 1)
+    for start in range(0, 1 << k, step):
+        stop = min(start + step, 1 << k)
+        patterns = ((np.arange(start, stop)[:, None] >> np.arange(k))
+                    & 1).astype(np.uint8)
+        # uint8 sums may wrap past 255, which keeps their parity
+        flips = patterns @ bn_t
+        flips &= 1
+        flips ^= w
+        errs = flips.sum(axis=1)
         idx = int(errs.argmin())
         if int(errs[idx]) < best:
             best = int(errs[idx])
@@ -149,7 +164,7 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
         if which == 1:
             a, _, _ = referee_first_assessment(
                 first.w, first.ells, first.record, params,
-                rng.stream("sexp/referee", t))
+                functools.partial(rng.stream, "sexp/referee", t))
         else:
             _, a = best_score(x, *rewind(prover, first.mem, d),
                               return_argmax=True)

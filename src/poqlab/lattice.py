@@ -15,6 +15,12 @@ float64 BLAS and are exact: R is ternary and the other operand canonical in
 which _ternary_matmul_mod requires to be under 2^53 (about 2^36 at the desk
 and separating presets).  Every other product goes through core.matmul_mod.
 
+R is drawn from the raw bytes of the stream (_ternary_draw): a byte below
+243 = 3^5 becomes its five base-3 digits minus one, and a byte of 243 or
+more is dropped.  Each kept byte is uniform on the 243 strings in
+{-1, 0, 1}^5, so the entries of R are independent and exactly uniform on
+{-1, 0, 1}; the rejection only costs bytes.
+
 assess_preimages inverts both shifts w and w + v of a round-one commitment
 and applies the noise-box test; the honest prover and the referee share its
 result.
@@ -111,9 +117,31 @@ class GaussianSampler:
 @dataclass(frozen=True)
 class TrapdoorKey:
     abar: np.ndarray  # (Q+1)n x n, uniform
-    # Qn x (Q+1)n float64 with entries in {-1, 0, 1}: products with residues
-    # stay exact while (Q+1) n q < 2^53 (see _ternary_matmul_mod)
+    # Qn x (Q+1)n float64, uniform on {-1, 0, 1}, five entries per accepted
+    # stream byte (see _ternary_draw); products with residues stay exact
+    # while (Q+1) n q < 2^53 (see _ternary_matmul_mod)
     r: np.ndarray
+
+
+# row b: the base-3 digits of b, least significant first, minus one
+_TRITS = (np.arange(243)[:, None] // 3 ** np.arange(5) % 3 - 1).astype(np.float64)
+_TRITS.setflags(write=False)
+
+
+def _ternary_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols float64 matrix uniform on {-1, 0, 1}, five entries per
+    stream byte below 243 (bytes of 243 or more are dropped), in row-major
+    order."""
+    need = -(-rows * cols // 5)
+    kept, have = [], 0
+    while have < need:
+        # about 5% of bytes are dropped; the margin makes a second call rare
+        raw = np.frombuffer(rng.bytes((need - have) * 17 // 16 + 64),
+                            dtype=np.uint8)
+        kept.append(raw[raw < 243])
+        have += len(kept[-1])
+    trits = np.take(_TRITS, np.concatenate(kept)[:need], axis=0)
+    return trits.reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
 def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
@@ -152,8 +180,7 @@ def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, Trapdoo
     trapdoor (Abar, R) that makes invert() work."""
     top_rows = (params.Q + 1) * params.n
     abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
-    r = rng.integers(-1, 2, size=(params.Q * params.n, top_rows),
-                     dtype=np.int64).astype(np.float64)
+    r = _ternary_draw(rng, params.Q * params.n, top_rows)
     bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
     a = np.vstack([abar, bottom])
     return ZqArray(params.q, a), TrapdoorKey(abar=abar, r=r)

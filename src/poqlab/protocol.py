@@ -18,6 +18,8 @@ any trial subset can be recomputed independently and reruns are bit-exact.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -227,7 +229,7 @@ def _bits(message, length: int) -> np.ndarray | None:
 
 
 def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
-                             fallback: np.random.Generator,
+                             fallback: Callable[[], np.random.Generator],
                              preimages: Preimages | None = None):
     """Referee's round-one bookkeeping: invert both shifts of the prover's
     commitment and derive the answer string it will be scored with.
@@ -238,7 +240,9 @@ def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
 
     Returns (a, e_flag, f_flag).  a is None when the commitment is rejected:
     w is not a ZqArray of shape (m,) modulo q, or ells is not nQ - d bits.
-    On inversion failure a is sampled uniformly.
+    On inversion failure a is sampled uniformly from fallback(), which is
+    called only then, so a trial whose inversions succeed derives no
+    fallback stream.
     """
     q, n, d = params.q, params.n, params.d
     ells = _bits(ells, n * params.Q - d)
@@ -249,7 +253,7 @@ def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
         preimages = assess_preimages(w, record, params)
     z0, z1, in_box0, in_box1 = preimages
     if z0 is None or z1 is None:
-        return fallback.integers(0, 2, size=d + 1).astype(np.uint8), False, False
+        return fallback().integers(0, 2, size=d + 1).astype(np.uint8), False, False
 
     e_flag = bool(in_box0 and in_box1)
     f_flag = bool((balanced_abs(z0, q) > np.abs(record.gamma)).all())
@@ -310,7 +314,7 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
 
         a, e_flag, f_flag = referee_first_assessment(
             first.w, first.ells, first.record, params,
-            rng.stream("gameR/referee", t), first.preimages)
+            functools.partial(rng.stream, "gameR/referee", t), first.preimages)
         committed = a is not None
         a, b, scores[t], accepted = referee_score(x, y, a, b)
         e_flag, f_flag = e_flag and accepted, f_flag and accepted

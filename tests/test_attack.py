@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from poqlab import attack
 from poqlab.attack import (attack_plan, best_score, decode_error,
                            experiment_e, experiment_e_campaign, rewind,
                            sampling_bound)
@@ -44,6 +46,61 @@ def test_decode_error_matches_unstripped_oracle():
     w = gen.integers(0, 2, size=10)
     err, z = decode_error(b, w, return_argmin=True)
     assert int((((b @ z) % 2) != w).sum()) == err
+
+
+def _decode_one_shot(b_matrix, w):
+    """(err, z) from the whole 2^k x c product of the patterns over the
+    nonzero columns at once, the first minimum in pattern order."""
+    nonzero = np.flatnonzero(b_matrix.any(axis=0))
+    k = len(nonzero)
+    patterns = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    errs = (((patterns @ b_matrix[:, nonzero].T) % 2) ^ w).sum(axis=1)
+    z = np.zeros(b_matrix.shape[1], dtype=np.uint8)
+    z[nonzero] = patterns[errs.argmin()]
+    return int(errs.min()), z
+
+
+def _decode_instances():
+    # random instances, and tied ones: with a repeated column, flipping both
+    # copies leaves every error unchanged, so each minimum is reached at
+    # least twice (against w = 0, by z = 0 among others)
+    gen = np.random.default_rng(11)
+    for d in range(1, 10):
+        c = 1 << d
+        b = gen.integers(0, 2, size=(c, d + 1))
+        yield b, gen.integers(0, 2, size=c)
+        tied = b.copy()
+        tied[:, d] = tied[:, 0]
+        yield tied, gen.integers(0, 2, size=c)
+        yield tied, np.zeros(c, dtype=np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 1 << 20])
+def test_decode_error_blocks_equal_one_shot(monkeypatch, block):
+    monkeypatch.setattr(attack, "_DECODE_BLOCK", block)
+    for b, w in _decode_instances():
+        err, z = decode_error(b, w, return_argmin=True)
+        want_err, want_z = _decode_one_shot(b, w)
+        assert err == want_err
+        np.testing.assert_array_equal(z, want_z)
+
+
+def test_decode_error_memory_at_d11():
+    # full enumeration at d = 11: 2^12 patterns against 2^11 rows.  One
+    # product over all patterns would hold 8 Mi entries; a block holds 1 Mi
+    # bytes, so the peak stays far below 16 MiB
+    d = 11
+    gen = np.random.default_rng(5)
+    b = np.ones((1 << d, d + 1), dtype=np.uint8)
+    b[:, :d] = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    w = gen.integers(0, 2, size=1 << d)
+    tracemalloc.start()
+    try:
+        decode_error(b, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_best_score_single_pair():

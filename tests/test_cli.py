@@ -57,7 +57,7 @@ def test_run_r_reports_event_rates(capsys):
 
 
 @pytest.mark.parametrize("prover, digest", [
-    ("honest", "efaf8da59120757fceeec67157834546e9ff7d811d83ba9e884764c988e414f7"),
+    ("honest", "2f96209210fab278b66357287807e4044e31eac4addc70327ec8560579052f67"),
     ("blind", "b7c38c794cd39e2a52521aef66714aea0eedf61bd0d0fd78ee490e1af4957346"),
 ])
 def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest):

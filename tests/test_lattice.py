@@ -1,11 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poqlab.core import Rng, balanced, derive_params, desk_params
-from poqlab.lattice import (GaussianSampler, ZqArray, _ternary_matmul_mod,
-                            decrypt, encrypt, gen_trap, invert)
+from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _ternary_draw,
+                            _ternary_matmul_mod, decrypt, encrypt, gen_trap,
+                            invert)
 
 from oracles import gaussian_pmf, lwe_oracle, solve_linear_mod, zq_matmul
 
@@ -68,15 +72,96 @@ def test_truncated_sampler_respects_radius(sigma, tau, seed):
 # --- trapdoor ------------------------------------------------------------------
 
 def test_gen_trap_dimensions():
-    a, trap = gen_trap(PARAMS, stream("gt"))
-    assert a.shape == (PARAMS.m, PARAMS.n)
-    assert a.shape[0] == (2 * PARAMS.Q + 1) * PARAMS.n
-    assert trap.abar.shape == ((PARAMS.Q + 1) * PARAMS.n, PARAMS.n)
-    assert trap.r.shape == (PARAMS.Q * PARAMS.n, (PARAMS.Q + 1) * PARAMS.n)
-    assert set(np.unique(trap.r)) <= {-1, 0, 1}
-    assert trap.r.dtype == np.float64  # converted once, for the BLAS products
-    np.testing.assert_array_equal(a.values[:(PARAMS.Q + 1) * PARAMS.n],
-                                  trap.abar % PARAMS.q)
+    for params in (PARAMS, desk_params(d=16, n=16)):
+        a, trap = gen_trap(params, stream("gt"))
+        assert a.shape == (params.m, params.n)
+        assert a.shape[0] == (2 * params.Q + 1) * params.n
+        assert trap.abar.shape == ((params.Q + 1) * params.n, params.n)
+        assert trap.r.shape == (params.Q * params.n, (params.Q + 1) * params.n)
+        assert set(np.unique(trap.r)) <= {-1, 0, 1}
+        assert trap.r.dtype == np.float64  # drawn as float64, for the BLAS products
+        # neither preset's R fills whole bytes: the last byte's trits are trimmed
+        assert trap.r.size % 5
+        np.testing.assert_array_equal(a.values[:(params.Q + 1) * params.n],
+                                      trap.abar % params.q)
+        # equal streams give equal keys
+        _, again = gen_trap(params, stream("gt"))
+        np.testing.assert_array_equal(trap.r, again.r)
+        np.testing.assert_array_equal(trap.abar, again.abar)
+
+
+def test_trit_table_holds_each_ternary_string_once():
+    assert _TRITS.shape == (243, 5) and _TRITS.dtype == np.float64
+    assert not _TRITS.flags.writeable
+    rows = sorted(map(tuple, _TRITS.astype(int)))
+    assert rows == list(itertools.product((-1, 0, 1), repeat=5))
+
+
+def _trits_oracle(byte_values, count):
+    """The first count trits of a byte sequence, five per byte below 243
+    (least significant base-3 digit first, minus one), in a Python loop."""
+    trits = []
+    for b in byte_values:
+        if b < 243:
+            trits.extend((b // 3 ** i) % 3 - 1 for i in range(5))
+    assert len(trits) >= count
+    return np.array(trits[:count], dtype=np.float64)
+
+
+class _RejectedBytesFirst:
+    """A generator whose first bytes() call returns bytes of 243 or more,
+    all of them (whole=True) or all but its last ten; later calls come from
+    gen.  Records every byte it hands out."""
+
+    def __init__(self, gen, whole):
+        self.gen, self.whole, self.handed = gen, whole, []
+
+    def bytes(self, length):
+        if self.handed:
+            out = self.gen.bytes(length)
+        else:
+            high = bytes(range(243, 256)) * length
+            out = (high[:length] if self.whole
+                   else high[:length - 10] + bytes(range(100, 110)))
+        self.handed.append(out)
+        return out
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["all", "partly"])
+def test_ternary_draw_rejection_loop(whole):
+    rows, cols = 7, 9  # 63 trits: 13 bytes, the last one trimmed
+    stub = _RejectedBytesFirst(stream("rej"), whole)
+    got = _ternary_draw(stub, rows, cols)
+    assert len(stub.handed) == 2
+    want = _trits_oracle(b"".join(stub.handed), rows * cols)
+    np.testing.assert_array_equal(got, want.reshape(rows, cols))
+    if whole:  # the retry asks as many bytes as an unstubbed first call
+        np.testing.assert_array_equal(got, _ternary_draw(stream("rej"), rows, cols))
+
+
+def test_ternary_draw_law():
+    # each trit uniform on {-1, 0, 1}, and adjacent trits independent both
+    # within one byte's five and across a byte boundary
+    from scipy.stats import chisquare
+    trits = (_ternary_draw(stream("law"), 432, 448).reshape(-1) + 1).astype(int)
+    assert chisquare(np.bincount(trits, minlength=3)).pvalue > 1e-3
+    first = np.arange(len(trits) - 1)
+    for starts in (first[first % 5 != 4], first[first % 5 == 4]):
+        pairs = 3 * trits[starts] + trits[starts + 1]
+        assert chisquare(np.bincount(pairs, minlength=9)).pvalue > 1e-3
+
+
+def test_gen_trap_peak_memory():
+    # R is drawn straight into float64: no int64 twin of R is ever held
+    params = desk_params(d=16, n=16)
+    gen_trap(params, stream("mem"))  # per-Params caches built outside
+    tracemalloc.start()
+    try:
+        _, trap = gen_trap(params, stream("mem"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * trap.r.nbytes
 
 
 @pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],

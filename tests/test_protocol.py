@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poqlab import lattice
 from poqlab.attack import best_score, rewind, run_experiment_s
+from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params
 from poqlab.lattice import ZqArray, assess_preimages, encrypt
 from poqlab.protocol import (ScoreStats, Transcript, play_round,
@@ -99,9 +101,9 @@ def _transcript_digest(result) -> str:
 
 @pytest.mark.parametrize("prover, params, trials, sequential, digest", [
     ("honest", PARAMS, 20, False,
-     "3f2d3090f6bac7b5c684b87fddc0813acf929cc6544871b2539b8fb322232015"),
+     "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b"),
     ("honest", desk_params(d=16, n=16), 4, True,
-     "713ea1eff0a2beb746079d4a1e445e49c1836cfbe771a60a284c63fc8d85de51"),
+     "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10"),
     (TrapdoorLeakProver(PARAMS), PARAMS, 20, True,
      "9e9bb4429057193ce89292067fd0bd4fea4f77d55e939eda8a9a7cdc60249064"),
 ], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk"])
@@ -112,6 +114,32 @@ def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
     res = run_game_r(prover, params, trials, Rng(2024), sequential=sequential,
                      keep_transcripts=True)
     assert _transcript_digest(res) == digest
+
+
+def _integers_draw(rng, rows, cols):
+    """R as it was drawn before the byte draw: int64 from integers(-1, 2),
+    then cast to float64."""
+    return rng.integers(-1, 2, size=(rows, cols),
+                        dtype=np.int64).astype(np.float64)
+
+
+def test_integers_draw_reproduces_earlier_honest_pins(monkeypatch, tmp_path):
+    # the byte draw of R moved the three honest pins; with the integers draw
+    # put back, all three give their earlier digests byte for byte, so
+    # nothing but the draw of R moved them
+    monkeypatch.setattr(lattice, "_ternary_draw", _integers_draw)
+    res = run_game_r("honest", PARAMS, 20, Rng(2024), keep_transcripts=True)
+    assert _transcript_digest(res) == \
+        "3f2d3090f6bac7b5c684b87fddc0813acf929cc6544871b2539b8fb322232015"
+    res = run_game_r("honest", desk_params(d=16, n=16), 4, Rng(2024),
+                     sequential=True, keep_transcripts=True)
+    assert _transcript_digest(res) == \
+        "713ea1eff0a2beb746079d4a1e445e49c1836cfbe771a60a284c63fc8d85de51"
+    assert main(["run", "--game", "R", "--prover", "honest", "--trials", "24",
+                 "--seed", "5", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "R_honest_seed5.transcripts").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "efaf8da59120757fceeec67157834546e9ff7d811d83ba9e884764c988e414f7"
 
 
 def test_honest_round_carries_the_referee_assessment():
@@ -130,11 +158,11 @@ def test_honest_round_carries_the_referee_assessment():
             else:
                 assert got == want
         shared = referee_first_assessment(first.w, first.ells, record, PARAMS,
-                                          rng.stream("gameR/referee", t),
+                                          lambda: rng.stream("gameR/referee", t),
                                           first.preimages)
         recomputed = referee_first_assessment(first.w, first.ells, record,
                                               PARAMS,
-                                              rng.stream("gameR/referee", t))
+                                              lambda: rng.stream("gameR/referee", t))
         np.testing.assert_array_equal(shared[0], recomputed[0])
         assert shared[1:] == recomputed[1:]
 
@@ -185,6 +213,31 @@ def test_referee_samples_answer_on_inversion_failure():
     final_bits = np.array([t.a[-1] for t in res.transcripts])
     assert 0.3 < final_bits.mean() < 0.7
     assert abs(res.stats.mean) <= 0.3  # no better than chance play
+
+
+@pytest.mark.parametrize("label, play", [
+    ("gameR/referee", lambda prover, rng: run_game_r(prover, PARAMS, 6, rng)),
+    ("sexp/referee",
+     lambda prover, rng: run_experiment_s(1, prover, PARAMS, 6, rng)),
+], ids=["gameR", "sexp"])
+def test_referee_derives_its_fallback_stream_only_on_failure(monkeypatch,
+                                                             label, play):
+    # the fallback stream is read only when an inversion fails, so it is
+    # derived only then, under the trial's label and index
+    derived = []
+    stream = Rng.stream
+
+    def recording_stream(self, name, index=0):
+        derived.append((name, index))
+        return stream(self, name, index)
+
+    monkeypatch.setattr(Rng, "stream", recording_stream)
+    play(BlindProver(PARAMS), Rng(43))
+    assert not [name for name, _ in derived if name.endswith("/referee")]
+    derived.clear()
+    play(_GarbageProver(PARAMS), Rng(43))
+    assert [d for d in derived if d[0].endswith("/referee")] == \
+        [(label, t) for t in range(6)]
 
 
 # --- the round engine -------------------------------------------------------------

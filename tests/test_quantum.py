@@ -291,7 +291,7 @@ def test_referee_answer_matches_prover_claw():
         record = encrypt(x, params, gen)
         first = honest_first_round(record, params, rng.stream("prover", t))
         a, e_flag, _ = referee_first_assessment(
-            first.w, first.ells, record, params, rng.stream("ref", t))
+            first.w, first.ells, record, params, lambda: rng.stream("ref", t))
         # event E (both preimages in the noise box) is what leaves two branches
         assert e_flag == (not first.claw.degenerate)
         if e_flag:
@@ -312,7 +312,7 @@ def test_honest_first_round_events_and_claw():
         record = encrypt(x, params, gen)
         first = honest_first_round(record, params, rng.stream("prover", t))
         _, e_flag, f_flag = referee_first_assessment(
-            first.w, first.ells, record, params, rng.stream("ref", t))
+            first.w, first.ells, record, params, lambda: rng.stream("ref", t))
         e_hits += e_flag
         f_hits += f_flag
         if e_flag and f_flag:
