@@ -11,11 +11,10 @@ Run: python demos/honest_prover_walkthrough.py
 
 import numpy as np
 
-from poqlab import Rng, desk_params, encrypt, run_game_r
+from poqlab import Rng, desk_params, run_game_r
 from poqlab.games import j_score
-from poqlab.protocol import referee_first_assessment
-from poqlab.quantum import (build_claw_state, honest_first_round,
-                            honest_second_round)
+from poqlab.protocol import play_round, referee_first_assessment
+from poqlab.quantum import build_claw_state, honest_second_round
 
 params = desk_params()
 print("desk parameters:", f"n={params.n} q={params.q} Q={params.Q} "
@@ -31,28 +30,29 @@ x = np.append(gen.integers(0, 2, size=params.d), 1).astype(np.uint8)
 y = np.append(gen.integers(0, 2, size=params.d), 1).astype(np.uint8)
 print("referee's hidden question x:", x, " second-round question y:", y)
 
-record = encrypt(x[:params.d], params, gen)
+# round one, the one-trial case of the game's engine: the referee encrypts
+# x (stream demo/encrypt), the prover commits (stream demo/prover)
+first = play_round("honest", params, x, rng, "demo", 0)
+record = first.record
 print(f"ciphertext: A is {record.ciphertext.a.shape}, "
       f"v has {record.ciphertext.v.shape[0]} entries")
-
-first = honest_first_round(record, params, rng.stream("demo-prover"))
 print(f"prover commits w (length {len(first.w.values)}) and "
       f"{len(first.ells)} measurement bits")
-a, e_flag, f_flag = referee_first_assessment(first.w, first.ells, record,
-                                             params,
-                                             lambda: rng.stream("demo-referee"))
+(a,), _, (e_flag,), (f_flag,) = referee_first_assessment(
+    [first], params, lambda i: rng.stream("demo/referee", 0),
+    first.mem.preimages)
 print("referee's events: both preimages in the box (E):", e_flag,
       " no wraparound (F):", f_flag)
-if not first.claw.degenerate:
-    print("claw branches:", first.claw.branch0, first.claw.branch1,
-          " phase:", first.claw.phase)
+claw = first.mem.claw(0)
+if not claw.degenerate:
+    print("claw branches:", claw.branch0, claw.branch1, " phase:", claw.phase)
     print("branch XOR (should be x's data bits):",
-          first.claw.branch0 ^ first.claw.branch1)
+          claw.branch0 ^ claw.branch1)
 
-b = honest_second_round(first.claw, y, rng.stream("demo-prover2"))
+b = honest_second_round(first.mem, y[None], [rng.stream("demo/prover2", 0)])[0]
 print("referee derives a =", a, "; prover answers b =", b)
 bases = ["Y" if bit else "X" for bit in y[:params.d]] + ["XY"]
-law = build_claw_state(first.claw).outcome_distribution(bases)
+law = build_claw_state(claw).outcome_distribution(bases)
 print(f"oracle: P(b | claw) = {law[int(''.join(map(str, b)), 2)]:.6f} "
       f"(claw outcomes range over [{law.min():.6f}, {law.max():.6f}])")
 print("score:", j_score(x, y, a, b))

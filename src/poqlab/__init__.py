@@ -7,8 +7,8 @@ Subpackage map:
   lattice   discrete Gaussians, gadget trapdoors, encrypt/decrypt
   quantum   the honest prover, its claw sampler, the statevector oracle
   provers   the classical prover model and built-in test provers
-  protocol  the round engine (play_round), the total referee, the encrypted
-            game and the claw game, transcripts
+  protocol  the round engine (blocks of trials; play_round plays one), the
+            total referee, the encrypted game and the claw game, transcripts
   attack    optimal-answer decoding, rewinding, and the experiments that
             replay the round: share-the-prover S1-S3 and distinguishing E
   cli       the poqlab command-line tool

@@ -16,7 +16,6 @@ scores as in game R.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -162,9 +161,9 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
         x, y = j_sample_inputs(d, rng.stream("sexp/inputs", t))
         first = play_round(prover, params, x, rng, "sexp", t, real=which != 3)
         if which == 1:
-            a, _, _ = referee_first_assessment(
-                first.w, first.ells, first.record, params,
-                functools.partial(rng.stream, "sexp/referee", t))
+            (a,), (committed,), _, _ = referee_first_assessment(
+                [first], params, lambda i: rng.stream("sexp/referee", t))
+            a = a if committed else None
         else:
             _, a = best_score(x, *rewind(prover, first.mem, d),
                               return_argmax=True)

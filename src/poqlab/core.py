@@ -130,12 +130,12 @@ def binary_repr(x, width: int) -> np.ndarray:
     """Big-endian bits of the canonical representative(s).
 
     A scalar yields `width` bits; a length-n vector yields the n*width-bit
-    concatenation of its per-coordinate blocks.
+    concatenation of its per-coordinate blocks, and leading axes are kept.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = (xs[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    bits = (xs[..., None] >> shifts) & 1
+    return bits.reshape(*xs.shape[:-1], -1).astype(np.uint8)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -143,6 +143,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
     Splits the inner dimension into chunks small enough that partial sums of
     (q-1)^2-sized products stay below 2**62, reducing mod q between chunks.
+    Leading axes broadcast as in np.matmul.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -154,7 +155,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         return (a @ b) % q
     acc = None
     for start in range(0, k, per):
-        chunk = (a[..., start:start + per] @ b[start:start + per]) % q
+        rows = slice(start, start + per)
+        chunk = (a[..., rows] @ (b[rows] if b.ndim == 1 else b[..., rows, :])) % q
         acc = chunk if acc is None else (acc + chunk) % q
     return acc
 

@@ -3,15 +3,16 @@
 The trapdoor pair is the classic two-block construction: a uniform top block
 Abar with (Q+1)n rows, and a bottom block G - R Abar where R has small
 entries and G stacks the binary gadget (1, 2, ..., 2^{Q-1}) per secret
-coordinate.  Recombining v = A s + e through R turns inversion into decoding
-G s from noise bounded by B = 2 tau (1 + (Q+1) n).  invert's decode is exact
-when 3B < q/2 (its 6B < q guard), and every Params meets that: tau =
-floor(q / (4 m Q)) with m = (2Q+1) n gives 6B < q whenever Q >= 3, and Q < 3
-leaves tau = 0 (6B/q < 0.17 for odd primes q < 2 * 10^5 and n <= 64).
+coordinate.  Recombining v = A s + e through R (recombine) turns inversion
+into decoding G s from noise bounded by B = 2 tau (1 + (Q+1) n)
+(gadget_decode).  The decode is exact when 3B < q/2 (its 6B < q guard), and
+every Params meets that: tau = floor(q / (4 m Q)) with m = (2Q+1) n gives
+6B < q whenever Q >= 3, and Q < 3 leaves tau = 0 (6B/q < 0.17 for odd
+primes q < 2 * 10^5 and n <= 64).
 
-The two trapdoor products, R Abar in gen_trap and R v_top in invert, run in
-float64 BLAS and are exact: R is ternary and the other operand canonical in
-[0, q), so every partial sum is an integer of magnitude below (Q+1) n q,
+The two trapdoor products, R Abar in gen_trap and R t_top in recombine, run
+in float64 BLAS and are exact: R is ternary and the other operand canonical
+in [0, q), so every partial sum is an integer of magnitude below (Q+1) n q,
 which _ternary_matmul_mod requires to be under 2^53 (about 2^36 at the desk
 and separating presets).  Every other product goes through core.matmul_mod.
 
@@ -21,9 +22,15 @@ more is dropped.  Each kept byte is uniform on the 243 strings in
 {-1, 0, 1}^5, so the entries of R are independent and exactly uniform on
 {-1, 0, 1}; the rejection only costs bytes.
 
-assess_preimages inverts both shifts w and w + v of a round-one commitment
-and applies the noise-box test; the honest prover and the referee share its
-result.
+R is needed only while a trial's products with it are taken.  A round-one
+commitment w is assessed in two steps: commitment_shifts takes, while R is
+live, the trapdoor images of both shifts w and w + v in one product and
+keeps them with A and gamma (Shifts); decode_preimages then decodes both
+shifts and computes each residual t - A z once, which serves both invert's
+2 tau acceptance test and the tau noise-box test.  decode_preimages works
+over leading trial axes, so the game decodes a block of trials at once with
+no R held; assess_preimages is the two steps for one trial, and invert and
+the block decode share gadget_decode.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Params, balanced, matmul_mod, norminf
+from .core import Params, balanced, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,14 @@ def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
     Every partial sum is an integer of magnitude below k q, k the inner
     dimension; while k q < 2^53 each one is a float64, so the BLAS product
     is exact in any summation order.  The bound depends on shapes and q
-    only, so no operand is scanned.
+    only, so no operand is scanned.  The exact float sums convert to int64
+    without loss and are reduced there: integer % by a scalar costs a fifth
+    of float64 % or np.fmod, which go through a division per entry.
     """
     if r.shape[-1] * q >= 1 << 53:
         raise ValueError(f"ternary product not exact in float64: "
                          f"{r.shape[-1]} * q = {r.shape[-1] * q} >= 2^53")
-    return (r @ x.astype(np.float64) % q).astype(np.int64)
+    return (r @ x.astype(np.float64)).astype(np.int64) % q
 
 
 @dataclass(frozen=True)
@@ -186,34 +195,59 @@ def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, Trapdoo
     return ZqArray(params.q, a), TrapdoorKey(abar=abar, r=r)
 
 
+def recombine(trap: TrapdoorKey, targets: np.ndarray,
+              params: Params) -> np.ndarray:
+    """R t_top + t_bottom mod q for a target t of length m, or for each row
+    of a (k, m) array of them: A s + e recombines to G s + R e_top +
+    e_bottom."""
+    top_rows = (params.Q + 1) * params.n
+    return (_ternary_matmul_mod(trap.r, targets[..., :top_rows].T, params.q).T
+            + targets[..., top_rows:]) % params.q
+
+
+def gadget_decode(y: np.ndarray, params: Params) -> np.ndarray:
+    """s from y = G s + E mod q with ||E||_inf <= B, over leading axes:
+    (..., Qn) to (..., n).
+
+    3B < q/2 at any validated parameter set, so the error differences
+    E_{k+1} - 2 E_k are exact balanced residues; chaining them pins E
+    exactly.  The result is a candidate: on a y that is not of this form
+    it is some residue vector, which the residual test rejects.
+    """
+    q, n, big_q = params.q, params.n, params.Q
+    if 6 * params.gadget_bound >= q:
+        raise ValueError("parameters leave no decoding margin (need 6B < q)")
+    rows = y.reshape(*y.shape[:-1], n, big_q)  # rows[i, k] = 2^k s_i + E_{i,k}
+    delta = balanced(rows[..., 1:] - 2 * rows[..., :-1], q)  # E_{k+1} - 2 E_k
+    powers = (1 << np.arange(big_q - 2, -1, -1)).astype(np.int64)
+    carry = delta @ powers  # E_{Q-1} = 2^{Q-1} E_0 + carry
+    e0 = np.rint(-carry / float(1 << (big_q - 1))).astype(np.int64)
+    return (rows[..., 0] - e0) % q
+
+
+def _residual_norms(a: np.ndarray, targets: np.ndarray, z: np.ndarray,
+                    q: int) -> np.ndarray:
+    """||t - A z||_inf on balanced residues for each row t of targets and z
+    of z: a (..., m, n), targets (..., k, m), z (..., k, n)."""
+    residual = matmul_mod(z, np.swapaxes(a, -1, -2), q)
+    np.subtract(targets, residual, out=residual)
+    residual %= q
+    return np.minimum(residual, q - residual).max(axis=-1)
+
+
 def invert(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
            params: Params) -> np.ndarray | None:
     """Recover s from v = A s + e whenever ||e||_inf <= 2 tau; None otherwise.
 
-    Recombination gives y = G s + E with ||E||_inf <= B and 3B < q/2 at any
-    validated parameter set, so the error differences E_{k+1} - 2 E_k are
-    exact balanced residues.  Chaining them pins E exactly, and the candidate
-    s is accepted only after the full check ||v - A s||_inf <= 2 tau.
+    Recombination gives y = G s + E with ||E||_inf <= B, gadget_decode pins
+    s, and the candidate is accepted only after the full check
+    ||v - A s||_inf <= 2 tau.
     """
-    q, n, big_q, tau = params.q, params.n, params.Q, params.tau
     if v.values.shape != (params.m,):
         raise ValueError(f"v must have length m = {params.m}")
-    bound = params.gadget_bound
-    if 6 * bound >= q:
-        raise ValueError("parameters leave no decoding margin (need 6B < q)")
-    top_rows = (big_q + 1) * n
-    y = (_ternary_matmul_mod(trap.r, v.values[:top_rows], q)
-         + v.values[top_rows:]) % q
-    rows = y.reshape(n, big_q)  # rows[i, k] = 2^k s_i + E_{i,k} mod q
-    delta = balanced(rows[:, 1:] - 2 * rows[:, :-1], q)  # = E_{k+1} - 2 E_k
-    powers = (1 << np.arange(big_q - 2, -1, -1)).astype(np.int64)
-    carry = delta @ powers  # E_{Q-1} = 2^{Q-1} E_0 + carry
-    e0 = np.rint(-carry / float(1 << (big_q - 1))).astype(np.int64)
-    s = (rows[:, 0] - e0) % q
-    residual = (v.values - matmul_mod(a.values, s, q)) % q
-    if norminf(residual, q) <= 2 * tau:
-        return s
-    return None
+    s = gadget_decode(recombine(trap, v.values, params), params)
+    norm = _residual_norms(a.values, v.values[None], s[None], params.q)[0]
+    return s if norm <= 2 * params.tau else None
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +300,53 @@ def decrypt(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
     return (np.abs(tail) % 2).astype(np.int64)
 
 
-class Preimages(NamedTuple):
-    """Both shifts of a round-one commitment w, inverted through the
-    trapdoor: z0 from w, z1 from w + v (None where inversion fails), and
-    whether each sits within tau of its lattice point (the noise box)."""
+class Shifts(NamedTuple):
+    """What the referee keeps of round-one commitments once R is gone, over
+    leading trial axes: A, the targets w and w + v, their trapdoor images
+    (recombine), and the encryption's gamma for the wraparound test."""
 
-    z0: np.ndarray | None
-    z1: np.ndarray | None
-    in_box0: bool
-    in_box1: bool
+    a: np.ndarray        # (..., m, n)
+    targets: np.ndarray  # (..., 2, m)
+    images: np.ndarray   # (..., 2, Qn)
+    gamma: np.ndarray    # (..., n)
+
+
+class Preimages(NamedTuple):
+    """Both shifts of round-one commitments decoded, over leading trial
+    axes: z[..., 0, :] from w and z[..., 1, :] from w + v, whether each
+    passed invert's test (its residual within 2 tau; z is a meaningless
+    candidate where not), and whether each sits within tau of its lattice
+    point (the noise box)."""
+
+    z: np.ndarray         # (..., 2, n)
+    inverted: np.ndarray  # (..., 2) bool
+    in_box: np.ndarray    # (..., 2) bool
+
+
+def commitment_shifts(w: ZqArray, record: EncryptionRecord,
+                      params: Params) -> Shifts:
+    """The Shifts of one commitment w, from one product of R with the tops
+    of w and w + v; afterwards the trapdoor is no longer needed.  A
+    commitment of the wrong length raises ValueError."""
+    if w.values.shape != (params.m,):
+        raise ValueError(f"w must have length m = {params.m}")
+    targets = np.array([w.values, (w + record.ciphertext.v).values])
+    return Shifts(record.ciphertext.a.values, targets,
+                  recombine(record.trapdoor, targets, params), record.gamma)
+
+
+def decode_preimages(shifts: Shifts, params: Params) -> Preimages:
+    """Decode both shifts and test each residual once, against 2 tau (invert)
+    and tau (the noise box), over the leading axes of shifts."""
+    z = gadget_decode(shifts.images, params)
+    norms = _residual_norms(shifts.a, shifts.targets, z, params.q)
+    return Preimages(z, norms <= 2 * params.tau, norms <= params.tau)
 
 
 def assess_preimages(w: ZqArray, record: EncryptionRecord,
                      params: Params) -> Preimages:
-    """Invert w and w + v and apply the noise-box test to each preimage.
-
-    Deterministic in (w, record, params), so the honest prover's result is
-    the one the referee would compute.  w is inverted first: a commitment
-    of the wrong length raises invert's ValueError.
-    """
-    a, v = record.ciphertext.a, record.ciphertext.v
-
-    def preimage(target: ZqArray):
-        z = invert(a, record.trapdoor, target, params)
-        in_box = z is not None and norminf(
-            (target.values - matmul_mod(a.values, z, params.q)) % params.q,
-            params.q) <= params.tau
-        return z, in_box
-
-    z0, in_box0 = preimage(w)
-    z1, in_box1 = preimage(w + v)
-    return Preimages(z0, z1, in_box0, in_box1)
+    """Invert w and w + v and apply the noise-box test to each preimage:
+    decode_preimages of one trial's commitment_shifts.  Deterministic in
+    (w, record, params), so the honest prover's result is the one the
+    referee would compute."""
+    return decode_preimages(commitment_shifts(w, record, params), params)

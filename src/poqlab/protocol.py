@@ -4,34 +4,53 @@ strategy, and transcript/statistics plumbing.
 
 A round: the referee sends advice (A, v), the prover commits to (w, ells),
 the referee inverts the commitment through its trapdoor into an answer
-string a, and the prover answers a question y with b.  play_round plays the
-first half for game R and for the experiments in attack.py, which replay it
-on real or uniform advice.  The referee is total: a message that is not well
-formed loses the trial (score -1); it is never coerced and never raises.
-Its rules live once: the answer string quantum.round_one_answer, the score
-games.j_score, the message check _bit_rows (_bits for one message;
-attack.best_score checks each rewound answer with it).
+string a, and the prover answers a question y with b.  The engine plays a
+block of trials at a time.  Each trial's draws come from its own streams,
+in a fixed order, and while its trapdoor R is live the referee takes the
+trapdoor images of both shifts of its commitment (lattice.commitment_shifts);
+then R is dropped, so a block never holds more than one.  A classical
+prover's first_response runs per trial (a TrapdoorLeakProver is handed that
+trial's trapdoor), and the referee rejects a malformed commitment there.
+The rest is vectorized over the block: decoding the preimages, the E and F
+flags and the answer strings, the honest prover's claws and its round two,
+and the score.  play_round is the one-trial case, for the experiments in
+attack.py, which replay it on real or uniform advice.
+
+The referee's rules do not depend on the block.  It is total: a message that
+is not well formed loses the trial (score -1); it is never coerced and never
+raises.  Its rules live once: the answer string quantum.round_one_answer,
+the score games.j_score, the message check _bit_rows (_bits for one message;
+attack.best_score checks each rewound answer with it), the verdict _verdict.
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
-any trial subset can be recomputed independently and reruns are bit-exact.
+any trial subset can be recomputed independently and reruns are bit-exact:
+a trial's transcript does not depend on the number of trials or on where
+the blocks start.
 """
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .core import Params, Rng, balanced_abs
 from .games import j_sample_inputs, j_score
-from .lattice import (EncryptionRecord, Preimages, ZqArray, assess_preimages,
-                      encrypt)
+from .lattice import (EncryptionRecord, Preimages, Shifts, ZqArray,
+                      commitment_shifts, decode_preimages, encrypt)
 from .provers import TrapdoorLeakProver, answer_table
-from .quantum import (honest_first_round, honest_second_round,
-                      round_one_answer, sample_claw_outcomes)
+from .quantum import (honest_commitment, honest_first_round,
+                      honest_second_round, round_one_answer,
+                      sample_claw_outcomes)
+
+# Trials per block of the encrypted game.  A block holds A, both targets and
+# their images for each of its trials, about 45 kB a trial at the desk preset
+# and 140 kB at desk_params(d=16, n=16), besides the one live R.  Eight
+# trials share the per-block numpy calls; 16 ran no faster at desk and kept
+# about 1 MB more resident.
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -163,27 +182,25 @@ def run_game_j(d: int, trials: int, rng: Rng,
 @dataclass(frozen=True)
 class FirstRound:
     """Round one of a trial as the referee sees it: its encryption record
-    (None on uniform advice) and the prover's commitment (w, ells), plus the
-    memory the prover's second round reads.  The honest prover's memory is
-    its claw, and it hands over the referee's preimage assessment of w."""
+    (None on uniform advice; the game drops it once the trapdoor images are
+    taken), the prover's commitment (w, ells) and the memory its second
+    round reads.  bits is ells as the referee accepted it, None when it
+    rejected the commitment, and shifts are the referee's Shifts of an
+    accepted commitment on real advice."""
 
     record: EncryptionRecord | None
     w: Any
     ells: Any
     mem: Any
-    preimages: Preimages | None = None
+    bits: np.ndarray | None = None
+    shifts: Shifts | None = None
 
 
-def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
-               index: int, real: bool = True) -> FirstRound:
-    """Round one of trial `index`, drawn from the streams `label`/....
-
-    real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
-    pair (A, v) that hides nothing (stream uniform).  The honest prover, the
-    string 'honest', needs real advice and measures with stream prover.  A
-    ClassicalProver commits with coins from stream coins; a
-    TrapdoorLeakProver is first handed the trapdoor, or None.
-    """
+def _commit(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
+            index: int, real: bool, keep_record: bool) -> FirstRound:
+    """Round one of trial `index` up to the commitment and its Shifts, drawn
+    from the streams `label`/...: encrypt (or uniform), then prover for the
+    honest prover or coins for a ClassicalProver."""
     q, m, n = params.q, params.m, params.n
     if real:
         record = encrypt(x[:params.d], params,
@@ -195,14 +212,58 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         a_mat = ZqArray(q, gen.integers(0, q, size=(m, n), dtype=np.int64))
         v_vec = ZqArray(q, gen.integers(0, q, size=m, dtype=np.int64))
     if prover == "honest":
-        first = honest_first_round(record, params,
-                                   rng.stream(f"{label}/prover", index))
-        return FirstRound(record, first.w, first.ells, first.claw,
-                          first.preimages)
-    if isinstance(prover, TrapdoorLeakProver):
-        prover.set_leak(None if record is None else record.trapdoor)
-    coins = rng.stream(f"{label}/coins", index).integers(0, 1 << 62, size=4)
-    return FirstRound(record, *prover.first_response(a_mat, v_vec, coins))
+        w, ells = honest_commitment(a_mat, v_vec, params,
+                                    rng.stream(f"{label}/prover", index))
+        mem = None
+    else:
+        if isinstance(prover, TrapdoorLeakProver):
+            prover.set_leak(None if record is None else record.trapdoor)
+        coins = rng.stream(f"{label}/coins", index).integers(0, 1 << 62, size=4)
+        w, ells, mem = prover.first_response(a_mat, v_vec, coins)
+    bits = _bits(ells, n * params.Q - params.d)
+    if not isinstance(w, ZqArray) or w.q != q or w.values.shape != (m,):
+        bits = None
+    shifts = (None if record is None or bits is None
+              else commitment_shifts(w, record, params))
+    return FirstRound(record if keep_record else None, w, ells, mem, bits,
+                      shifts)
+
+
+def _stack(shifts: Sequence[Shifts]) -> Shifts:
+    return Shifts(*(np.array(field) for field in zip(*shifts)))
+
+
+def _play_block(prover, params: Params, xs: np.ndarray, rng: Rng, label: str,
+                indices: Sequence[int], real: bool = True,
+                keep_records: bool = False):
+    """Round one of the trials `indices`, one per row of xs: each trial's
+    commitment in turn, then the honest prover's first round over the block.
+    Returns the FirstRounds and the honest prover's FirstRoundResult (None
+    for a ClassicalProver)."""
+    firsts = [_commit(prover, params, x, rng, label, t, real, keep_records)
+              for x, t in zip(xs, indices)]
+    if prover != "honest":
+        return firsts, None
+    return firsts, honest_first_round(_stack([f.shifts for f in firsts]),
+                                      np.array([f.bits for f in firsts]),
+                                      params)
+
+
+def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
+               index: int, real: bool = True) -> FirstRound:
+    """Round one of trial `index`, drawn from the streams `label`/...: the
+    one-trial case of the game's block engine, with the record kept.
+
+    real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
+    pair (A, v) that hides nothing (stream uniform).  The honest prover, the
+    string 'honest', needs real advice and measures with stream prover; its
+    memory is its one-trial FirstRoundResult.  A ClassicalProver commits
+    with coins from stream coins; a TrapdoorLeakProver is first handed the
+    trapdoor, or None.
+    """
+    (first,), honest = _play_block(prover, params, x[None], rng, label,
+                                   [index], real, keep_records=True)
+    return first if honest is None else replace(first, mem=honest)
 
 
 def _bit_rows(messages, count: int,
@@ -228,36 +289,66 @@ def _bits(message, length: int) -> np.ndarray | None:
     return rows[0] if valid[0] else None
 
 
-def referee_first_assessment(w, ells, record: EncryptionRecord, params: Params,
-                             fallback: Callable[[], np.random.Generator],
+def referee_first_assessment(firsts: Sequence[FirstRound], params: Params,
+                             fallback: Callable[[int], np.random.Generator],
                              preimages: Preimages | None = None):
-    """Referee's round-one bookkeeping: invert both shifts of the prover's
-    commitment and derive the answer string it will be scored with.
+    """Referee's round-one bookkeeping over a block of trials played on real
+    advice: invert both shifts of each accepted commitment and derive the
+    answer string it will be scored with.
 
-    preimages, when given, must be assess_preimages(w, record, params); the
-    honest prover has already computed it, so the game passes it on instead
-    of inverting w and w + v a second time.
+    preimages, when given, must be decode_preimages of the stacked shifts of
+    the accepted trials; the honest prover has already computed it, so the
+    game passes it on instead of decoding the block a second time.
 
-    Returns (a, e_flag, f_flag).  a is None when the commitment is rejected:
-    w is not a ZqArray of shape (m,) modulo q, or ells is not nQ - d bits.
-    On inversion failure a is sampled uniformly from fallback(), which is
-    called only then, so a trial whose inversions succeed derives no
-    fallback stream.
+    Returns (a, committed, e_flags, f_flags): a (trials, d + 1) and three
+    (trials,) bool arrays.  A trial whose commitment was rejected (w not a
+    ZqArray of shape (m,) modulo q, or ells not nQ - d bits) has committed
+    False, a row of zeros and both flags off.  On inversion failure a trial's
+    a is sampled uniformly from fallback(i), i its row, which is called only
+    then, so a block whose inversions succeed derives no fallback stream.
     """
-    q, n, d = params.q, params.n, params.d
-    ells = _bits(ells, n * params.Q - d)
-    if (ells is None or not isinstance(w, ZqArray) or w.q != q
-            or w.values.shape != (params.m,)):
-        return None, False, False
+    q, d = params.q, params.d
+    count = len(firsts)
+    a = np.zeros((count, d + 1), dtype=np.uint8)
+    committed = np.array([f.shifts is not None for f in firsts], dtype=bool)
+    e_flags = np.zeros(count, dtype=bool)
+    f_flags = np.zeros(count, dtype=bool)
+    rows = np.flatnonzero(committed)
+    if not len(rows):
+        return a, committed, e_flags, f_flags
     if preimages is None:
-        preimages = assess_preimages(w, record, params)
-    z0, z1, in_box0, in_box1 = preimages
-    if z0 is None or z1 is None:
-        return fallback().integers(0, 2, size=d + 1).astype(np.uint8), False, False
+        preimages = decode_preimages(_stack([firsts[i].shifts for i in rows]),
+                                     params)
+    z, inverted, in_box = preimages
+    gamma = np.array([firsts[i].shifts.gamma for i in rows])
+    ells = np.array([firsts[i].bits for i in rows])
+    ok = inverted.all(axis=1)
+    a[rows] = round_one_answer(z[:, 0], z[:, 1], ells, params)
+    e_flags[rows] = ok & in_box.all(axis=1)
+    f_flags[rows] = ok & (balanced_abs(z[:, 0], q) > np.abs(gamma)).all(axis=1)
+    for i in rows[~ok]:
+        a[i] = fallback(int(i)).integers(0, 2, size=d + 1)
+    return a, committed, e_flags, f_flags
 
-    e_flag = bool(in_box0 and in_box1)
-    f_flag = bool((balanced_abs(z0, q) > np.abs(record.gamma)).all())
-    return round_one_answer(z0, z1, ells, params), e_flag, f_flag
+
+def _losing_answer(x, y, b) -> np.ndarray:
+    """The answer string that loses against b, over leading axes: zeros,
+    with a_{d+1} set so that u.v mod 4 lands in {2, 3}."""
+    a = np.zeros(np.shape(b), dtype=np.uint8)
+    # x and y end in 1, so flipping a_{d+1} moves u.v by 2 mod 4
+    a[..., -1] = j_score(x, y, a, b) == 1
+    return a
+
+
+def _verdict(xs, ys, a, committed, b, b_ok):
+    """The referee's verdict over rows of rounds: (a, b, scores, accepted),
+    as referee_score gives it for each row.  A row is accepted when its
+    commitment was (committed) and its answer b is d + 1 bits (b_ok; b is
+    zeros where not)."""
+    accepted = committed & b_ok
+    if not accepted.all():
+        a = np.where(accepted[:, None], a, _losing_answer(xs, ys, b))
+    return a, b, np.where(accepted, j_score(xs, ys, a, b), -1), accepted
 
 
 def referee_score(x, y, a, b) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -266,22 +357,59 @@ def referee_score(x, y, a, b) -> tuple[np.ndarray, np.ndarray, int, bool]:
 
     a is None when the commitment was rejected; b is rejected unless it is
     d + 1 bits.  A rejected trial scores -1 and records b (zeros when b was
-    the rejected message) with the answer string that loses against it:
-    zeros, with a_{d+1} set so that u.v mod 4 lands in {2, 3}.
+    the rejected message) with the answer string that loses against it
+    (_losing_answer).
     """
     bits = _bits(b, len(x))
     if a is not None and bits is not None:
         return a, bits, j_score(x, y, a, bits), True
     if bits is None:
         bits = np.zeros(len(x), dtype=np.uint8)
-    a = np.zeros(len(x), dtype=np.uint8)
-    # x and y end in 1, so flipping a_{d+1} moves u.v by 2 mod 4
-    a[-1] = j_score(x, y, a, bits) == 1
-    return a, bits, -1, False
+    return _losing_answer(x, y, bits), bits, -1, False
 
 
 # ---------------------------------------------------------------------------
 # the encrypted game
+
+def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
+                  sequential: bool, keep_transcripts: bool):
+    """Trials ts of game R: (scores, e_flags, f_flags, transcripts).  The
+    block's arrays live only while this runs."""
+    d = params.d
+    xs, ys = (np.array(col) for col in zip(
+        *(j_sample_inputs(d, rng.stream("gameR/inputs", t)) for t in ts)))
+    firsts, honest = _play_block(prover, params, xs, rng, "gameR", ts)
+    a, committed, e, f = referee_first_assessment(
+        firsts, params, lambda i: rng.stream("gameR/referee", ts[i]),
+        None if honest is None else honest.preimages)
+    if honest is not None:
+        b, b_ok = _bit_rows(honest_second_round(
+            honest, ys, [rng.stream("gameR/prover2", t) for t in ts]),
+            len(ts), d + 1)
+    else:
+        # each answer is checked alone, so a malformed one loses only its trial
+        checked = [_bit_rows([answer_table(prover, y[None], first.mem)[0]
+                              if sequential
+                              else prover.second_response(y, first.mem)],
+                             1, d + 1)
+                   for y, first in zip(ys, firsts)]
+        b = np.concatenate([rows for rows, _ in checked])
+        b_ok = np.concatenate([ok for _, ok in checked])
+    a, b, scores, accepted = _verdict(xs, ys, a, committed, b, b_ok)
+    e, f = e & accepted, f & accepted
+    transcripts = []
+    if keep_transcripts:
+        for i, (t, first) in enumerate(zip(ts, firsts)):
+            kept = committed[i]
+            transcripts.append(Transcript(
+                game=game, trial=t, x=xs[i], y=ys[i], a=a[i], b=b[i],
+                w=first.w.values.copy() if kept else np.zeros(0, dtype=np.int64),
+                ells=(np.array(first.ells, dtype=np.uint8) if kept
+                      else np.zeros(0, dtype=np.uint8)),
+                score=int(scores[i]), e_flag=bool(e[i]), f_flag=bool(f[i]),
+                seed=f"{rng.seed}:gameR:{t}"))
+    return scores, e, f, transcripts
+
 
 def run_game_r(prover, params: Params, trials: int, rng: Rng,
                sequential: bool = False,
@@ -290,43 +418,24 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
     ClassicalProver.  Sequential mode feeds round-two question bits one at a
     time: a classical prover's respond_bit answers one prefix per level
     (provers.answer_table), where one-shot mode asks its second_response
-    (the honest measurement order is already sequential)."""
+    (the honest measurement order is already sequential).  Trials are
+    played in blocks of _BLOCK (see the module docstring); the transcripts
+    do not depend on the block size."""
     if params.d < 1:
         raise ValueError("need d >= 1")
     if not params.game_r_runnable:
         raise ValueError("; ".join(params.runnability_problems()))
-    d = params.d
     game = "Rseq" if sequential else "R"
     scores = np.zeros(trials, dtype=np.int64)
     e_flags = np.zeros(trials, dtype=bool)
     f_flags = np.zeros(trials, dtype=bool)
     transcripts: list[Transcript] = []
-
-    for t in range(trials):
-        x, y = j_sample_inputs(d, rng.stream("gameR/inputs", t))
-        first = play_round(prover, params, x, rng, "gameR", t)
-        if prover == "honest":
-            b = honest_second_round(first.mem, y, rng.stream("gameR/prover2", t))
-        elif sequential:
-            b = answer_table(prover, y[None], first.mem)[0]
-        else:
-            b = prover.second_response(y, first.mem)
-
-        a, e_flag, f_flag = referee_first_assessment(
-            first.w, first.ells, first.record, params,
-            functools.partial(rng.stream, "gameR/referee", t), first.preimages)
-        committed = a is not None
-        a, b, scores[t], accepted = referee_score(x, y, a, b)
-        e_flag, f_flag = e_flag and accepted, f_flag and accepted
-        e_flags[t], f_flags[t] = e_flag, f_flag
-        if keep_transcripts:
-            w = first.w.values.copy() if committed else np.zeros(0, dtype=np.int64)
-            ells = (np.array(first.ells, dtype=np.uint8) if committed
-                    else np.zeros(0, dtype=np.uint8))
-            transcripts.append(Transcript(
-                game=game, trial=t, x=x, y=y, a=a, b=b, w=w, ells=ells,
-                score=int(scores[t]), e_flag=e_flag, f_flag=f_flag,
-                seed=f"{rng.seed}:gameR:{t}"))
+    for start in range(0, trials, _BLOCK):
+        ts = range(start, min(start + _BLOCK, trials))
+        rows = slice(start, ts.stop)
+        scores[rows], e_flags[rows], f_flags[rows], lines = _game_r_block(
+            prover, params, ts, rng, game, sequential, keep_transcripts)
+        transcripts.extend(lines)
 
     both = e_flags & f_flags
     conditional = float(scores[both].mean()) if both.any() else None

@@ -4,14 +4,17 @@ Measurement conventions, used throughout: Y = [[0, i], [-i, 0]] as printed,
 outcome 0 of a W-basis measurement corresponding to the projector (I + W)/2.
 
 The honest prover plays both rounds of the encrypted game without a dense
-state.  The first round never materializes the (nQ+1)-qubit state; for a
-two-branch residual state the X-measurements on the non-data qubits are
-equivalent to uniform bits plus a phase XOR, which is what gets simulated.
-The first round's two preimages come from lattice.assess_preimages, and
-round_one_answer turns them into the answer string a that the referee
-scores and the prover reads its claw from; the E and F flags are the
-referee's alone (protocol.referee_first_assessment).
-The second round measures the remaining (d+1)-qubit claw, and its outcome
+state, batched over a leading axis of trials.  The first round never
+materializes the (nQ+1)-qubit state; for a two-branch residual state the
+X-measurements on the non-data qubits are equivalent to uniform bits plus a
+phase XOR, which is what gets simulated.  Each trial's commitment and
+measurement bits come from honest_commitment, which draws from that trial's
+stream; honest_first_round then takes a whole block of commitments, decodes
+their two preimages through the referee's trapdoor images
+(lattice.decode_preimages), and round_one_answer turns them into the answer
+strings a that the referee scores and the prover reads its claws from; the
+E and F flags are the referee's alone (protocol.referee_first_assessment).
+The second round measures each remaining (d+1)-qubit claw, and its outcome
 law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
 exact Born-rule answers for a whole batch of claws at O(d) per claw; the
 claw game uses the same sampler.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, binary_repr, matmul_mod
-from .lattice import EncryptionRecord, Preimages, ZqArray, assess_preimages
+from .lattice import Preimages, Shifts, ZqArray, decode_preimages
 
 MAX_QUBITS = 26
 
@@ -159,15 +162,6 @@ class ClawDescription:
         ref = self.branch0 if self.branch0 is not None else self.branch1
         return len(ref)
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(branch0, branch1, phase) as sample_claw_outcomes takes them.  A
-        single branch becomes phase 0: one computational branch gives every
-        X, Y and XY outcome with probability 1/2, which is the law of z = 0."""
-        if self.degenerate:
-            zeros = np.zeros(self.d, dtype=np.uint8)
-            return zeros, zeros, 0
-        return self.branch0, self.branch1, self.phase
-
 
 def build_claw_state(claw: ClawDescription) -> StateVector:
     """Qubits 0..d-1 carry the branch bits, qubit d is the coin."""
@@ -216,28 +210,33 @@ def coin_zero_probability(branch0, branch1, phase, y, data) -> np.ndarray:
     return (1 + np.asarray(phase) * np.cos(angle)) / 2
 
 
-def sample_claw_outcomes(branch0, branch1, phase, y,
-                         rng: np.random.Generator) -> np.ndarray:
+def sample_claw_outcomes(branch0, branch1, phase, y, rng) -> np.ndarray:
     """Exact Born-rule samples of the round-two measurement, one (d+1)-bit
     row per claw: uniform data bits, then the coin from
-    coin_zero_probability.  O(d) work per claw and no statevector."""
+    coin_zero_probability.  O(d) work per claw and no statevector.
+
+    rng is one generator for the batch, which draws every claw's data bits
+    and then the coin uniforms, or a sequence of one generator per claw,
+    each drawing its claw's data bits and then its coin uniform.
+    """
     branch0 = np.asarray(branch0)
-    data = rng.integers(0, 2, size=branch0.shape)
+    if isinstance(rng, np.random.Generator):
+        data = rng.integers(0, 2, size=branch0.shape)
+        uniforms = rng.random(len(branch0))
+    else:
+        if len(rng) != len(branch0):
+            raise ValueError("one generator per claw")
+        data = np.empty(branch0.shape, dtype=np.int64)
+        uniforms = np.empty(len(branch0))
+        for i, gen in enumerate(rng):
+            data[i] = gen.integers(0, 2, size=branch0.shape[-1])
+            uniforms[i] = gen.random()
     p0 = coin_zero_probability(branch0, branch1, phase, y, data)
-    coin = rng.random(len(p0)) >= p0
-    return np.column_stack([data, coin]).astype(np.uint8)
+    return np.column_stack([data, uniforms >= p0]).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
 # honest prover for the encrypted game
-
-@dataclass(frozen=True)
-class FirstRoundResult:
-    w: ZqArray
-    ells: np.ndarray     # bits at the positions round_one_positions lists
-    claw: ClawDescription
-    preimages: Preimages  # the referee's assessment of w, shared
-
 
 @functools.lru_cache(maxsize=16)
 def round_one_positions(params: Params) -> np.ndarray:
@@ -256,48 +255,78 @@ def round_one_positions(params: Params) -> np.ndarray:
 def round_one_answer(z0: np.ndarray, z1: np.ndarray, ells: np.ndarray,
                      params: Params) -> np.ndarray:
     """The round-one answer string a of the claw left by preimages z0 and z1
-    and measurement bits ells: the data bits of z0 (the parities of its last
-    d coordinates), then the parity of ells over the round-one positions
-    where z0 and z1 differ.  The claw is (a[:d], z1's data bits,
-    (-1)^{a_d}); the referee scores the trial with a."""
+    and measurement bits ells, over leading axes: the data bits of z0 (the
+    parities of its last d coordinates), then the parity of ells over the
+    round-one positions where z0 and z1 differ.  The claw is (a[:d], z1's
+    data bits, (-1)^{a_d}); the referee scores the trial with a."""
     n, d = params.n, params.d
     diff = (binary_repr(z0, params.Q)
-            ^ binary_repr(z1, params.Q))[round_one_positions(params) - 1]
-    return np.append(z0[n - d:] % 2, (diff & ells).sum() % 2).astype(np.uint8)
+            ^ binary_repr(z1, params.Q))[..., round_one_positions(params) - 1]
+    parity = (diff & ells).sum(axis=-1) % 2
+    return np.concatenate([z0[..., n - d:] % 2, parity[..., None]],
+                          axis=-1).astype(np.uint8)
 
 
-def honest_first_round(record: EncryptionRecord, params: Params,
-                       rng: np.random.Generator) -> FirstRoundResult:
-    """Prepare w = A r - c v + z, resolve the consistent preimages through
-    the referee's trapdoor (assess_preimages), and reduce the residual state
-    to its claw: two branches when both preimages sit inside the noise box,
-    else the one branch that does."""
-    q, n, m, tau, d = params.q, params.n, params.m, params.tau, params.d
-    a, v = record.ciphertext.a, record.ciphertext.v
+def honest_commitment(a: ZqArray, v: ZqArray, params: Params,
+                      rng: np.random.Generator) -> tuple[ZqArray, np.ndarray]:
+    """One trial's commitment w = A r - c v + z (r uniform, c a coin, z
+    uniform in the noise box) and its round-one measurement bits ells, at
+    round_one_positions, drawn from the trial's prover stream."""
+    q, n, m, tau = params.q, params.n, params.m, params.tau
     r = rng.integers(0, q, size=n, dtype=np.int64)
     coin = int(rng.integers(0, 2))
     box = rng.integers(-tau, tau + 1, size=m, dtype=np.int64)
     w = ZqArray(q, matmul_mod(a.values, r, q) - coin * v.values + box)
-
-    preimages = assess_preimages(w, record, params)
-    z0, z1, in_box0, in_box1 = preimages
-    ells = rng.integers(0, 2, size=n * params.Q - d).astype(np.uint8)
-    if in_box0 and in_box1:
-        answer = round_one_answer(z0, z1, ells, params)
-        claw = ClawDescription(branch0=answer[:d], branch1=z1[n - d:] % 2,
-                               phase=1 - 2 * int(answer[d]))
-    elif in_box0:
-        claw = ClawDescription(branch0=z0[n - d:] % 2, branch1=None)
-    else:
-        claw = ClawDescription(branch0=None, branch1=z1[n - d:] % 2)
-    return FirstRoundResult(w=w, ells=ells, claw=claw, preimages=preimages)
+    ells = rng.integers(0, 2, size=n * params.Q - params.d).astype(np.uint8)
+    return w, ells
 
 
-def honest_second_round(claw: ClawDescription, y,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Measure data qubit j in X or Y according to y_j, the coin qubit in
-    the rotated XY basis; the d+1 outcome bits are the round-two answer.
-    Sampled in closed form (sample_claw_outcomes), not simulated."""
-    branch0, branch1, phase = claw.rows()
-    return sample_claw_outcomes(branch0[None], branch1[None], np.array([phase]),
-                                y, rng)[0]
+@dataclass(frozen=True)
+class FirstRoundResult:
+    """The honest prover's round one over a block of trials: the referee's
+    preimage assessment of each commitment, shared, and the claw each trial
+    is left with, as rows for sample_claw_outcomes."""
+
+    preimages: Preimages
+    branch0: np.ndarray  # (trials, d) data bits of z0
+    branch1: np.ndarray  # (trials, d) data bits of z1
+    phase: np.ndarray    # (trials,) (-1)^{a_d} with two branches, 0 with one
+
+    def claw(self, i: int) -> ClawDescription:
+        """Trial i's claw: both branches when both preimages sit in the noise
+        box, else the one branch that does."""
+        in_box0, in_box1 = self.preimages.in_box[i]
+        if in_box0 and in_box1:
+            return ClawDescription(self.branch0[i], self.branch1[i],
+                                   int(self.phase[i]))
+        if in_box0:
+            return ClawDescription(branch0=self.branch0[i], branch1=None)
+        return ClawDescription(branch0=None, branch1=self.branch1[i])
+
+
+def honest_first_round(shifts: Shifts, ells: np.ndarray,
+                       params: Params) -> FirstRoundResult:
+    """Resolve the consistent preimages of a block of commitments through
+    the referee's trapdoor images (decode_preimages) and reduce each
+    residual state to its claw: two branches when both preimages sit inside
+    the noise box, else the one branch that does.  shifts and ells (trials,
+    nQ - d) are stacked over the block."""
+    n, d = params.n, params.d
+    preimages = decode_preimages(shifts, params)
+    z0, z1 = preimages.z[:, 0], preimages.z[:, 1]
+    answer = round_one_answer(z0, z1, ells, params)
+    phase = np.where(preimages.in_box.all(axis=1),
+                     1 - 2 * answer[:, d].astype(np.int64), 0)
+    return FirstRoundResult(preimages, answer[:, :d],
+                            (z1[:, n - d:] % 2).astype(np.uint8), phase)
+
+
+def honest_second_round(first: FirstRoundResult, ys,
+                        rngs) -> np.ndarray:
+    """Measure each trial's data qubit j in X or Y according to y_j, the coin
+    qubit in the rotated XY basis; the d+1 outcome bits are the round-two
+    answer.  ys is (trials, d + 1), rngs one generator per trial.  Sampled
+    in closed form (sample_claw_outcomes), not simulated; a single branch
+    has phase 0, which gives every outcome with probability 1/2."""
+    return sample_claw_outcomes(first.branch0, first.branch1, first.phase,
+                                ys, rngs)

@@ -68,6 +68,8 @@ def test_binary_repr_examples():
     assert "".join(map(str, binary_repr(5, 4))) == "0101"
     assert "".join(map(str, binary_repr(0, 4))) == "0000"
     assert "".join(map(str, binary_repr(np.array([5, 1]), 4))) == "01010001"
+    rows = binary_repr(np.array([[5, 1], [0, 3]]), 4)   # leading axes kept
+    assert ["".join(map(str, row)) for row in rows] == ["01010001", "00000011"]
 
 
 @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
@@ -197,6 +199,12 @@ def test_matmul_mod_matches_bigint_oracle():
     b = rng.integers(0, q, size=(7, 3)).astype(object)
     want = (a @ b) % q
     got = matmul_mod(a.astype(np.int64), b.astype(np.int64), q)
+    assert (got == want.astype(np.int64)).all()
+    # leading axes broadcast as in np.matmul, chunks and all
+    a3 = rng.integers(0, q, size=(4, 2, 7)).astype(object)
+    b3 = rng.integers(0, q, size=(4, 7, 3)).astype(object)
+    want = np.array([(x @ y) % q for x, y in zip(a3, b3)])
+    got = matmul_mod(a3.astype(np.int64), b3.astype(np.int64), q)
     assert (got == want.astype(np.int64)).all()
     with pytest.raises(ValueError):
         matmul_mod(np.ones((2, 2), dtype=np.int64),

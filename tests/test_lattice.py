@@ -167,15 +167,19 @@ def test_gen_trap_peak_memory():
 @pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
                          ids=["desk", "separation"])
 def test_ternary_product_is_exact(params):
-    # R Abar and R v_top against Python integers, at the largest partial sums
-    # the presets allow: R all +1 or all -1 against residues all q - 1
+    # R Abar and R v_top against Python integers and against int64, at the
+    # largest partial sums the presets allow (R all +1 or all -1 against
+    # residues all q - 1), at negative sums that are exact multiples of q
+    # (q - 1 and 1 alternating), and at zero
     q, rows, inner = params.q, params.Q * params.n, (params.Q + 1) * params.n
     assert inner * q < 2 ** 53
     gen = stream("tern")
     rs = [np.ones((rows, inner)), -np.ones((rows, inner)),
           gen.integers(-1, 2, size=(rows, inner)).astype(np.float64)]
+    alternating = np.where(np.arange(inner) % 2, 1, q - 1)
     operands = [np.full((inner, 2), q - 1, dtype=np.int64),
                 np.full(inner, q - 1, dtype=np.int64),
+                np.stack([alternating, np.zeros(inner, dtype=np.int64)], axis=1),
                 gen.integers(0, q, size=(inner, params.n), dtype=np.int64)]
     for r in rs:
         for x in operands:
@@ -183,6 +187,8 @@ def test_ternary_product_is_exact(params):
             got = _ternary_matmul_mod(r, x, q)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want.astype(np.int64))
+            # |r @ x| < inner q < 2^53, so int64 sums are exact too
+            np.testing.assert_array_equal(got, (r.astype(np.int64) @ x) % q)
 
 
 def test_ternary_product_bound_guard():

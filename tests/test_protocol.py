@@ -1,20 +1,24 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poqlab import lattice
+from poqlab import lattice, protocol
 from poqlab.attack import best_score, rewind, run_experiment_s
 from poqlab.cli import main
-from poqlab.core import Rng, derive_params, desk_params
-from poqlab.lattice import ZqArray, assess_preimages, encrypt
+from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
+from poqlab.lattice import ZqArray, assess_preimages, invert
+from poqlab.games import j_sample_inputs
 from poqlab.protocol import (ScoreStats, Transcript, play_round,
-                             referee_first_assessment, run_game_j, run_game_r)
-from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
-from poqlab.quantum import honest_first_round
+                             referee_first_assessment, referee_score,
+                             run_game_j, run_game_r)
+from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
+                            answer_table)
+from poqlab.quantum import honest_second_round
 
 from oracles import best_score_oracle
 
@@ -116,6 +120,127 @@ def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
     assert _transcript_digest(res) == digest
 
 
+@pytest.mark.parametrize("prover, params, sequential", [
+    ("honest", PARAMS, False),
+    ("honest", desk_params(d=16, n=16), True),
+    (TrapdoorLeakProver(PARAMS), PARAMS, True),
+], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk"])
+def test_transcripts_do_not_depend_on_trials_or_blocks(prover, params,
+                                                       sequential):
+    # trial t draws only from its own streams, so its transcript is the same
+    # whether the game stops before, at or after a block boundary
+    block = protocol._BLOCK
+    lines = {}
+    for trials in (1, block - 1, block, block + 1, 2 * block + 3):
+        res = run_game_r(prover, params, trials, Rng(77), sequential=sequential,
+                         keep_transcripts=True)
+        lines[trials] = [t.to_line() for t in res.transcripts]
+    longest = lines[2 * block + 3]
+    for trials, got in lines.items():
+        assert got == longest[:trials]
+    # and each trial is its one-trial round, whatever its row in the block
+    rng, game = Rng(77), "Rseq" if sequential else "R"
+    for t, line in enumerate(longest):
+        x, y = j_sample_inputs(params.d, rng.stream("gameR/inputs", t))
+        first = play_round(prover, params, x, rng, "gameR", t)
+        honest = prover == "honest"
+        (a,), _, (e_flag,), (f_flag,) = referee_first_assessment(
+            [first], params, lambda i: rng.stream("gameR/referee", t),
+            first.mem.preimages if honest else None)
+        b = (honest_second_round(first.mem, y[None],
+                                 [rng.stream("gameR/prover2", t)])[0]
+             if honest else answer_table(prover, y[None], first.mem)[0])
+        a, b, score, accepted = referee_score(x, y, a, b)
+        assert line == Transcript(
+            game, t, x, y, a, b, first.w.values, first.ells, score,
+            e_flag and accepted, f_flag and accepted,
+            f"{rng.seed}:gameR:{t}").to_line()
+
+
+class _FaultyProver(BlindProver):
+    """A blind prover whose commitment at the listed trials is either moved
+    3 tau off the lattice ('far', so both inversions fail) or one entry short
+    ('short', malformed).  Trials are counted by first_response calls."""
+
+    def __init__(self, params, faults):
+        super().__init__(params)
+        self.faults, self.calls = faults, 0
+
+    def first_response(self, a, v, coins):
+        w, ells, mem = super().first_response(a, v, coins)
+        fault = self.faults.get(self.calls)
+        self.calls += 1
+        if fault == "far":
+            w = ZqArray(w.q, w.values + 3 * self.params.tau)
+        elif fault == "short":
+            w = ZqArray(w.q, w.values[:-1])
+        return w, ells, mem
+
+
+def test_mid_block_failure_stays_local(monkeypatch):
+    # one failing and one malformed commitment inside a block change only
+    # their own trials: the failing one alone derives its fallback stream,
+    # under its own index, and every other trial is its one-trial round
+    # both faults sit in the second block, where a trial's row differs from
+    # its index
+    block = protocol._BLOCK
+    d, far, short = PARAMS.d, block + 2, block + 5
+    assert short < 2 * block
+    derived = []
+    stream = Rng.stream
+
+    def recording_stream(self, name, index=0):
+        derived.append((name, index))
+        return stream(self, name, index)
+
+    monkeypatch.setattr(Rng, "stream", recording_stream)
+    prover = _FaultyProver(PARAMS, {far: "far", short: "short"})
+    res = run_game_r(prover, PARAMS, 2 * block + 3, Rng(61),
+                     keep_transcripts=True)
+    assert [n for n in derived if n[0].endswith("/referee")] == \
+        [("gameR/referee", far)]
+    monkeypatch.setattr(Rng, "stream", stream)
+
+    rng = Rng(61)
+    lost = res.transcripts[short]
+    assert lost.score == -1 and not lost.e_flag and not lost.f_flag
+    assert len(lost.w) == 0 and lost.rescore() == -1
+    fell = res.transcripts[far]
+    assert not fell.e_flag and not fell.f_flag
+    np.testing.assert_array_equal(
+        fell.a, rng.stream("gameR/referee", far).integers(0, 2, size=d + 1))
+    blind = BlindProver(PARAMS)
+    for t, got in enumerate(res.transcripts):
+        if t in (far, short):
+            continue
+        x, y = j_sample_inputs(d, rng.stream("gameR/inputs", t))
+        first = play_round(blind, PARAMS, x, rng, "gameR", t)
+        (a,), (committed,), (e_flag,), (f_flag,) = referee_first_assessment(
+            [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
+        a, b, score, _ = referee_score(x, y, a if committed else None,
+                                       blind.second_response(y, first.mem))
+        np.testing.assert_array_equal(got.a, a)
+        np.testing.assert_array_equal(got.b, b)
+        np.testing.assert_array_equal(got.w, first.w.values)
+        assert (got.score, got.e_flag, got.f_flag) == (score, e_flag, f_flag)
+
+
+def test_honest_game_memory_does_not_grow_with_trials():
+    # a block holds one R and a fixed number of trials, so the peak of a
+    # 64-trial game is that of an 8-trial one (64 stacked R would be 98 MB)
+    params = desk_params(d=16, n=16)
+    run_game_r("honest", params, 1, Rng(0))   # per-Params caches built outside
+    peaks = {}
+    for trials in (8, 64):
+        tracemalloc.start()
+        try:
+            run_game_r("honest", params, trials, Rng(5))
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 1.25 * peaks[8]
+
+
 def _integers_draw(rng, rows, cols):
     """R as it was drawn before the byte draw: int64 from integers(-1, 2),
     then cast to float64."""
@@ -144,27 +269,35 @@ def test_integers_draw_reproduces_earlier_honest_pins(monkeypatch, tmp_path):
 
 def test_honest_round_carries_the_referee_assessment():
     # the preimages the prover hands the referee are exactly what the referee
-    # would compute from (w, record, params), and so is its verdict
+    # would compute from (w, record, params), and what invert gives for each
+    # shift, and so is its verdict
     rng = Rng(29)
+    q, tau = PARAMS.q, PARAMS.tau
     for t in range(40):
         inp = rng.stream("gameR/inputs", t)
-        x = inp.integers(0, 2, size=PARAMS.d)
-        record = encrypt(x, PARAMS, rng.stream("gameR/encrypt", t))
-        first = honest_first_round(record, PARAMS, rng.stream("gameR/prover", t))
+        x = np.append(inp.integers(0, 2, size=PARAMS.d), 1)
+        first = play_round("honest", PARAMS, x, rng, "gameR", t)
+        record = first.record
         fresh = assess_preimages(first.w, record, PARAMS)
-        for got, want in zip(first.preimages, fresh):
-            if isinstance(want, np.ndarray):
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert got == want
-        shared = referee_first_assessment(first.w, first.ells, record, PARAMS,
-                                          lambda: rng.stream("gameR/referee", t),
-                                          first.preimages)
-        recomputed = referee_first_assessment(first.w, first.ells, record,
-                                              PARAMS,
-                                              lambda: rng.stream("gameR/referee", t))
-        np.testing.assert_array_equal(shared[0], recomputed[0])
-        assert shared[1:] == recomputed[1:]
+        for got, want in zip(first.mem.preimages, fresh):
+            np.testing.assert_array_equal(got[0], want)
+        a_mat = record.ciphertext.a
+        for k, target in enumerate([first.w, first.w + record.ciphertext.v]):
+            s = invert(a_mat, record.trapdoor, target, PARAMS)
+            assert fresh.inverted[k] == (s is not None)
+            if s is not None:
+                np.testing.assert_array_equal(fresh.z[k], s)
+                residual = target.values - matmul_mod(a_mat.values, s, q)
+                assert fresh.in_box[k] == (norminf(residual, q) <= tau)
+
+        def fallback(i):
+            return rng.stream("gameR/referee", t)
+
+        shared = referee_first_assessment([first], PARAMS, fallback,
+                                          first.mem.preimages)
+        recomputed = referee_first_assessment([first], PARAMS, fallback)
+        for got, want in zip(shared, recomputed):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_blind_prover_scores_like_all_zero_strategy():

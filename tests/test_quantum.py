@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from poqlab.core import Rng, desk_params
-from poqlab.lattice import encrypt
-from poqlab.protocol import referee_first_assessment, run_game_j
+from poqlab.lattice import Shifts, commitment_shifts, encrypt
+from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector, apply_zc,
                             build_claw_state, coin_zero_probability,
-                            honest_first_round, honest_second_round, measure,
+                            honest_commitment, honest_first_round, measure,
                             round_one_positions, sample_claw_outcomes)
 
 
@@ -161,13 +161,23 @@ def _outcomes(width):
     return np.array(list(itertools.product((0, 1), repeat=width)), dtype=np.int64)
 
 
+def _rows(claw):
+    """(branch0, branch1, phase) as sample_claw_outcomes takes them.  A
+    single branch becomes phase 0: one computational branch gives every X, Y
+    and XY outcome with probability 1/2, which is the law of z = 0."""
+    if claw.degenerate:
+        zeros = np.zeros(claw.d, dtype=np.uint8)
+        return zeros, zeros, 0
+    return claw.branch0, claw.branch1, claw.phase
+
+
 def _sampler_law(claws, y):
     """P(o) for every claw and every outcome o, in amplitude order, as
     sample_claw_outcomes draws it: uniform data bits, then the coin is 0
     with coin_zero_probability."""
     d = claws[0].d
     outs = _outcomes(d + 1)
-    branch0, branch1, phase = (np.array(col) for col in zip(*(c.rows() for c in claws)))
+    branch0, branch1, phase = (np.array(col) for col in zip(*(_rows(c) for c in claws)))
     p0 = coin_zero_probability(branch0[:, None], branch1[:, None],
                                phase[:, None], y, outs[None, :, :d])
     return np.where(outs[:, d] == 0, p0, 1 - p0) / 2 ** d
@@ -253,16 +263,20 @@ def test_sampler_batch_shapes_and_question_check():
     assert out.shape == (5, 4) and out.dtype == np.uint8
     with pytest.raises(ValueError):
         sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 0], gen)
-    claw = ClawDescription(branch0=[0, 1], branch1=[1, 1], phase=-1)
+    # one generator per claw, as the honest prover draws: the same checks
     with pytest.raises(ValueError):
-        honest_second_round(claw, np.array([0, 1], dtype=np.uint8), gen)
+        sample_claw_outcomes([[0, 1]], [[1, 1]], [-1], [0, 1], [gen])
+    with pytest.raises(ValueError, match="one generator per claw"):
+        sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 1], [gen])
 
 
 def test_degenerate_claw_outcomes_uniform():
     gen = stream("h3")
     claw = ClawDescription(branch0=np.array([1, 0], dtype=np.uint8), branch1=None)
     y = np.array([1, 0, 1], dtype=np.uint8)
-    outs = np.array([honest_second_round(claw, y, gen) for _ in range(4000)])
+    rows = [np.asarray(col)[None] for col in _rows(claw)]
+    outs = np.array([sample_claw_outcomes(*rows, y, [gen])[0]
+                     for _ in range(4000)])
     for j in range(3):
         p = outs[:, j].mean()
         assert abs(p - 0.5) <= 4 * 0.5 / np.sqrt(len(outs))
@@ -279,6 +293,19 @@ def test_round_one_positions_skip_claw_bits():
     assert excluded.isdisjoint(set(pos.tolist()))
 
 
+def _honest_round(record, params, gen):
+    """The honest prover's round one on one record, from its prover stream
+    gen, as the game plays it: the commitment, the FirstRound the referee
+    assesses, and the prover's one-trial FirstRoundResult."""
+    w, ells = honest_commitment(record.ciphertext.a, record.ciphertext.v,
+                                params, gen)
+    shifts = commitment_shifts(w, record, params)
+    first = FirstRound(record, w, ells, None, ells, shifts)
+    honest = honest_first_round(Shifts(*(f[None] for f in shifts)),
+                                ells[None], params)
+    return first, honest
+
+
 def test_referee_answer_matches_prover_claw():
     # the referee inverts w itself and derives the answer string; the
     # prover's claw must be the one that answer string describes
@@ -289,14 +316,15 @@ def test_referee_answer_matches_prover_claw():
         gen = rng.stream("enc", t)
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
-        first = honest_first_round(record, params, rng.stream("prover", t))
-        a, e_flag, _ = referee_first_assessment(
-            first.w, first.ells, record, params, lambda: rng.stream("ref", t))
+        first, honest = _honest_round(record, params, rng.stream("prover", t))
+        (a,), _, (e_flag,), _ = referee_first_assessment(
+            [first], params, lambda i: rng.stream("ref", t))
+        claw = honest.claw(0)
         # event E (both preimages in the noise box) is what leaves two branches
-        assert e_flag == (not first.claw.degenerate)
+        assert e_flag == (not claw.degenerate)
         if e_flag:
-            np.testing.assert_array_equal(a[:params.d], first.claw.branch0)
-            assert (first.claw.phase == -1) == bool(a[params.d])
+            np.testing.assert_array_equal(a[:params.d], claw.branch0)
+            assert (claw.phase == -1) == bool(a[params.d])
             checked += 1
     assert checked > 100
 
@@ -310,14 +338,15 @@ def test_honest_first_round_events_and_claw():
         gen = rng.stream("enc", t)
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
-        first = honest_first_round(record, params, rng.stream("prover", t))
-        _, e_flag, f_flag = referee_first_assessment(
-            first.w, first.ells, record, params, lambda: rng.stream("ref", t))
+        first, honest = _honest_round(record, params, rng.stream("prover", t))
+        _, _, (e_flag,), (f_flag,) = referee_first_assessment(
+            [first], params, lambda i: rng.stream("ref", t))
         e_hits += e_flag
         f_hits += f_flag
         if e_flag and f_flag:
             both += 1
-            got = (first.claw.branch0 ^ first.claw.branch1)
+            claw = honest.claw(0)
+            got = (claw.branch0 ^ claw.branch1)
             np.testing.assert_array_equal(got, x.astype(np.uint8))
         assert first.w.values.shape == (params.m,)
         assert len(first.ells) == len(round_one_positions(params))
