@@ -8,7 +8,8 @@ Subpackage map:
   quantum   the honest prover, its claw sampler, the statevector oracle
   provers   the classical prover model and built-in test provers
   protocol  the round engine (blocks of trials; play_round plays one), the
-            total referee, the encrypted game and the claw game, transcripts
+            total referee (check_bits, referee_score: each rule once, over
+            rows of trials), the encrypted game and the claw game, transcripts
   attack    optimal-answer decoding, rewinding, and the experiments that
             replay the round: share-the-prover S1-S3 and distinguishing E
   cli       the poqlab command-line tool
@@ -20,14 +21,15 @@ from .fourier import (Group, GroupFunction, SubsetOfGroup, convolve, dft,
                       uncertainty_bound_check, uncertainty_product,
                       uniformity_nu)
 from .games import (DeterministicStrategy, ParityBalancedSet,
-                    TimeOrderedStrategy, ghz4_closed_form, ghz_score,
-                    ghz_value_bruteforce, j_bias_bruteforce,
-                    j_bias_fourier_identity, j_sample_inputs, j_score,
-                    max_eta_parity_balanced, parity_set_from_strategy,
-                    reduce_ghz4_to_ghz3, strategy_from_parity_set)
+                    ghz4_closed_form, ghz_score, ghz_value_bruteforce,
+                    j_bias_bruteforce, j_bias_fourier_identity,
+                    j_sample_inputs, j_score, max_eta_parity_balanced,
+                    parity_set_from_strategy, reduce_ghz4_to_ghz3,
+                    strategy_from_parity_set)
 from .lattice import GaussianSampler, decrypt, encrypt, gen_trap, invert
 from .protocol import (FirstRound, GameResult, ScoreStats, Transcript,
-                       play_round, referee_score, run_game_j, run_game_r)
+                       check_bits, play_round, referee_score, run_game_j,
+                       run_game_r)
 from .provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from .quantum import (ClawDescription, StateVector, apply_zc,
                       build_claw_state, honest_first_round,

@@ -10,8 +10,9 @@ which walks the d + 1 question levels once and asks the prover's
 respond_bit each distinct question prefix once (provers.answer_table).  The
 prover is deterministic and sees only the prefix, so this is the table of
 its second responses exactly.  best_score judges the rewound answers by the
-referee's rules (its answer check and games.j_score), so a rewound prover
-scores as in game R.
+referee's rules (its answer check protocol.check_bits and games.j_score),
+and experiment S scores its rounds with the referee's verdict
+protocol.referee_score, so a prover scores as in game R.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng
+from .core import Params, Rng, require_count
 from .games import j_sample_inputs, j_score
-from .protocol import (ScoreStats, _bit_rows, play_round,
+from .protocol import (ScoreStats, check_bits, play_round,
                        referee_first_assessment, referee_score)
 from .provers import ClassicalProver, answer_table
 
@@ -84,8 +85,8 @@ def best_score(x, ys, bs, return_argmax: bool = False):
     whether the all-zero answer loses against (y_j, b_j), by games.j_score.
     Flipping by an answer pattern z toggles row j exactly when
     <x AND y_j, z> = 1, so the maximization is a minimum-distance decode.
-    An answer row that the referee rejects (protocol._bit_rows: anything but
-    d + 1 bits) loses for every answer string: a zero row, target 1.
+    An answer row that the referee rejects (protocol.check_bits: anything
+    but d + 1 bits) loses for every answer string: a zero row, target 1.
     """
     x = np.asarray(x, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
@@ -93,7 +94,7 @@ def best_score(x, ys, bs, return_argmax: bool = False):
         raise ValueError("need at least one question")
     if ys.ndim != 2 or ys.shape[1] != len(x):
         raise ValueError("every question must share the length of x")
-    bs, valid = _bit_rows(bs, *ys.shape)
+    bs, valid = check_bits(bs, *ys.shape)
     zeros = np.zeros_like(x)
     targets = np.where(valid, j_score(x, ys, zeros, bs) == -1, 1)
     err, z = decode_error((x & ys) * valid[:, None], targets, return_argmin=True)
@@ -112,8 +113,7 @@ def sampling_bound(alpha: int, set_size: float, base: str = "e") -> float:
     Natural logarithms match the Hoeffding derivation; base-2 mode is kept
     alongside because the worked numbers in circulation use it.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
+    require_count("alpha", alpha)
     log = math.log if base == "e" else math.log2
     return (2 + math.sqrt(log(alpha) + 2 * log(set_size))) / math.sqrt(alpha)
 
@@ -151,24 +151,31 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
     3: like 2, but the advice pair (A, v) is uniform rather than an
        encryption, so the hidden bits can play no role.
     Input, coin, and encryption streams are shared across experiments so the
-    three runs are coupled trial by trial.
+    three runs are coupled trial by trial.  Each answer is checked alone, so
+    a malformed one loses only its trial, and the referee's verdict scores
+    the trials at once.
     """
     if which not in (1, 2, 3):
         raise ValueError("experiment index must be 1, 2, or 3")
+    require_count("trials", trials)
     d = params.d
-    scores = np.zeros(trials, dtype=np.int64)
+    xs, ys, a = (np.zeros((trials, d + 1), dtype=np.uint8) for _ in range(3))
+    committed = np.ones(trials, dtype=bool)
+    checked = []
     for t in range(trials):
-        x, y = j_sample_inputs(d, rng.stream("sexp/inputs", t))
-        first = play_round(prover, params, x, rng, "sexp", t, real=which != 3)
+        xs[t], ys[t] = j_sample_inputs(d, rng.stream("sexp/inputs", t))
+        first = play_round(prover, params, xs[t], rng, "sexp", t,
+                           real=which != 3)
         if which == 1:
-            (a,), (committed,), _, _ = referee_first_assessment(
+            a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
                 [first], params, lambda i: rng.stream("sexp/referee", t))
-            a = a if committed else None
         else:
-            _, a = best_score(x, *rewind(prover, first.mem, d),
-                              return_argmax=True)
-        _, _, scores[t], _ = referee_score(x, y, a,
-                                           prover.second_response(y, first.mem))
+            _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d),
+                                 return_argmax=True)
+        checked.append(check_bits([prover.second_response(ys[t], first.mem)],
+                                  1, d + 1))
+    b, b_ok = (np.concatenate(col) for col in zip(*checked))
+    _, _, scores, _ = referee_score(xs, ys, a, committed, b, b_ok)
     return ScoreStats.from_scores(scores)
 
 
@@ -189,6 +196,8 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
     alpha = None enumerates every second-round question; a positive alpha
     samples that many.
     """
+    if alpha is not None:
+        require_count("alpha", alpha)
     d = params.d
     arm_rng = rng.stream("expE/arm", rep)
     hidden = int(arm_rng.integers(0, 2))
@@ -232,6 +241,7 @@ def experiment_e_campaign(prover: ClassicalProver, params: Params, reps: int,
     [-1, 1], but its count is 0 and advantage and stderr are nan: the
     difference is not measured then.
     """
+    require_count("reps", reps)
     rs = {0: [], 1: []}
     correct = 0
     for rep in range(reps):
@@ -291,6 +301,7 @@ def attack_plan(d: int, epsilon: float, alpha: int) -> AttackPlan:
     weight_cap, leaving 2^{weight_cap} decode candidates of cost
     2 * alpha * weight_cap bit operations each.
     """
+    require_count("alpha", alpha)
     ceiling = 2 * (3 / 4) ** (d / 4)
     ceiling_4dp = math.ceil(ceiling * 10 ** 4) / 10 ** 4
     # smallest weight cap whose binomial tail drops below 0.12%

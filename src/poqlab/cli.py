@@ -40,6 +40,8 @@ def _config_argv(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ValueError("--config needs a path")
     cfg = _load_config(argv[at + 1])
     flags: list[str] = []
     for key, value in cfg.items():

@@ -164,6 +164,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameters
 
+def require_count(name: str, value: int) -> None:
+    """Raise ValueError naming the argument unless value is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Params:
     """The seven protocol sizes plus the preset tag they were derived under.

@@ -8,8 +8,9 @@ zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 
 The transform runs in floating point for every input.  Supports, on either
 side of the transform, are the entries whose modulus exceeds SUPPORT_EPS, so
-support sizes and the uncertainty products built on them depend on that
-cutoff.  Only the Fraction-valued linearity coefficient of an indicator
+support sizes and the uncertainty products built on them depend on that one
+cutoff; uncertainty_bound_check tests unit norms and the bound within
+BOUND_TOL.  Only the Fraction-valued linearity coefficient of an indicator
 (eta_set) is exact.
 """
 
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 SUPPORT_EPS = 1e-9
+BOUND_TOL = 1e-9
 
 
 class ZeroFunction(ValueError):
@@ -87,8 +89,8 @@ class GroupFunction:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def support(self, eps: float = SUPPORT_EPS) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.values) > eps)
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(np.abs(self.values) > SUPPORT_EPS)
 
 
 @dataclass(frozen=True)
@@ -206,29 +208,28 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
 # ---------------------------------------------------------------------------
 # uncertainty relations
 
-def support_size(f: GroupFunction, eps: float = SUPPORT_EPS) -> int:
-    return int(len(f.support(eps)))
+def support_size(f: GroupFunction) -> int:
+    return int(len(f.support()))
 
 
-def uncertainty_product(h: GroupFunction, eps: float = SUPPORT_EPS) -> float:
+def uncertainty_product(h: GroupFunction) -> float:
     """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|; at least 1 for nonzero h."""
     if not np.abs(h.values).any():
         raise ZeroFunction("uncertainty product of the zero function")
     hh = dft(h)
-    return (support_size(h, eps) * support_size(hh, eps)
+    return (support_size(h) * support_size(hh)
             * uniformity_nu(h) * linearity_eta(h)) / h.group.size
 
 
-def donoho_stark_check(h: GroupFunction, eps: float = SUPPORT_EPS) -> bool:
+def donoho_stark_check(h: GroupFunction) -> bool:
     """|Supp h| * |Supp h_hat| >= |G| under the support cutoff."""
     if not np.abs(h.values).any():
         raise ZeroFunction("support product of the zero function")
-    return support_size(h, eps) * support_size(dft(h), eps) >= h.group.size
+    return support_size(h) * support_size(dft(h)) >= h.group.size
 
 
-def uncertainty_bound_check(f: GroupFunction, g: GroupFunction,
-                            eps: float = SUPPORT_EPS,
-                            tol: float = 1e-9) -> tuple[float, float, bool]:
+def uncertainty_bound_check(f: GroupFunction,
+                            g: GroupFunction) -> tuple[float, float, bool]:
     """lhs = |<f_hat, g>| against rhs = (|Supp f||Supp g| nu(f) eta(f)/|G|)^(1/4).
 
     Both arguments must be unit vectors; g lives on the transform side, which
@@ -236,10 +237,10 @@ def uncertainty_bound_check(f: GroupFunction, g: GroupFunction,
     """
     if f.group != g.group:
         raise GroupMismatch(f"{f.group} vs {g.group}")
-    if abs(f.norm2() - 1.0) > tol or abs(g.norm2() - 1.0) > tol:
+    if abs(f.norm2() - 1.0) > BOUND_TOL or abs(g.norm2() - 1.0) > BOUND_TOL:
         raise ValueError("f and g must be normalized to unit 2-norm")
     fh = dft(f)
     lhs = abs(complex(np.vdot(g.values, fh.values)))
-    rhs = float((support_size(f, eps) * support_size(g, eps)
+    rhs = float((support_size(f) * support_size(g)
                  * uniformity_nu(f) * linearity_eta(f) / f.group.size) ** 0.25)
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + BOUND_TOL

@@ -7,8 +7,11 @@ parity game is a function {0,1}^d -> {0,1}^d, stored as a table indexed by
 the little-endian integer encoding of the input bits.  Each such strategy is
 equivalent to a parity-balanced subset of Z_4^d via s(x) = x + 2 f(x); all
 search code works on the subset side where the win condition is linear.
-j_score is the claw game's one score rule; every claw-game score in poqlab
-(search, bias identity, referee, rewinding decoder) goes through it.
+Each game's score rule is stated once and broadcasts over leading axes:
+ghz_score for the parity game (the one-round search scores every strategy
+tuple through it), and j_score for the claw game, which every claw-game
+score in poqlab (search, bias identity, referee, rewinding decoder) goes
+through.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ import numpy as np
 from .fourier import Group, GroupFunction, SubsetOfGroup, dft, eta_set
 
 SEARCH_CEILING = 1 << 32
+
+# the one-round search scores its strategy tuples in blocks whose answer
+# array holds at most this many entries (8 MiB of int64)
+_SINGLE_BLOCK = 1 << 20
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -47,16 +54,23 @@ def index_of(bits) -> int:
 # ---------------------------------------------------------------------------
 # the k-player parity game
 
-def ghz_score(k: int, x, a) -> int:
-    """+1 iff sum(x) + 2*sum(a) is divisible by 4, else -1.
+def ghz_score(x, a):
+    """+1 iff sum(x) + 2*sum(a) is divisible by 4, else -1.  The last axis
+    holds the k >= 3 players' bits; leading axes broadcast to an array of
+    scores, and two single strings give an int.
 
-    x must have even parity (the referee never asks anything else).
+    Every x must have even parity (the referee never asks anything else).
     """
-    if k < 3 or len(x) != k or len(a) != k:
-        raise ValueError("need k >= 3 and len(x) == len(a) == k")
-    if sum(int(v) for v in x) % 2:
-        raise OddParityInput(f"x = {tuple(x)} has odd parity")
-    return 1 if (sum(int(v) for v in x) + 2 * sum(int(v) for v in a)) % 4 == 0 else -1
+    x, a = (np.asarray(v, dtype=np.int64) for v in (x, a))
+    if x.shape[-1] != a.shape[-1] or x.shape[-1] < 3:
+        raise ValueError("need k >= 3 and x, a of one length k")
+    total = x.sum(axis=-1)
+    odd = total % 2 == 1
+    if odd.any():
+        row = x.reshape(-1, x.shape[-1])[odd.reshape(-1)][0]
+        raise OddParityInput(f"x = {tuple(row.tolist())} has odd parity")
+    wins = (total + 2 * a.sum(axis=-1)) % 4 == 0
+    return np.where(wins, 1, -1) if wins.ndim else 1 - 2 * int(not wins)
 
 
 def ghz4_closed_form(f1, f2, f3, f4) -> Fraction:
@@ -280,8 +294,11 @@ def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.
 def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> Fraction:
     """Exact optimum winning probability over deterministic strategies.
 
-    mode 'single' is the one-round k-player game; 'parallel' and 'sequential'
-    are the d-fold variants, the latter restricted to time-ordered strategies.
+    mode 'single' is the one-round k-player game.  Its search scores every
+    tuple of one-bit strategies on every even-parity question through
+    ghz_score, in blocks of at most _SINGLE_BLOCK answer entries: tuple c
+    answers f_j(x_j) = bit 2j + x_j of c.  'parallel' and 'sequential' are
+    the d-fold variants, the latter restricted to time-ordered strategies.
     The repeated search sees the first two players only through the
     convolution of their counting vectors, so it runs over the distinct pair
     convolutions (1,864 of the 65,536 ordered pairs in parallel mode at d = 2,
@@ -298,16 +315,17 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
         space = (4 ** k) * (1 << (k - 1))
         if space > SEARCH_CEILING:
             raise SearchSpaceTooLarge(f"single-mode space {space} > 2^32")
-        best = Fraction(0)
-        fs = list(itertools.product((0, 1), repeat=2))
-        per_inputs = [x for x in itertools.product((0, 1), repeat=k)
-                      if sum(x) % 2 == 0]
-        for combo in itertools.product(fs, repeat=k):
-            wins = sum(
-                (sum(x) + 2 * sum(combo[j][x[j]] for j in range(k))) % 4 == 0
-                for x in per_inputs)
-            best = max(best, Fraction(wins, len(per_inputs)))
-        return best
+        xs = np.array([x for x in itertools.product((0, 1), repeat=k)
+                       if sum(x) % 2 == 0])
+        shifts = 2 * np.arange(k) + xs          # (questions, k)
+        step = max(_SINGLE_BLOCK // shifts.size, 1)
+        best = 0
+        for start in range(0, 1 << (2 * k), step):
+            tuples = np.arange(start, min(start + step, 1 << (2 * k)))
+            answers = (tuples[:, None, None] >> shifts) & 1
+            wins = (ghz_score(xs, answers) == 1).sum(axis=1)
+            best = max(best, int(wins.max()))
+        return Fraction(best, len(xs))
 
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -366,28 +384,6 @@ class DeterministicStrategy:
         if outs.shape != (1 << self.d, self.d + 1):
             raise ValueError(f"need shape {(1 << self.d, self.d + 1)}")
         object.__setattr__(self, "outputs", outs)
-
-    def respond(self, question) -> np.ndarray:
-        q = np.asarray(question, dtype=np.uint8)
-        if len(q) != self.d + 1 or q[-1] != 1:
-            raise ValueError("questions are d+1 bits ending in 1")
-        return self.outputs[index_of(q[:-1])].copy()
-
-
-@dataclass(frozen=True)
-class TimeOrderedStrategy(DeterministicStrategy):
-    """A claw-game strategy whose bit i never looks past question bit i."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        # flipping question bit j may move output bits j and later, never earlier
-        for x_idx in range(1 << self.d):
-            for j in range(self.d):
-                other = x_idx ^ (1 << j)
-                if not np.array_equal(self.outputs[x_idx, :j],
-                                      self.outputs[other, :j]):
-                    raise ValueError(
-                        "output bit i may depend only on question bits 1..i")
 
 
 def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

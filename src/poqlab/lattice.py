@@ -28,9 +28,9 @@ live, the trapdoor images of both shifts w and w + v in one product and
 keeps them with A and gamma (Shifts); decode_preimages then decodes both
 shifts and computes each residual t - A z once, which serves both invert's
 2 tau acceptance test and the tau noise-box test.  decode_preimages works
-over leading trial axes, so the game decodes a block of trials at once with
-no R held; assess_preimages is the two steps for one trial, and invert and
-the block decode share gadget_decode.
+over any leading trial axes, so the game decodes a block of trials at once
+with no R held and one trial's Shifts decode alone; invert and the block
+decode share gadget_decode and the residual test.
 """
 
 from __future__ import annotations
@@ -341,12 +341,3 @@ def decode_preimages(shifts: Shifts, params: Params) -> Preimages:
     z = gadget_decode(shifts.images, params)
     norms = _residual_norms(shifts.a, shifts.targets, z, params.q)
     return Preimages(z, norms <= 2 * params.tau, norms <= params.tau)
-
-
-def assess_preimages(w: ZqArray, record: EncryptionRecord,
-                     params: Params) -> Preimages:
-    """Invert w and w + v and apply the noise-box test to each preimage:
-    decode_preimages of one trial's commitment_shifts.  Deterministic in
-    (w, record, params), so the honest prover's result is the one the
-    referee would compute."""
-    return decode_preimages(commitment_shifts(w, record, params), params)

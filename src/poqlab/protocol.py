@@ -18,9 +18,11 @@ attack.py, which replay it on real or uniform advice.
 
 The referee's rules do not depend on the block.  It is total: a message that
 is not well formed loses the trial (score -1); it is never coerced and never
-raises.  Its rules live once: the answer string quantum.round_one_answer,
-the score games.j_score, the message check _bit_rows (_bits for one message;
-attack.best_score checks each rewound answer with it), the verdict _verdict.
+raises.  Each rule is stated once, over rows of trials, and a single message
+or round is a one-row call: the answer string quantum.round_one_answer, the
+score games.j_score, the message check check_bits (attack.best_score checks
+the rewound answers with it), and the verdict referee_score (experiment S
+scores its rounds with it).
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
 any trial subset can be recomputed independently and reruns are bit-exact:
@@ -36,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng, balanced_abs
+from .core import Params, Rng, balanced_abs, require_count
 from .games import j_sample_inputs, j_score
 from .lattice import (EncryptionRecord, Preimages, Shifts, ZqArray,
                       commitment_shifts, decode_preimages, encrypt)
@@ -153,6 +155,7 @@ def run_game_j(d: int, trials: int, rng: Rng,
     """Honest strategy at the claw game, vectorized over trials: a is the
     uniform first-round outcome, which leaves the claw
     (a[:d], a[:d] ^ x[:d], (-1)^{a_d}), and b is that claw measured in y."""
+    require_count("trials", trials)
     gen = rng.stream("gameJ/inputs")
     xs = np.hstack([gen.integers(0, 2, size=(trials, d)),
                     np.ones((trials, 1), dtype=np.int64)])
@@ -220,8 +223,9 @@ def _commit(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
             prover.set_leak(None if record is None else record.trapdoor)
         coins = rng.stream(f"{label}/coins", index).integers(0, 1 << 62, size=4)
         w, ells, mem = prover.first_response(a_mat, v_vec, coins)
-    bits = _bits(ells, n * params.Q - params.d)
-    if not isinstance(w, ZqArray) or w.q != q or w.values.shape != (m,):
+    (bits,), (ok,) = check_bits([ells], 1, n * params.Q - params.d)
+    if (not ok or not isinstance(w, ZqArray) or w.q != q
+            or w.values.shape != (m,)):
         bits = None
     shifts = (None if record is None or bits is None
               else commitment_shifts(w, record, params))
@@ -266,8 +270,8 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
     return first if honest is None else replace(first, mem=honest)
 
 
-def _bit_rows(messages, count: int,
-              length: int) -> tuple[np.ndarray, np.ndarray]:
+def check_bits(messages, count: int,
+               length: int) -> tuple[np.ndarray, np.ndarray]:
     """The referee's message check over the rows of messages: a row is
     accepted when it is `length` integer entries in {0, 1}, and every row is
     rejected unless messages is a (count, length) integer array.  Returns
@@ -281,12 +285,6 @@ def _bit_rows(messages, count: int,
                 np.zeros(count, dtype=bool))
     valid = ((arr == 0) | (arr == 1)).all(axis=1)
     return np.where(valid[:, None], arr, 0).astype(np.uint8), valid
-
-
-def _bits(message, length: int) -> np.ndarray | None:
-    """message as uint8 when it is `length` integer entries in {0, 1}."""
-    rows, valid = _bit_rows([message], 1, length)
-    return rows[0] if valid[0] else None
 
 
 def referee_first_assessment(firsts: Sequence[FirstRound], params: Params,
@@ -340,32 +338,20 @@ def _losing_answer(x, y, b) -> np.ndarray:
     return a
 
 
-def _verdict(xs, ys, a, committed, b, b_ok):
+def referee_score(xs, ys, a, committed, b, b_ok):
     """The referee's verdict over rows of rounds: (a, b, scores, accepted),
-    as referee_score gives it for each row.  A row is accepted when its
-    commitment was (committed) and its answer b is d + 1 bits (b_ok; b is
-    zeros where not)."""
+    with a and b as recorded.
+
+    A row is accepted when its commitment was (committed; its a is ignored
+    where not) and its answer b is d + 1 bits (b_ok, from check_bits; b is
+    zeros where not).  An accepted row is scored by games.j_score; a
+    rejected one scores -1 and records b with the answer string that loses
+    against it (_losing_answer).
+    """
     accepted = committed & b_ok
     if not accepted.all():
         a = np.where(accepted[:, None], a, _losing_answer(xs, ys, b))
     return a, b, np.where(accepted, j_score(xs, ys, a, b), -1), accepted
-
-
-def referee_score(x, y, a, b) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """The referee's verdict on a round: (a, b, score, accepted), with a and
-    b as recorded.
-
-    a is None when the commitment was rejected; b is rejected unless it is
-    d + 1 bits.  A rejected trial scores -1 and records b (zeros when b was
-    the rejected message) with the answer string that loses against it
-    (_losing_answer).
-    """
-    bits = _bits(b, len(x))
-    if a is not None and bits is not None:
-        return a, bits, j_score(x, y, a, bits), True
-    if bits is None:
-        bits = np.zeros(len(x), dtype=np.uint8)
-    return _losing_answer(x, y, bits), bits, -1, False
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +369,18 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
         firsts, params, lambda i: rng.stream("gameR/referee", ts[i]),
         None if honest is None else honest.preimages)
     if honest is not None:
-        b, b_ok = _bit_rows(honest_second_round(
+        b, b_ok = check_bits(honest_second_round(
             honest, ys, [rng.stream("gameR/prover2", t) for t in ts]),
             len(ts), d + 1)
     else:
         # each answer is checked alone, so a malformed one loses only its trial
-        checked = [_bit_rows([answer_table(prover, y[None], first.mem)[0]
-                              if sequential
-                              else prover.second_response(y, first.mem)],
-                             1, d + 1)
+        checked = [check_bits([answer_table(prover, y[None], first.mem)[0]
+                               if sequential
+                               else prover.second_response(y, first.mem)],
+                              1, d + 1)
                    for y, first in zip(ys, firsts)]
-        b = np.concatenate([rows for rows, _ in checked])
-        b_ok = np.concatenate([ok for _, ok in checked])
-    a, b, scores, accepted = _verdict(xs, ys, a, committed, b, b_ok)
+        b, b_ok = (np.concatenate(col) for col in zip(*checked))
+    a, b, scores, accepted = referee_score(xs, ys, a, committed, b, b_ok)
     e, f = e & accepted, f & accepted
     transcripts = []
     if keep_transcripts:
@@ -421,6 +406,7 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
     (the honest measurement order is already sequential).  Trials are
     played in blocks of _BLOCK (see the module docstring); the transcripts
     do not depend on the block size."""
+    require_count("trials", trials)
     if params.d < 1:
         raise ValueError("need d >= 1")
     if not params.game_r_runnable:

@@ -12,7 +12,7 @@ from poqlab.core import Params, matmul_mod
 from poqlab.fourier import SubsetOfGroup, ZeroFunction
 from poqlab.games import index_of
 from poqlab.lattice import GaussianSampler, ZqArray
-from poqlab.protocol import referee_score
+from poqlab.protocol import check_bits, referee_score
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +170,19 @@ def collision_probability(p: np.ndarray) -> Fraction:
 
 def best_score_oracle(x, pairs) -> float:
     """Direct maximization over all answer strings of the average score the
-    referee gives (protocol.referee_score, so a malformed b loses);
-    independent of attack.decode_error."""
+    referee gives (protocol.referee_score on each b checked alone, so a
+    malformed b loses); independent of attack.decode_error."""
     x = np.asarray(x, dtype=np.int64)
     width = len(x)
+    ys = np.array([y for y, _ in pairs])
+    checked = [check_bits([b], 1, width) for _, b in pairs]
+    bs, ok = (np.concatenate(col) for col in zip(*checked))
+    committed = np.ones(len(pairs), dtype=bool)
     best = -1.0
     for a_idx in range(1 << width):
-        a = (a_idx >> np.arange(width)) & 1
-        avg = float(np.mean([referee_score(x, y, a, b)[2] for y, b in pairs]))
-        best = max(best, avg)
+        a = np.broadcast_to((a_idx >> np.arange(width)) & 1, ys.shape)
+        scores = referee_score(x, ys, a, committed, bs, ok)[2]
+        best = max(best, float(np.mean(scores)))
     return best
 
 

@@ -12,7 +12,7 @@ from poqlab.attack import (attack_plan, best_score, decode_error,
                            sampling_bound)
 from poqlab.core import Rng, desk_params
 from poqlab.games import j_sample_inputs, j_score
-from poqlab.protocol import play_round, referee_score
+from poqlab.protocol import check_bits, play_round, referee_score
 from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 
 from oracles import best_score_oracle, exact_max_mean, sampled_max_mean
@@ -183,8 +183,10 @@ def test_rewound_score_is_the_referee_score():
         ys, bs = rewind(prover, first.mem, params.d)
         rho, a = best_score(x, ys, bs, return_argmax=True)
         assert out.hidden_bit == hidden and out.rho == rho
-        assert rho == np.mean([referee_score(x, y, a, b)[2]
-                               for y, b in zip(ys, bs)])
+        rows = np.ones(len(ys), dtype=bool)
+        scores = referee_score(x, ys, np.broadcast_to(a, ys.shape), rows,
+                               *check_bits(bs, *ys.shape))[2]
+        assert rho == np.mean(scores)
         if hidden == 0:
             real_rhos.append(rho)
     assert real_rhos and max(real_rhos) < 1.0
@@ -208,6 +210,27 @@ def test_sampling_bound_decreases_in_alpha():
     assert all(x > y for x, y in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         sampling_bound(0, 4)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_attack_counts_below_one_name_the_argument(count):
+    # refused up front, by name: no division by zero reps, and no empty or
+    # negative question sample reaching the decoder or math.log2
+    prover = BlindProver(PARAMS6)
+    calls = [
+        ("reps", lambda: experiment_e_campaign(prover, PARAMS6, count,
+                                               Rng(0))),
+        ("alpha", lambda: experiment_e_campaign(prover, PARAMS6, 2, Rng(0),
+                                                alpha=count)),
+        ("alpha", lambda: experiment_e(prover, PARAMS6, Rng(0), 0,
+                                       alpha=count)),
+        ("alpha", lambda: attack_plan(40, 0.05, count)),
+        ("alpha", lambda: sampling_bound(count, 4)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be at least 1, got {count}$"):
+            call()
 
 
 def test_sampled_max_deviation_within_bound():

@@ -157,6 +157,30 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
     assert "trials=77" in out
 
 
+def test_config_without_a_path_fails(capsys):
+    assert main(["run", "--game", "J", "--config"]) == 1
+    assert capsys.readouterr().err == "error: --config needs a path\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--game", "R", "--trials", "0"), "trials must be at least 1, got 0"),
+    (("run", "--game", "J", "--trials", "-1"),
+     "trials must be at least 1, got -1"),
+    (("attack", "--experiment", "E", "--reps", "0"),
+     "reps must be at least 1, got 0"),
+    (("attack", "--experiment", "Eprime", "--reps", "4", "--alpha", "0"),
+     "alpha must be at least 1, got 0"),
+    (("attack", "--experiment", "Eprime", "--reps", "4", "--alpha", "-3"),
+     "alpha must be at least 1, got -3"),
+    (("attack", "--experiment", "plan", "--alpha", "0"),
+     "alpha must be at least 1, got 0"),
+])
+def test_counts_below_one_fail_with_their_name(capsys, argv, message):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_unknown_config_key_fails(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a config line\n")

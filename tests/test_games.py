@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from poqlab import games
 from poqlab.fourier import Group, GroupFunction, uniformity_nu
 from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInput,
                           ParityBalancedSet, SearchSpaceTooLarge,
-                          TimeOrderedStrategy, _best_response_parallel,
+                          _best_response_parallel,
                           _best_response_sequential, _counting_vectors,
                           _distinct_pair_convolutions, _group_index_tools,
                           _tables, bits_of,
@@ -35,11 +36,37 @@ def all_tables(d):
 # --- scoring -----------------------------------------------------------------
 
 def test_ghz_score_examples():
-    assert ghz_score(4, [0, 0, 0, 0], [0, 0, 0, 0]) == 1
-    assert ghz_score(4, [1, 1, 0, 0], [1, 0, 0, 0]) == 1
-    assert ghz_score(4, [1, 1, 0, 0], [0, 0, 0, 0]) == -1
+    assert ghz_score([0, 0, 0, 0], [0, 0, 0, 0]) == 1
+    assert ghz_score([1, 1, 0, 0], [1, 0, 0, 0]) == 1
+    assert ghz_score([1, 1, 0, 0], [0, 0, 0, 0]) == -1
     with pytest.raises(OddParityInput):
-        ghz_score(4, [1, 0, 0, 0], [0, 0, 0, 0])
+        ghz_score([1, 0, 0, 0], [0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        ghz_score([0, 0, 0, 0], [0, 0, 0])
+    with pytest.raises(ValueError):
+        ghz_score([0, 0], [0, 0])
+
+
+def test_ghz_score_batched_matches_scalar():
+    gen = np.random.default_rng(4)
+    x, a = gen.integers(0, 2, size=(2, 50, 5))
+    x[:, -1] = x[:, :-1].sum(axis=1) % 2   # even parity
+    got = ghz_score(x, a)
+    assert got.shape == (50,)
+    for t in range(50):
+        want = ghz_score(x[t], a[t])
+        assert isinstance(want, int) and got[t] == want
+        wins = (sum(x[t]) + 2 * sum(a[t])) % 4 == 0
+        assert want == (1 if wins else -1)
+    # one question row against a block of answer tables, as the one-round
+    # search scores them
+    grid = ghz_score(x[:7], a[:, None, :])
+    assert grid.shape == (50, 7)
+    for t, i in itertools.product(range(50), range(7)):
+        assert grid[t, i] == ghz_score(x[i], a[t])
+    x[3, 0] ^= 1
+    with pytest.raises(OddParityInput):
+        ghz_score(x, a)
 
 
 def _one_round_value_oracle(k):
@@ -59,6 +86,17 @@ def test_one_round_values():
     assert ghz_value_bruteforce(3, "single") == Fraction(3, 4)
     assert ghz_value_bruteforce(3, "single") == _one_round_value_oracle(3)
     assert ghz_value_bruteforce(4, "single") == _one_round_value_oracle(4)
+    want = {3: Fraction(3, 4), 4: Fraction(3, 4), 5: Fraction(5, 8),
+            6: Fraction(5, 8), 7: Fraction(9, 16)}
+    for k, value in want.items():
+        assert ghz_value_bruteforce(k, "single") == value
+
+
+def test_one_round_blocks_equal_one_shot(monkeypatch):
+    # a block of one strategy tuple scores the same as the whole search
+    monkeypatch.setattr(games, "_SINGLE_BLOCK", 1)
+    assert ghz_value_bruteforce(4, "single") == Fraction(3, 4)
+    assert ghz_value_bruteforce(5, "single") == Fraction(5, 8)
 
 
 def test_closed_form_examples():
@@ -431,22 +469,3 @@ def test_fourier_identity_random_d2():
         t = DeterministicStrategy(2, gen.integers(0, 2, size=(4, 3)).astype(np.uint8))
         res = j_bias_fourier_identity(s, t)
         assert res.identity_holds and res.chain_holds
-
-
-def test_time_ordered_strategy_validation():
-    outputs = np.array([[0, 0], [1, 1]], dtype=np.uint8)
-    TimeOrderedStrategy(1, outputs)  # d=1: no constraint can bite
-    bad = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=np.uint8)
-    # output bit 0 depends on question bit 1 here
-    with pytest.raises(ValueError):
-        TimeOrderedStrategy(2, bad)
-    fine = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=np.uint8)
-    TimeOrderedStrategy(2, fine)
-
-
-def test_strategy_respond():
-    s = DeterministicStrategy(1, np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    np.testing.assert_array_equal(s.respond([0, 1]), [0, 1])
-    np.testing.assert_array_equal(s.respond([1, 1]), [1, 0])
-    with pytest.raises(ValueError):
-        s.respond([1, 0])

@@ -11,9 +11,9 @@ from poqlab import lattice, protocol
 from poqlab.attack import best_score, rewind, run_experiment_s
 from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
-from poqlab.lattice import ZqArray, assess_preimages, invert
+from poqlab.lattice import ZqArray, commitment_shifts, decode_preimages, invert
 from poqlab.games import j_sample_inputs
-from poqlab.protocol import (ScoreStats, Transcript, play_round,
+from poqlab.protocol import (ScoreStats, Transcript, check_bits, play_round,
                              referee_first_assessment, referee_score,
                              run_game_j, run_game_r)
 from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
@@ -91,6 +91,24 @@ def test_game_r_rejects_bad_params():
         run_game_r("honest", bad, 10, Rng(0))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trial_counts_below_one_name_the_argument(trials):
+    # refused up front, by name: no empty mean (a RuntimeWarning and NaN
+    # rates) and no negative array dimension
+    plays = [
+        lambda: run_game_r("honest", PARAMS, trials, Rng(0)),
+        lambda: run_game_r(BlindProver(PARAMS), PARAMS, trials, Rng(0),
+                           sequential=True),
+        lambda: run_game_j(4, trials, Rng(0)),
+        lambda: run_experiment_s(2, BlindProver(PARAMS), PARAMS, trials,
+                                 Rng(0)),
+    ]
+    for play in plays:
+        with pytest.raises(ValueError,
+                           match=f"^trials must be at least 1, got {trials}$"):
+            play()
+
+
 def test_game_r_determinism():
     r1 = run_game_r("honest", PARAMS, 40, Rng(13), keep_transcripts=True)
     r2 = run_game_r("honest", PARAMS, 40, Rng(13), keep_transcripts=True)
@@ -144,15 +162,16 @@ def test_transcripts_do_not_depend_on_trials_or_blocks(prover, params,
         x, y = j_sample_inputs(params.d, rng.stream("gameR/inputs", t))
         first = play_round(prover, params, x, rng, "gameR", t)
         honest = prover == "honest"
-        (a,), _, (e_flag,), (f_flag,) = referee_first_assessment(
+        a, committed, (e_flag,), (f_flag,) = referee_first_assessment(
             [first], params, lambda i: rng.stream("gameR/referee", t),
             first.mem.preimages if honest else None)
         b = (honest_second_round(first.mem, y[None],
-                                 [rng.stream("gameR/prover2", t)])[0]
-             if honest else answer_table(prover, y[None], first.mem)[0])
-        a, b, score, accepted = referee_score(x, y, a, b)
+                                 [rng.stream("gameR/prover2", t)])
+             if honest else answer_table(prover, y[None], first.mem))
+        (a,), (b,), (score,), (accepted,) = referee_score(
+            x[None], y[None], a, committed, *check_bits(b, 1, params.d + 1))
         assert line == Transcript(
-            game, t, x, y, a, b, first.w.values, first.ells, score,
+            game, t, x, y, a, b, first.w.values, first.ells, int(score),
             e_flag and accepted, f_flag and accepted,
             f"{rng.seed}:gameR:{t}").to_line()
 
@@ -215,10 +234,11 @@ def test_mid_block_failure_stays_local(monkeypatch):
             continue
         x, y = j_sample_inputs(d, rng.stream("gameR/inputs", t))
         first = play_round(blind, PARAMS, x, rng, "gameR", t)
-        (a,), (committed,), (e_flag,), (f_flag,) = referee_first_assessment(
+        a, committed, (e_flag,), (f_flag,) = referee_first_assessment(
             [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
-        a, b, score, _ = referee_score(x, y, a if committed else None,
-                                       blind.second_response(y, first.mem))
+        (a,), (b,), (score,), _ = referee_score(
+            x[None], y[None], a, committed,
+            *check_bits([blind.second_response(y, first.mem)], 1, d + 1))
         np.testing.assert_array_equal(got.a, a)
         np.testing.assert_array_equal(got.b, b)
         np.testing.assert_array_equal(got.w, first.w.values)
@@ -278,7 +298,8 @@ def test_honest_round_carries_the_referee_assessment():
         x = np.append(inp.integers(0, 2, size=PARAMS.d), 1)
         first = play_round("honest", PARAMS, x, rng, "gameR", t)
         record = first.record
-        fresh = assess_preimages(first.w, record, PARAMS)
+        fresh = decode_preimages(commitment_shifts(first.w, record, PARAMS),
+                                 PARAMS)
         for got, want in zip(first.mem.preimages, fresh):
             np.testing.assert_array_equal(got[0], want)
         a_mat = record.ciphertext.a
