@@ -6,16 +6,24 @@ flat index sum_j x_j * m**j (little-endian mixed radix).  The transform pairs
 the group with itself through the character x' |-> zeta^{x . x'} with
 zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 
+dft, idft, convolve and the linearity coefficient all go through one unitary
+transform with two paths.  For m <= _MATRIX_MAX_M it applies the m x m
+character matrix once per axis, built on first use and cached read-only;
+larger moduli go to np.fft, where a dense matrix would be slower and, near
+the CLI's 4^12 cap, too large to hold.  The linearity coefficient takes one
+forward transform: by Parseval, sum_s P[x+y=s]^2 = |G| sum |p_hat|^4.
+
 The transform runs in floating point for every input.  Supports, on either
 side of the transform, are the entries whose modulus exceeds SUPPORT_EPS, so
 support sizes and the uncertainty products built on them depend on that one
 cutoff; uncertainty_bound_check tests unit norms and the bound within
 BOUND_TOL.  Only the Fraction-valued linearity coefficient of an indicator
-(eta_set) is exact.
+(eta_set, which counts pair sums in integers) is exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +31,16 @@ import numpy as np
 
 SUPPORT_EPS = 1e-9
 BOUND_TOL = 1e-9
+
+# Largest modulus transformed by character matrices.  Against np.fft.ifftn
+# (numpy 2.4.6, 2 CPUs) the matrix path measured 3.6-4.7x faster at Z_4^3,
+# 9-19x at Z_4^n for 5 <= n <= 10 and 1.5-2.3x at Z_32^2; it broke even
+# near Z_64^2 and ran at 0.4-0.6x on Z_128^2 and 0.2-0.3x on Z_1021.  Near
+# the CLI's cap of 4^12 elements an m x m matrix would not fit in memory.
+_MATRIX_MAX_M = 32
+
+# eta_set counts pair sums in row blocks of at most this many pairs
+_PAIR_BLOCK = 1 << 16
 
 
 class ZeroFunction(ValueError):
@@ -60,12 +78,6 @@ class Group:
             out.append(idx % self.m)
             idx //= self.m
         return tuple(out)
-
-    def elements(self) -> np.ndarray:
-        """All elements as an (size, n) array, row i = decode(i)."""
-        idx = np.arange(self.size)
-        return np.stack([(idx // self.m ** j) % self.m for j in range(self.n)],
-                        axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -122,32 +134,48 @@ class SubsetOfGroup:
 # ---------------------------------------------------------------------------
 # transform and convolution
 
+@functools.cache
+def _characters(m: int, sign: int) -> np.ndarray:
+    """Read-only unitary m x m matrix C[x, x'] = zeta^{sign x x'} / sqrt(m)."""
+    roots = np.exp(sign * 2j * np.pi * np.arange(m) / m) / np.sqrt(m)
+    k = np.arange(m)
+    c = roots[np.outer(k, k) % m]
+    c.flags.writeable = False
+    return c
+
+
+def _transform(values: np.ndarray, group: Group, sign: int) -> np.ndarray:
+    """|G|^{-1/2} sum_x values(x) zeta^{sign x . x'}, as a flat array."""
+    m, n = group.m, group.n
+    if m > _MATRIX_MAX_M:
+        fft = np.fft.ifftn if sign > 0 else np.fft.fftn
+        return fft(values.reshape([m] * n), norm="ortho").reshape(-1)
+    c = _characters(m, sign)
+    x = values
+    for _ in range(n):
+        # transform the leading (slowest) axis and rotate it to the back;
+        # after n steps every axis is transformed and back in place
+        x = x.reshape(m, -1).T @ c
+    return x.reshape(-1)
+
+
 def dft(f: GroupFunction) -> GroupFunction:
     """f_hat(x') = |G|^{-1/2} sum_x f(x) zeta^{x . x'}."""
-    g = f.group
-    arr = f.values.reshape([g.m] * g.n)
-    # numpy's inverse FFT uses the +2*pi*i/m kernel and divides by the size,
-    # so one ifftn plus a sqrt(|G|) rescale gives exactly this normalization.
-    out = np.fft.ifftn(arr) * np.sqrt(g.size)
-    return GroupFunction(g, out.reshape(-1))
+    return GroupFunction(f.group, _transform(f.values, f.group, 1))
 
 
 def idft(f: GroupFunction) -> GroupFunction:
-    g = f.group
-    arr = f.values.reshape([g.m] * g.n)
-    out = np.fft.fftn(arr) / np.sqrt(g.size)
-    return GroupFunction(g, out.reshape(-1))
+    return GroupFunction(f.group, _transform(f.values, f.group, -1))
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = |G|^{-1/2} sum_y f(x-y) g(y)."""
+    """(f*g)(x) = |G|^{-1/2} sum_y f(x-y) g(y), the inverse transform of
+    f_hat * g_hat."""
     if f.group != g.group:
         raise GroupMismatch(f"{f.group} vs {g.group}")
     gr = f.group
-    a = np.fft.fftn(f.values.reshape([gr.m] * gr.n))
-    b = np.fft.fftn(g.values.reshape([gr.m] * gr.n))
-    out = np.fft.ifftn(a * b) / np.sqrt(gr.size)
-    return GroupFunction(gr, out.reshape(-1))
+    prod = _transform(f.values, gr, 1) * _transform(g.values, gr, 1)
+    return GroupFunction(gr, _transform(prod, gr, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +197,45 @@ def uniformity_nu(f: GroupFunction) -> float:
     return 1.0 / (supp * float((p ** 2).sum()))
 
 
-def _sum_distribution_eta(p: np.ndarray, group: Group):
-    """eta from the distribution of x+y: P[x+y=z+w] = sum_s P[x+y=s]^2."""
-    m, n = group.m, group.n
-    arr = p.reshape([m] * n)
-    conv = np.fft.ifftn(np.fft.fftn(arr) ** 2).real.reshape(-1)
-    num = float((conv ** 2).sum())
-    den = float((p ** 2).sum())
-    return num / den
-
-
 def linearity_eta(f: GroupFunction) -> float:
-    """P[x+y=z+w | p] / P[x=y | p] for p = |f| / ||f||_1."""
+    """P[x+y=z+w | p] / P[x=y | p] for p = |f| / ||f||_1.
+
+    The numerator is sum_s P[x+y=s]^2, which by Parseval equals
+    |G| sum |p_hat|^4 for the unitary transform p_hat.
+    """
     w = _weights(f)
-    return _sum_distribution_eta(w / w.sum(), f.group)
+    p = w / w.sum()
+    power = np.abs(_transform(p, f.group, 1)) ** 2
+    return f.group.size * float((power ** 2).sum()) / float((p ** 2).sum())
 
 
 def eta_set(s: SubsetOfGroup) -> Fraction:
-    """Exact linearity coefficient of an indicator: with t = |S|,
-    eta = t * sum_g N(g)^2 / t^4 / (1/t) where N counts pairs summing to g."""
+    """Exact linearity coefficient of an indicator: with t = |S| and N(g)
+    the number of ordered pairs summing to g, eta = sum_g N(g)^2 / t^3.
+
+    N is counted with np.bincount in row blocks of at most _PAIR_BLOCK
+    pairs, so the pair sums held at once stay bounded for any t.
+    """
     els = np.flatnonzero(s.mask)
     if els.size == 0:
         raise ZeroFunction("eta of the empty set")
     g = s.group
-    coords = g.elements()[els]
-    t = len(els)
-    counts: dict[tuple[int, ...], int] = {}
-    for i in range(t):
-        sums = (coords[i][None, :] + coords) % g.m
-        for row in sums:
-            key = tuple(int(v) for v in row)
-            counts[key] = counts.get(key, 0) + 1
-    pair_collisions = sum(c * c for c in counts.values())
-    # P[x+y=z+w] = pair_collisions / t^4 ; P[x=y] = 1/t
-    return Fraction(pair_collisions, t ** 4) / Fraction(1, t)
+    m, t = g.m, len(els)
+    powers = m ** np.arange(g.n)
+    coords = (els[:, None] // powers) % m
+    counts = np.zeros(g.size, dtype=np.int64)
+    block = max(_PAIR_BLOCK // t, 1)
+    for start in range(0, t, block):
+        rows = coords[start:start + block]
+        idx = np.zeros((len(rows), t), dtype=np.int64)
+        for j in range(g.n):
+            idx += (rows[:, j, None] + coords[None, :, j]) % m * powers[j]
+        counts += np.bincount(idx.ravel(), minlength=g.size)
+    # sum N(g)^2 <= t^3: int64 holds it below t = 2^21, Python ints above
+    if t ** 3 >= 1 << 63:
+        counts = counts.astype(object)
+    # P[x+y=z+w] = sum N^2 / t^4 ; P[x=y] = 1/t
+    return Fraction(int((counts * counts).sum()), t ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,6 @@ class StateVector:
         return (np.abs(grid) ** 2).reshape(-1)
 
 
-def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
-    """Z^c: multiply the |1> component of the target qubit by exp(i pi c)."""
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range")
-    grid = state._grid().copy()
-    index = [slice(None)] * state.num_qubits
-    index[qubit] = 1
-    grid[tuple(index)] *= np.exp(1j * np.pi * c)
-    return StateVector(state.num_qubits, grid.reshape(-1))
-
-
 def measure(state: StateVector, qubit: int, basis: str,
             rng: np.random.Generator) -> tuple[int, StateVector]:
     """Projective W-basis measurement; returns (bit, collapsed state)."""

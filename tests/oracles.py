@@ -4,15 +4,17 @@ of what poqlab computes, and the small helpers the tests build inputs with."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from poqlab.core import Params, matmul_mod
-from poqlab.fourier import SubsetOfGroup, ZeroFunction
+from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
 from poqlab.games import index_of
 from poqlab.lattice import GaussianSampler, ZqArray
 from poqlab.protocol import check_bits, referee_score
+from poqlab.quantum import StateVector
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,13 @@ def ghz_strategy_score_enum(tables: list[np.ndarray], d: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # fourier
 
+def group_elements(group: Group) -> np.ndarray:
+    """All elements of Z_m^n as a (size, n) array, row i = group.decode(i)."""
+    idx = np.arange(group.size)
+    return np.stack([(idx // group.m ** j) % group.m for j in range(group.n)],
+                    axis=1).astype(np.int64)
+
+
 def eta_quadruple_bruteforce(s: SubsetOfGroup) -> Fraction:
     """eta of a set by enumerating all quadruples.  |G| <= 256 only."""
     if s.group.size > 256:
@@ -146,7 +155,7 @@ def eta_quadruple_bruteforce(s: SubsetOfGroup) -> Fraction:
     els = np.flatnonzero(s.mask)
     if els.size == 0:
         raise ZeroFunction("eta of the empty set")
-    coords = s.group.elements()[els]
+    coords = group_elements(s.group)[els]
     t = len(els)
     m = s.group.m
     hits = 0
@@ -160,9 +169,47 @@ def eta_quadruple_bruteforce(s: SubsetOfGroup) -> Fraction:
     return Fraction(hits, t ** 4) / Fraction(1, t)
 
 
+def eta_set_dict(s: SubsetOfGroup) -> Fraction:
+    """eta of a set by counting pair sums, keyed by element tuple, in a
+    dict: eta = sum_g N(g)^2 / t^3."""
+    els = np.flatnonzero(s.mask)
+    if els.size == 0:
+        raise ZeroFunction("eta of the empty set")
+    coords = group_elements(s.group)[els]
+    counts: Counter = Counter()
+    for row in coords:
+        counts.update(map(tuple, ((row + coords) % s.group.m).tolist()))
+    t = len(els)
+    return Fraction(sum(c * c for c in counts.values()), t ** 3)
+
+
+def linearity_eta_two_transforms(f: GroupFunction) -> float:
+    """eta of |f| / ||f||_1 from the distribution of x + y, computed as
+    ifftn(fftn(p)^2), then sum_s P[x+y=s]^2 / sum p^2."""
+    m, n = f.group.m, f.group.n
+    w = np.abs(f.values)
+    p = w / w.sum()
+    conv = np.fft.ifftn(np.fft.fftn(p.reshape([m] * n)) ** 2).real
+    return float((conv ** 2).sum()) / float((p ** 2).sum())
+
+
 def collision_probability(p: np.ndarray) -> Fraction:
     """sum p_i^2 for an exact rational distribution."""
     return sum((Fraction(x) ** 2 for x in p), start=Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# quantum
+
+def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
+    """Z^c: multiply the |1> component of the target qubit by exp(i pi c)."""
+    if not 0 <= qubit < state.num_qubits:
+        raise IndexError(f"qubit {qubit} out of range")
+    grid = state._grid().copy()
+    index = [slice(None)] * state.num_qubits
+    index[qubit] = 1
+    grid[tuple(index)] *= np.exp(1j * np.pi * c)
+    return StateVector(state.num_qubits, grid.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from poqlab.cli import main
+from poqlab.core import Rng
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,32 @@ def test_fourier_checks(capsys, tmp_path):
     assert report.startswith("check,group,samples")
 
 
+@pytest.mark.parametrize("check", ["donoho", "uncertainty"])
+def test_fourier_reports_the_functions_it_checked(capsys, tmp_path, check):
+    # redraw the CLI's inputs: each sample is a complex Gaussian on Z_4 with
+    # every entry kept with probability 1/4; the zero draws are skipped
+    gen = Rng(3).stream("fourier")
+    checked = 0
+    for _ in range(50):
+        gen.normal(size=4), gen.normal(size=4)
+        checked += bool((gen.random(4) < 0.25).any())
+    assert checked < 50
+    code, out = run_cli(capsys, "fourier", "--check", check, "--group", "4",
+                        "--samples", "50", "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    assert f"samples={checked} violations=0" in out and "PASS" in out
+    row = (tmp_path / "fourier_report.csv").read_text().splitlines()[1]
+    assert row.startswith(f"{check},4,{checked},0,")
+
+
+def test_fourier_run_that_checked_nothing_fails(capsys):
+    # at seed 1 the one draw on Z_2 keeps no entry
+    code, out = run_cli(capsys, "fourier", "--check", "donoho", "--group", "2",
+                        "--samples", "1", "--seed", "1")
+    assert code == 1
+    assert "samples=0 violations=0" in out and "FAIL" in out
+
+
 def test_attack_plan_prints_worked_figures(capsys):
     code, out = run_cli(capsys, "attack", "--experiment", "plan",
                         "--d", "40", "--epsilon", "0.05", "--alpha", "400000",
@@ -157,9 +184,19 @@ def test_config_file_defaults_and_overrides(tmp_path, capsys):
     assert "trials=77" in out
 
 
+def test_config_equals_form_matches_two_word_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=7\nseed=5\nd=2\n")
+    outputs = [run_cli(capsys, "run", "--game", "J", *form)
+               for form in (("--config", str(cfg)), (f"--config={cfg}",))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "trials=7 " in outputs[0][1]
+
+
 def test_config_without_a_path_fails(capsys):
-    assert main(["run", "--game", "J", "--config"]) == 1
-    assert capsys.readouterr().err == "error: --config needs a path\n"
+    for form in ("--config", "--config="):
+        assert main(["run", "--game", "J", form]) == 1
+        assert capsys.readouterr().err == "error: --config needs a path\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -174,6 +211,10 @@ def test_config_without_a_path_fails(capsys):
      "alpha must be at least 1, got -3"),
     (("attack", "--experiment", "plan", "--alpha", "0"),
      "alpha must be at least 1, got 0"),
+    (("fourier", "--check", "parseval", "--samples", "0"),
+     "samples must be at least 1, got 0"),
+    (("fourier", "--check", "uncertainty", "--samples", "-2"),
+     "samples must be at least 1, got -2"),
 ])
 def test_counts_below_one_fail_with_their_name(capsys, argv, message):
     assert main(list(argv)) == 1

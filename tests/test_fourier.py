@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poqlab import fourier
 from poqlab.fourier import (Group, GroupFunction, GroupMismatch, SubsetOfGroup,
                             ZeroFunction, convolve, dft, donoho_stark_check,
                             eta_set, idft, linearity_eta, support_size,
                             uncertainty_bound_check, uncertainty_product,
                             uniformity_nu)
 
-from oracles import collision_probability, eta_quadruple_bruteforce
+from oracles import (collision_probability, eta_quadruple_bruteforce,
+                     eta_set_dict, group_elements, linearity_eta_two_transforms)
 
 
 def dft_z4_exact(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -21,7 +23,7 @@ def dft_z4_exact(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     counts of indicator transforms.
     """
     g = Group(4, n)
-    els = g.elements()
+    els = group_elements(g)
     dots = (els @ els.T) % 4
     w = np.asarray(weights, dtype=np.int64)
     re = ((dots == 0) * 1 - (dots == 2)) @ w
@@ -80,6 +82,44 @@ def test_double_transform_is_negation():
                     for i in range(Z4_3.size)])
     np.testing.assert_allclose(
         np.array([f.values[i] for i in range(Z4_3.size)]), neg, atol=1e-9)
+
+
+# groups on both sides of the character-matrix cutoff
+PATH_GROUPS = [(2, 4), (3, 2), *((4, n) for n in range(1, 7)), (32, 2), (64, 2),
+               (1021, 1)]
+
+
+def test_path_groups_straddle_the_matrix_cutoff():
+    moduli = [m for m, _ in PATH_GROUPS]
+    assert min(moduli) <= fourier._MATRIX_MAX_M < max(moduli)
+    assert fourier._MATRIX_MAX_M in moduli
+
+
+@pytest.mark.parametrize("m, n", PATH_GROUPS)
+def test_transforms_match_numpy_fft(m, n):
+    g = Group(m, n)
+    gen = np.random.default_rng(m * 100 + n)
+    f, h = random_function(g, gen), random_function(g, gen)
+    grid = [m] * n
+    root = np.sqrt(g.size)
+    fft_f, fft_h = (np.fft.fftn(v.values.reshape(grid)) for v in (f, h))
+    np.testing.assert_allclose(
+        dft(f).values, np.fft.ifftn(f.values.reshape(grid)).reshape(-1) * root,
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(idft(f).values, fft_f.reshape(-1) / root,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        convolve(f, h).values, np.fft.ifftn(fft_f * fft_h).reshape(-1) / root,
+        rtol=0, atol=1e-12)
+
+
+def test_character_matrices_are_cached_read_only():
+    dft(GroupFunction(Z4, np.ones(4)))
+    c = fourier._characters(4, 1)
+    assert c is fourier._characters(4, 1)
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0, 0] = 0
 
 
 # --- convolution -------------------------------------------------------------
@@ -213,6 +253,46 @@ def test_eta_convolution_matches_quadruple_oracle_on_random_sets():
         assert eta_set(s) == eta_quadruple_bruteforce(s)
         # float path agrees with the exact value
         assert abs(linearity_eta(s.indicator()) - float(eta_set(s))) < 1e-9
+
+
+@pytest.mark.parametrize("m, n", PATH_GROUPS)
+def test_linearity_eta_matches_two_transform_formula(m, n):
+    g = Group(m, n)
+    gen = np.random.default_rng(m + n)
+    for keep in (1.0, 0.25):
+        for _ in range(5):
+            f = random_function(g, gen)
+            mask = gen.random(g.size) < keep
+            mask[gen.integers(g.size)] = True
+            f = GroupFunction(g, f.values * mask)
+            assert abs(linearity_eta(f) - linearity_eta_two_transforms(f)) < 1e-12
+
+
+def test_eta_set_matches_dict_oracle(monkeypatch):
+    gen = np.random.default_rng(14)
+    cases = []
+    for m, n in ((2, 4), (3, 3), (4, 3), (5, 2), (64, 1)):
+        g = Group(m, n)
+        for _ in range(10):
+            mask = gen.random(g.size) < gen.random()
+            mask[gen.integers(g.size)] = True
+            cases.append(SubsetOfGroup(g, mask))
+    for s in cases:
+        assert eta_set(s) == eta_set_dict(s)
+    # one pair row per block gives the same counts
+    monkeypatch.setattr(fourier, "_PAIR_BLOCK", 1)
+    for s in cases[::7]:
+        assert eta_set(s) == eta_set_dict(s)
+
+
+def test_eta_set_large_subset_matches_dict_oracle():
+    # 2,048 of the 4,096 elements of Z_4^6: the pair sums span many row blocks
+    g = Group(4, 6)
+    mask = np.zeros(g.size, dtype=bool)
+    mask[np.random.default_rng(15).choice(g.size, 2048, replace=False)] = True
+    s = SubsetOfGroup(g, mask)
+    assert fourier._PAIR_BLOCK < 2048 * 2048
+    assert eta_set(s) == eta_set_dict(s)
 
 
 def test_eta_drop_last_coordinate_never_decreases():

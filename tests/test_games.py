@@ -13,7 +13,7 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           _best_response_parallel,
                           _best_response_sequential, _counting_vectors,
                           _distinct_pair_convolutions, _group_index_tools,
-                          _tables, bits_of,
+                          _parity_sets, _tables, bits_of,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
                           ghz_value_bruteforce,
                           index_of, j_bias_bruteforce,
@@ -22,7 +22,7 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           reduce_ghz4_to_ghz3, strategy_from_parity_set)
 from poqlab.core import Rng
 
-from oracles import ghz_strategy_score_enum
+from oracles import eta_set_dict, ghz_strategy_score_enum
 
 ONE_BIT_FUNCS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -309,6 +309,31 @@ def test_parity_set_round_trip_property(bits, d):
 def test_not_parity_balanced_rejected():
     with pytest.raises(NotParityBalanced):
         ParityBalancedSet.from_elements(1, np.array([[0], [2]]))
+    # rows 1 and 2 of this d = 2 table sit in each other's class
+    with pytest.raises(NotParityBalanced, match="row 1 is not congruent"):
+        ParityBalancedSet(2, np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
+    with pytest.raises(NotParityBalanced):
+        parity_set_from_strategy(np.zeros((3, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_parity_sets_match_one_table(d):
+    if d <= 2:
+        tables = _tables(d, d, False)
+    else:
+        tables = np.random.default_rng(d).integers(0, 2, size=(50, 8, 3))
+    stacked = _parity_sets(tables)
+    assert stacked.shape == tables.shape
+    for table, rows in zip(tables, stacked):
+        np.testing.assert_array_equal(rows, parity_set_from_strategy(table).elements)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("time_ordered", [False, True])
+def test_max_eta_equals_max_of_per_table_eta(d, time_ordered):
+    tables = _tables(d, d, time_ordered)
+    want = max(eta_set_dict(parity_set_from_strategy(t).subset()) for t in tables)
+    assert max_eta_parity_balanced(d, time_ordered) == want
 
 
 def test_eta_equals_mirrored_strategy_score():

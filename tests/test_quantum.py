@@ -6,10 +6,12 @@ import pytest
 from poqlab.core import Rng, desk_params
 from poqlab.lattice import Shifts, commitment_shifts, encrypt
 from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
-from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector, apply_zc,
+from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector,
                             build_claw_state, coin_zero_probability,
                             honest_commitment, honest_first_round, measure,
                             round_one_positions, sample_claw_outcomes)
+
+from oracles import apply_zc
 
 
 def stream(label, idx=0, seed=11):
