@@ -10,8 +10,8 @@ Subpackage map:
   protocol  the round engine (blocks of trials; play_round plays one), the
             total referee (check_bits, referee_score: each rule once, over
             rows of trials), the encrypted game and the claw game, transcripts
-  attack    optimal-answer decoding, rewinding, and the experiments that
-            replay the round: share-the-prover S1-S3 and distinguishing E
+  attack    optimal-answer decoding, rewinding, and the distinguishing
+            experiment E, which replays the round
   cli       the poqlab command-line tool
 """
 
@@ -35,7 +35,6 @@ from .quantum import (ClawDescription, StateVector, build_claw_state,
                       honest_first_round, honest_second_round, measure,
                       sample_claw_outcomes)
 from .attack import (attack_plan, best_score, decode_error, experiment_e,
-                     experiment_e_campaign, rewind, run_experiment_s,
-                     sampling_bound)
+                     experiment_e_campaign, rewind, sampling_bound)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,18 +1,15 @@
 """Rewinding-adversary machinery: the optimal-answer decoder, the sampling
-deviation bound, and the experiments that replay the protocol's round
-against a classical prover: the share-the-prover experiments S1-S3 and the
-distinguishing experiment E that turns a cheating prover into an attack on
-the encryption.
+deviation bound, and the distinguishing experiment E, which replays the
+protocol's round against a classical prover and so turns a cheating prover
+into an attack on the encryption.
 
-Every experiment plays its first round through protocol.play_round, on real
-or uniform advice, and rewinds the prover's second round through rewind(),
+Experiment E plays its first round through protocol.play_round, on real or
+uniform advice, and rewinds the prover's second round through rewind(),
 which walks the d + 1 question levels once and asks the prover's
 respond_bit each distinct question prefix once (provers.answer_table).  The
 prover is deterministic and sees only the prefix, so this is the table of
 its second responses exactly.  best_score judges the rewound answers by the
-referee's rules (its answer check protocol.check_bits and games.j_score),
-and experiment S scores its rounds with the referee's verdict
-protocol.referee_score, so a prover scores as in game R.
+referee's rules (its answer check protocol.check_bits and games.j_score).
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ import numpy as np
 
 from .core import Params, Rng, require_count
 from .games import j_sample_inputs, j_score
-from .protocol import (ScoreStats, check_bits, play_round,
-                       referee_first_assessment, referee_score)
+from .protocol import check_bits, play_round
 from .provers import ClassicalProver, answer_table
 
 REWIND_LIMIT = 14
@@ -138,45 +134,6 @@ def rewind(prover: ClassicalProver, mem: Any, d: int,
     ys = np.ones((count, d + 1), dtype=np.uint8)
     ys[:, :d] = (indices[:, None] >> np.arange(d)) & 1
     return ys, answer_table(prover, ys, mem)
-
-
-def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
-                     trials: int, rng: Rng) -> ScoreStats:
-    """Experiments 1-3 on a classical prover.
-
-    1: the prover's own answer string is derived through the trapdoor, so the
-       transcript distribution matches the encrypted game exactly.
-    2: the answer string is instead chosen to maximize the average score
-       against the prover's full second-round response table (rewinding).
-    3: like 2, but the advice pair (A, v) is uniform rather than an
-       encryption, so the hidden bits can play no role.
-    Input, coin, and encryption streams are shared across experiments so the
-    three runs are coupled trial by trial.  Each answer is checked alone, so
-    a malformed one loses only its trial, and the referee's verdict scores
-    the trials at once.
-    """
-    if which not in (1, 2, 3):
-        raise ValueError("experiment index must be 1, 2, or 3")
-    require_count("trials", trials)
-    d = params.d
-    xs, ys, a = (np.zeros((trials, d + 1), dtype=np.uint8) for _ in range(3))
-    committed = np.ones(trials, dtype=bool)
-    checked = []
-    for t in range(trials):
-        xs[t], ys[t] = j_sample_inputs(d, rng.stream("sexp/inputs", t))
-        first = play_round(prover, params, xs[t], rng, "sexp", t,
-                           real=which != 3)
-        if which == 1:
-            a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
-                [first], params, lambda i: rng.stream("sexp/referee", t))
-        else:
-            _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d),
-                                 return_argmax=True)
-        checked.append(check_bits([prover.second_response(ys[t], first.mem)],
-                                  1, d + 1))
-    b, b_ok = (np.concatenate(col) for col in zip(*checked))
-    _, _, scores, _ = referee_score(xs, ys, a, committed, b, b_ok)
-    return ScoreStats.from_scores(scores)
 
 
 @dataclass(frozen=True)

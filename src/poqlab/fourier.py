@@ -66,18 +66,27 @@ class Group:
     def size(self) -> int:
         return self.m ** self.n
 
-    def encode(self, element) -> int:
-        idx = 0
-        for j, x in enumerate(element):
-            idx += (int(x) % self.m) * self.m ** j
-        return idx
+    def encode(self, element):
+        """Flat index of an element, its coordinates taken mod m.  The last
+        axis of an array holds the n coordinates and leading axes broadcast
+        to an array of indices; one element gives an int."""
+        x = np.asarray(element, dtype=np.int64)
+        if x.ndim == 0 or x.shape[-1] != self.n:
+            raise ValueError(f"an element of Z_{self.m}^{self.n} has "
+                             f"{self.n} coordinates, got shape {x.shape}")
+        idx = x % self.m @ self.m ** np.arange(self.n)
+        return int(idx) if idx.ndim == 0 else idx
 
-    def decode(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(idx % self.m)
-            idx //= self.m
-        return tuple(out)
+    def decode(self, idx):
+        """Inverse of encode: one index gives a tuple, an array of indices an
+        array with the n coordinates on a new last axis."""
+        i = np.asarray(idx, dtype=np.int64)
+        outside = i[(i < 0) | (i >= self.size)]
+        if outside.size:
+            raise ValueError(f"index {outside.flat[0]} of Z_{self.m}^{self.n} "
+                             f"is outside [0, {self.size})")
+        coords = i[..., None] // self.m ** np.arange(self.n) % self.m
+        return tuple(coords.tolist()) if i.ndim == 0 else coords
 
 
 @dataclass(frozen=True)
@@ -118,9 +127,13 @@ class SubsetOfGroup:
 
     @classmethod
     def from_elements(cls, group: Group, elements) -> "SubsetOfGroup":
+        """The set of the given elements: an array whose last axis holds the
+        coordinates, or any iterable of elements."""
+        if not isinstance(elements, np.ndarray):
+            elements = list(elements)
         mask = np.zeros(group.size, dtype=bool)
-        for element in elements:
-            mask[group.encode(element)] = True
+        if len(elements):
+            mask[group.encode(elements)] = True
         return cls(group, mask)
 
     @property
@@ -222,7 +235,7 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
     g = s.group
     m, t = g.m, len(els)
     powers = m ** np.arange(g.n)
-    coords = (els[:, None] // powers) % m
+    coords = g.decode(els)
     counts = np.zeros(g.size, dtype=np.int64)
     block = max(_PAIR_BLOCK // t, 1)
     for start in range(0, t, block):

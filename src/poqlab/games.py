@@ -11,7 +11,9 @@ Each game's score rule is stated once and broadcasts over leading axes:
 ghz_score for the parity game (the one-round search scores every strategy
 tuple through it), and j_score for the claw game, which every claw-game
 score in poqlab (search, bias identity, referee, rewinding decoder) goes
-through.
+through.  The claw-game search enumerates only the second player's tables
+and best-responds for the first player question by question.  Every flat
+index of Z_4^d comes from fourier.Group's encode and decode.
 """
 
 from __future__ import annotations
@@ -43,17 +45,20 @@ class NotParityBalanced(ValueError):
     pass
 
 
-def bits_of(index: int, width: int) -> np.ndarray:
-    return ((index >> np.arange(width)) & 1).astype(np.uint8)
-
-
-def index_of(bits) -> int:
-    return int(sum(int(b) << j for j, b in enumerate(bits)))
-
-
 def _input_bits(d: int) -> np.ndarray:
     """Row i holds the d little-endian bits of i, shape (2^d, d)."""
     return (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+
+
+def _questions(d: int) -> np.ndarray:
+    """The claw game's questions {0,1}^d x {1}: row i holds the bits of i,
+    then 1, shape (2^d, d + 1)."""
+    return np.append(_input_bits(d), np.ones((1 << d, 1), dtype=np.int64), axis=1)
+
+
+def _require_d(d: int) -> None:
+    if d < 1:
+        raise ValueError("need d >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +126,23 @@ class ParityBalancedSet:
 
     @classmethod
     def from_elements(cls, d: int, elements) -> "ParityBalancedSet":
+        """The set of 2^d elements in any order; row i of the result is the
+        one whose mod-2 class has index i."""
         els = np.asarray(elements, dtype=np.int64) % 4
         if els.shape != (1 << d, d):
             raise NotParityBalanced(f"a parity-balanced set has {1 << d} elements")
-        rows = np.zeros((1 << d, d), dtype=np.int64)
-        seen = set()
-        for row in els:
-            i = index_of(row % 2)
-            if i in seen:
-                raise NotParityBalanced("mod-2 reduction is not a bijection")
-            seen.add(i)
-            rows[i] = row
+        classes = Group(2, d).encode(els)
+        if np.unique(classes).size < classes.size:
+            raise NotParityBalanced("mod-2 reduction is not a bijection")
+        rows = np.empty_like(els)
+        rows[classes] = els
         return cls(d, rows)
 
     def negated(self) -> "ParityBalancedSet":
-        els = (-self.elements) % 4
-        order = [index_of(row % 2) for row in els]
-        out = np.zeros_like(els)
-        out[order] = els
-        return ParityBalancedSet(self.d, out)
+        return ParityBalancedSet.from_elements(self.d, -self.elements)
 
     def subset(self) -> SubsetOfGroup:
-        g = Group(4, self.d)
-        return SubsetOfGroup.from_elements(g, [tuple(r) for r in self.elements])
+        return SubsetOfGroup.from_elements(Group(4, self.d), self.elements)
 
     def eta(self) -> Fraction:
         return eta_set(self.subset())
@@ -195,35 +194,32 @@ def max_eta_parity_balanced(d: int, time_ordered: bool) -> Fraction:
     and eta_c = sum_g N_c(g)^2 / t^3 with t = 2^d, as in eta_set.  The
     counts are exact integers (256 sets x 16 x 16 int64, 0.5 MB, at d = 2).
     """
+    _require_d(d)
     if d > 2:
         raise SearchSpaceTooLarge(f"eta enumeration capped at d <= 2, got {d}")
-    _, _, sub, _ = _group_index_tools(d)
-    vecs = _counting_vectors(_parity_sets(_tables(d, d, time_ordered)), d)
-    pairs = np.einsum("cgh,ch->cg", vecs[:, sub], vecs)
+    vecs = _counting_vectors(_parity_sets(_tables(d, d, time_ordered)))
+    pairs = np.einsum("cgh,ch->cg", vecs[:, _differences(d)], vecs)
     return Fraction(int((pairs * pairs).sum(axis=1).max()), (1 << d) ** 3)
 
 
 # ---------------------------------------------------------------------------
 # exact values of the repeated games
 
-def _group_index_tools(d: int):
-    """Index helpers on Z_4^d, flat index = sum g_j 4^j."""
-    size = 4 ** d
-    coords = np.stack([(np.arange(size) // 4 ** j) % 4 for j in range(d)], axis=1)
-    flat = (coords[:, None, :] - coords[None, :, :]) % 4
-    sub = (flat * (4 ** np.arange(d))[None, None, :]).sum(axis=2)
-    neg = sub[0]  # index of -g
-    return size, coords, sub, neg
+def _differences(d: int) -> np.ndarray:
+    """sub[i, j] = the index of g_i - g_j, for g_i the element of Z_4^d at
+    index i (fourier.Group's index)."""
+    g = Group(4, d)
+    els = g.decode(np.arange(g.size))
+    return g.encode(els[:, None] - els[None, :])
 
 
-def _counting_vectors(sets: np.ndarray, d: int) -> np.ndarray:
-    """One-hot counting vector over Z_4^d per parity-balanced element table."""
-    size = 4 ** d
-    n_sets = sets.shape[0]
-    idx = (sets * (4 ** np.arange(d))[None, None, :]).sum(axis=2)
-    vec = np.zeros((n_sets, size), dtype=np.int64)
-    rows = np.repeat(np.arange(n_sets), sets.shape[1])
-    np.add.at(vec, (rows, idx.reshape(-1)), 1)
+def _counting_vectors(sets: np.ndarray) -> np.ndarray:
+    """Indicator over Z_4^d of each parity-balanced element table in a
+    (count, 2^d, d) stack; a table's elements are distinct (one per mod-2
+    class), so the indicator is its counting vector."""
+    g = Group(4, sets.shape[-1])
+    vec = np.zeros((len(sets), g.size), dtype=np.int64)
+    vec[np.arange(len(sets))[:, None], g.encode(sets)] = 1
     return vec
 
 
@@ -235,8 +231,11 @@ def ghz_strategy_score(tables: list[np.ndarray], d: int) -> Fraction:
     Z_4^d, conditioned on their sum lying in 2 Z_4^d (probability 2^{-d}).
     """
     k = len(tables)
-    _, _, sub, _ = _group_index_tools(d)
-    vecs = _counting_vectors(_parity_sets(np.stack(tables)), d)
+    if k < 3:
+        raise ValueError("need k >= 3")
+    _require_d(d)
+    sub = _differences(d)
+    vecs = _counting_vectors(_parity_sets(np.stack(tables)))
     acc = vecs[0]
     for vec in vecs[1:]:
         # acc(g) = sum_h acc(h) v(g - h): tuples so far, then this player
@@ -255,31 +254,27 @@ def reduce_ghz4_to_ghz3(tables4: list[np.ndarray], t_bits) -> list[np.ndarray]:
     S, T, U, V = (np.asarray(t_) for t_ in tables4)
     d = S.shape[1]
     t = np.asarray(t_bits, dtype=np.uint8)
-    t_idx = index_of(t)
-    F = np.zeros((1 << d, d), dtype=np.uint8)
-    for z_idx in range(1 << d):
-        z = bits_of(z_idx, d)
-        tz_idx = t_idx ^ z_idx
-        F[z_idx] = U[t_idx] ^ V[tz_idx] ^ ((1 - z) & t)
-    return [S.copy(), T.copy(), F]
+    t_idx = Group(2, d).encode(t)
+    z = np.arange(1 << d)
+    F = U[t_idx] ^ V[t_idx ^ z] ^ ((1 - _input_bits(d)) & t)
+    return [S.copy(), T.copy(), F.astype(np.uint8)]
 
 
-def _best_response_parallel(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
-    """max over parity-balanced responses of the zero-sum tuple count.
+def _best_response_parallel(t_slice: np.ndarray, d: int) -> np.ndarray:
+    """max over parity-balanced responses of the zero-sum tuple count, for
+    t_slice[..., h] the count of tuples so far summing to h: a response
+    element e completes those summing to -e.
 
     The response picks one lift per mod-2 class independently, so the max
     decomposes class by class.
     """
-    # order group elements as (class r, lift a): element = r + 2a coordinatewise
-    lifts = 1 << d
-    bits = (np.arange(lifts)[:, None] >> np.arange(d)) & 1
-    order = ((bits[:, None, :] + 2 * bits[None, :, :]) * 4 ** np.arange(d)).sum(-1)
-    gathered = t_slice[..., neg[order.ravel()]]
-    shaped = gathered.reshape(t_slice.shape[:-1] + (1 << d, lifts))
-    return shaped.max(axis=-1).sum(axis=-1)
+    # order the elements e = r + 2a by (class r, lift a)
+    bits = _input_bits(d)
+    neg = Group(4, d).encode(-(bits[:, None] + 2 * bits[None, :]))
+    return t_slice[..., neg].max(axis=-1).sum(axis=-1)
 
 
-def _best_response_sequential(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
+def _best_response_sequential(t_slice: np.ndarray, d: int) -> np.ndarray:
     """max over time-ordered parity-balanced responses, via the prefix rule:
     the lift bit for coordinate i may depend only on class bits 0..i."""
     # index array with axis order (r_0, c_0, r_1, c_1, ..., r_{d-1}, c_{d-1});
@@ -287,8 +282,8 @@ def _best_response_sequential(t_slice: np.ndarray, d: int, neg) -> np.ndarray:
     shape = (2,) * (2 * d)
     combos = np.indices(shape).reshape(2 * d, -1)
     g = combos[0::2] + 2 * combos[1::2]                  # (d, 4^d) coordinates
-    idx = neg[(g * 4 ** np.arange(d)[:, None]).sum(axis=0)]
-    gathered = t_slice[..., idx].reshape(t_slice.shape[:-1] + shape)
+    neg = Group(4, d).encode(-g.T)
+    gathered = t_slice[..., neg].reshape(t_slice.shape[:-1] + shape)
     # innermost coordinate first: max over its lift, sum over its class
     out = gathered
     for _ in range(d):
@@ -356,6 +351,7 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
         raise ValueError(f"unknown mode {mode!r}")
     if d is None:
         raise ValueError("repeated modes need d")
+    _require_d(d)
     n_sets = (1 << d) ** (1 << d)
     if n_sets ** k > SEARCH_CEILING or d > 2:
         raise SearchSpaceTooLarge(
@@ -363,19 +359,17 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
 
     if k not in (3, 4):
         raise SearchSpaceTooLarge(f"repeated modes support k in (3, 4), got {k}")
-    tables = _tables(d, d, mode == "sequential")
-    size, _, sub, neg = _group_index_tools(d)
-    vecs = _counting_vectors(_parity_sets(tables), d)
-    n = vecs.shape[0]
+    vecs = _counting_vectors(_parity_sets(_tables(d, d, mode == "sequential")))
+    n, size = vecs.shape
     # circulants[h, j * size + g] = v_j(g - h): column block j is the
     # circulant of strategy j, shared by the pair and the triple products
-    circulants = vecs[:, sub].transpose(2, 0, 1).reshape(size, n * size)
+    circulants = vecs[:, _differences(d)].transpose(2, 0, 1).reshape(size, n * size)
     circulants = circulants.astype(np.float32)
 
     def reduce_(t_slice):
         if mode == "sequential":
-            return _best_response_sequential(t_slice, d, neg)
-        return _best_response_parallel(t_slice, d, neg)
+            return _best_response_sequential(t_slice, d)
+        return _best_response_parallel(t_slice, d)
 
     pairs = _distinct_pair_convolutions(vecs, circulants)
     if k == 3:
@@ -412,8 +406,7 @@ class DeterministicStrategy:
 
 def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform question pair on {0,1}^d x {1}."""
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _require_d(d)
     x = np.append(rng.integers(0, 2, size=d), 1).astype(np.uint8)
     y = np.append(rng.integers(0, 2, size=d), 1).astype(np.uint8)
     return x, y
@@ -432,41 +425,38 @@ def j_score(x, y, a, b):
 
 def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     """Exact max |expected score| over deterministic strategy pairs; the
-    sequential variant restricts the second player to time-ordered tables."""
+    sequential variant restricts the second player to time-ordered tables.
+
+    Only the second player's tables are enumerated.  Against a fixed one,
+    the first player answers each question x on its own, so the best reply
+    takes, per x, the answer a with the largest (for the most negative
+    bias, the smallest) score summed over the questions y.
+    """
+    _require_d(d)
     if d > 2:
         raise SearchSpaceTooLarge(f"claw-game enumeration capped at d <= 2, got {d}")
-    nq, na = 1 << d, 1 << (d + 1)
-    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(nq)])
-    outs = np.stack([bits_of(i, d + 1) for i in range(na)])
-    # score[x_idx, y_idx, a_idx, b_idx] over every question and answer index
-    score = j_score(xs[:, None, None, None], xs[None, :, None, None],
-                    outs[None, None, :, None], outs[None, None, None, :])
-    weights = 1 << np.arange(d + 1)   # answer tables as answer indices
-    alice = _tables(d, d + 1, False).astype(np.int64) @ weights
-    bob = _tables(d, d + 1, sequential).astype(np.int64) @ weights
-    # u_all[i, y, b]: Alice's table i summed over x against answer b to y
-    u_all = score[np.arange(nq), :, alice].sum(axis=1)
-    one_hot = np.zeros((nq * na, bob.shape[0]), dtype=np.float32)
-    one_hot[np.arange(nq) * na + bob, np.arange(bob.shape[0])[:, None]] = 1.0
-    sums = u_all.reshape(alice.shape[0], -1).astype(np.float32) @ one_hot
-    best = int(np.rint(max(sums.max(), -sums.min())))   # no |sums| copy
-    return Fraction(best, nq * nq)
+    nq = 1 << d
+    xs = _questions(d)
+    outs = _input_bits(d + 1)
+    # score[y, b, x, a] over every question and answer index
+    score = j_score(xs[None, None, :, None], xs[:, None, None, None],
+                    outs[None, None, None, :], outs[None, :, None, None])
+    # the second player's tables, each row its answer indices per question
+    tables = _tables(d, d + 1, sequential).astype(np.int64) @ (1 << np.arange(d + 1))
+    # per[t, x, a]: answer a to x summed over y against table t
+    per = score[np.arange(nq), tables].sum(axis=1)
+    best = max(per.max(axis=-1).sum(axis=-1).max(),
+               -per.min(axis=-1).sum(axis=-1).min())
+    return Fraction(int(best), nq * nq)
 
 
 def _strategy_image_sets(s: DeterministicStrategy, t: DeterministicStrategy):
     """(U, V): images of the referee's u- and v-vectors inside Z_4^{d+1},
     with u entries -1,0,1 stored as 3,0,1."""
-    d = s.d
-    g = Group(4, d + 1)
-    u_set, v_set = [], []
-    for idx in range(1 << d):
-        x = np.append(bits_of(idx, d), 1).astype(np.int64)
-        a = s.outputs[idx].astype(np.int64)
-        b = t.outputs[idx].astype(np.int64)
-        u_set.append(tuple((x * (1 - 2 * a)) % 4))
-        v_set.append(tuple((x + 2 * b) % 4))
-    return (SubsetOfGroup.from_elements(g, u_set),
-            SubsetOfGroup.from_elements(g, v_set))
+    xs = _questions(s.d)
+    g = Group(4, s.d + 1)
+    return (SubsetOfGroup.from_elements(g, xs * (1 - 2 * s.outputs.astype(np.int64))),
+            SubsetOfGroup.from_elements(g, xs + 2 * t.outputs))
 
 
 @dataclass(frozen=True)
@@ -501,7 +491,7 @@ def j_bias_fourier_identity(s: DeterministicStrategy,
     d = s.d
     if d > 3:
         raise SearchSpaceTooLarge("identity check capped at d <= 3")
-    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(1 << d)])
+    xs = _questions(d)
     scores = j_score(xs[:, None], xs[None, :], s.outputs[:, None],
                      t.outputs[None, :])
     direct = Fraction(int(scores.sum()), (1 << d) ** 2)
@@ -513,9 +503,7 @@ def j_bias_fourier_identity(s: DeterministicStrategy,
     inner = complex(np.vdot(g.values, dft(f).values))
     fourier = float(2 * ((1 - 1j) * inner).real)
 
-    group_d = Group(4, d)
-    dropped = {el[:-1] for el in
-               (v_sub.group.decode(i) for i in np.flatnonzero(v_sub.mask))}
-    eta_dropped = eta_set(SubsetOfGroup.from_elements(group_d, dropped))
+    dropped = v_sub.group.decode(np.flatnonzero(v_sub.mask))[:, :-1]
+    eta_dropped = eta_set(SubsetOfGroup.from_elements(Group(4, d), dropped))
     return BiasIdentity(direct=direct, fourier=fourier, inner=inner,
                         eta_dropped=eta_dropped)

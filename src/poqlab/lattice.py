@@ -101,13 +101,12 @@ class GaussianSampler:
         object.__setattr__(self, "_pmf", pmf)
         object.__setattr__(self, "_accept", accept)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        n = 1 if size is None else size
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         accept = self._accept
-        out = np.empty(n, dtype=np.int64)
+        out = np.empty(size, dtype=np.int64)
         filled = 0
-        while filled < n:
-            want = n - filled
+        while filled < size:
+            want = size - filled
             batch = int(want / accept * 1.2) + 8
             draws = self._support[np.searchsorted(self._cdf, rng.random(batch))]
             if self.tau is not None:
@@ -115,7 +114,7 @@ class GaussianSampler:
             take = min(len(draws), want)
             out[filled:filled + take] = draws[:take]
             filled += take
-        return int(out[0]) if size is None else out
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,15 @@ prover's first_response runs per trial (a TrapdoorLeakProver is handed that
 trial's trapdoor), and the referee rejects a malformed commitment there.
 The rest is vectorized over the block: decoding the preimages, the E and F
 flags and the answer strings, the honest prover's claws and its round two,
-and the score.  play_round is the one-trial case, for the experiments in
-attack.py, which replay it on real or uniform advice.
+and the score.  play_round is the one-trial case, for experiment E in
+attack.py, which replays it on real or uniform advice.
 
 The referee's rules do not depend on the block.  It is total: a message that
 is not well formed loses the trial (score -1); it is never coerced and never
 raises.  Each rule is stated once, over rows of trials, and a single message
 or round is a one-row call: the answer string quantum.round_one_answer, the
 score games.j_score, the message check check_bits (attack.best_score checks
-the rewound answers with it), and the verdict referee_score (experiment S
-scores its rounds with it).
+the rewound answers with it), and the verdict referee_score.
 
 Per-trial randomness always comes from labeled streams of a single Rng, so
 any trial subset can be recomputed independently and reruns are bit-exact:

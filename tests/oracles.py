@@ -9,11 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from poqlab.core import Params, matmul_mod
+from poqlab.attack import best_score, rewind
+from poqlab.core import Params, Rng, matmul_mod, require_count
 from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
-from poqlab.games import index_of
+from poqlab.games import _tables, j_sample_inputs, j_score
 from poqlab.lattice import GaussianSampler, ZqArray
-from poqlab.protocol import check_bits, referee_score
+from poqlab.protocol import (ScoreStats, check_bits, play_round,
+                             referee_first_assessment, referee_score)
+from poqlab.provers import ClassicalProver
 from poqlab.quantum import StateVector
 
 
@@ -26,6 +29,16 @@ def binary_parse(bits) -> int:
     for b in bits:
         out = (out << 1) | int(b)
     return out
+
+
+def bits_of(index: int, width: int) -> np.ndarray:
+    """The width little-endian bits of index, as uint8."""
+    return ((index >> np.arange(width)) & 1).astype(np.uint8)
+
+
+def index_of(bits) -> int:
+    """Inverse of bits_of."""
+    return int(sum(int(b) << j for j, b in enumerate(bits)))
 
 
 def bit_select(bits, j):
@@ -71,7 +84,7 @@ def lwe_oracle(kind: str, params: Params, rng: np.random.Generator,
         sampler = GaussianSampler(sigma if sigma is not None else params.sigma)
         while True:
             a = rng.integers(0, q, size=n, dtype=np.int64)
-            b = (int(matmul_mod(a, secret, q)) + sampler.sample(rng)) % q
+            b = (int(matmul_mod(a, secret, q)) + sampler.sample(rng, 1)[0]) % q
             yield a, int(b)
     else:
         while True:
@@ -136,6 +149,30 @@ def ghz_strategy_score_enum(tables: list[np.ndarray], d: int) -> Fraction:
             for i in range(d))
         wins += ok
     return Fraction(wins, total)
+
+
+def j_bias_one_hot(d: int, sequential: bool = False) -> Fraction:
+    """Claw-game bias by scoring every first-player table against every
+    second-player table: a dense float32 product of the first player's
+    per-table sums with a one-hot matrix of the second player's tables.
+    Every sum is an integer of magnitude at most 4^d, so float32 holds it
+    exactly."""
+    nq, na = 1 << d, 1 << (d + 1)
+    xs = np.stack([np.append(bits_of(i, d), 1) for i in range(nq)])
+    outs = np.stack([bits_of(i, d + 1) for i in range(na)])
+    # score[x_idx, y_idx, a_idx, b_idx] over every question and answer index
+    score = j_score(xs[:, None, None, None], xs[None, :, None, None],
+                    outs[None, None, :, None], outs[None, None, None, :])
+    weights = 1 << np.arange(d + 1)   # answer tables as answer indices
+    alice = _tables(d, d + 1, False).astype(np.int64) @ weights
+    bob = _tables(d, d + 1, sequential).astype(np.int64) @ weights
+    # u_all[i, y, b]: Alice's table i summed over x against answer b to y
+    u_all = score[np.arange(nq), :, alice].sum(axis=1)
+    one_hot = np.zeros((nq * na, bob.shape[0]), dtype=np.float32)
+    one_hot[np.arange(nq) * na + bob, np.arange(bob.shape[0])[:, None]] = 1.0
+    sums = u_all.reshape(alice.shape[0], -1).astype(np.float32) @ one_hot
+    best = int(np.rint(max(sums.max(), -sums.min())))
+    return Fraction(best, nq * nq)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +251,45 @@ def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
 
 # ---------------------------------------------------------------------------
 # attack
+
+def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
+                     trials: int, rng: Rng) -> ScoreStats:
+    """Experiments 1-3 on a classical prover.
+
+    1: the prover's own answer string is derived through the trapdoor, so the
+       transcript distribution matches the encrypted game exactly.
+    2: the answer string is instead chosen to maximize the average score
+       against the prover's full second-round response table (rewinding).
+    3: like 2, but the advice pair (A, v) is uniform rather than an
+       encryption, so the hidden bits can play no role.
+    Input, coin, and encryption streams are shared across experiments so the
+    three runs are coupled trial by trial.  Each answer is checked alone, so
+    a malformed one loses only its trial, and the referee's verdict scores
+    the trials at once.
+    """
+    if which not in (1, 2, 3):
+        raise ValueError("experiment index must be 1, 2, or 3")
+    require_count("trials", trials)
+    d = params.d
+    xs, ys, a = (np.zeros((trials, d + 1), dtype=np.uint8) for _ in range(3))
+    committed = np.ones(trials, dtype=bool)
+    checked = []
+    for t in range(trials):
+        xs[t], ys[t] = j_sample_inputs(d, rng.stream("sexp/inputs", t))
+        first = play_round(prover, params, xs[t], rng, "sexp", t,
+                           real=which != 3)
+        if which == 1:
+            a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
+                [first], params, lambda i: rng.stream("sexp/referee", t))
+        else:
+            _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d),
+                                 return_argmax=True)
+        checked.append(check_bits([prover.second_response(ys[t], first.mem)],
+                                  1, d + 1))
+    b, b_ok = (np.concatenate(col) for col in zip(*checked))
+    _, _, scores, _ = referee_score(xs, ys, a, committed, b, b_ok)
+    return ScoreStats.from_scores(scores)
+
 
 def best_score_oracle(x, pairs) -> float:
     """Direct maximization over all answer strings of the average score the

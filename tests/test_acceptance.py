@@ -18,7 +18,7 @@ from poqlab.core import Rng, desk_params
 from poqlab.fourier import (Group, GroupFunction, SubsetOfGroup, convolve, dft,
                             donoho_stark_check, support_size,
                             uncertainty_bound_check, uncertainty_product)
-from poqlab.games import (DeterministicStrategy, bits_of, ghz4_closed_form,
+from poqlab.games import (DeterministicStrategy, ghz4_closed_form,
                           ghz_strategy_score, ghz_value_bruteforce,
                           j_bias_fourier_identity, max_eta_parity_balanced,
                           reduce_ghz4_to_ghz3)
@@ -26,7 +26,7 @@ from poqlab.lattice import ZqArray, decrypt, encrypt, gen_trap, invert
 from poqlab.protocol import run_game_j, run_game_r
 from poqlab.provers import BlindProver, TrapdoorLeakProver
 
-from oracles import (best_score_oracle, exact_max_mean,
+from oracles import (best_score_oracle, bits_of, exact_max_mean,
                      ghz_strategy_score_enum, sampled_max_mean, zq_matmul)
 
 DESK = desk_params()

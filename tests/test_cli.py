@@ -104,6 +104,13 @@ def test_brute_j_d2_against_parallel_value(capsys):
     assert f"bound={bound:.6f} PASS" in out
 
 
+@pytest.mark.parametrize("target", ["j", "j-seq", "eta-parb", "ghz-seq"])
+def test_brute_rejects_d_below_one(capsys, target):
+    assert main(["brute", "--target", target, "--d", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need d >= 1\n" and captured.out == ""
+
+
 def test_brute_j_sequential(capsys):
     code, out = run_cli(capsys, "brute", "--target", "j-seq", "--d", "2")
     assert code == 0 and "PASS" in out

@@ -40,6 +40,57 @@ def random_function(group, gen):
                          + 1j * gen.normal(size=group.size))
 
 
+# --- the index ---------------------------------------------------------------
+
+@pytest.mark.parametrize("m, n", [(2, 3), (4, 3), (5, 2), (64, 2)])
+def test_encode_decode_arrays_match_scalar_calls(m, n):
+    g = Group(m, n)
+    els = group_elements(g)
+    idx = np.arange(g.size)
+    np.testing.assert_array_equal(g.decode(idx), els)
+    np.testing.assert_array_equal(g.encode(els), idx)
+    # leading axes broadcast; coordinates are taken mod m
+    np.testing.assert_array_equal(g.encode((els + m).reshape(-1, 1, n)),
+                                  idx.reshape(-1, 1))
+    for i in (0, 1, g.size - 1):
+        element = g.decode(i)
+        assert isinstance(element, tuple) and element == tuple(els[i])
+        assert all(isinstance(x, int) for x in element)
+        code = g.encode(element)
+        assert isinstance(code, int) and code == i
+
+
+def test_encode_rejects_an_element_of_another_length():
+    with pytest.raises(ValueError, match="has 3 coordinates"):
+        Group(4, 3).encode((1, 2))
+    with pytest.raises(ValueError, match="has 2 coordinates"):
+        Group(4, 2).encode((1, 2, 3))
+    with pytest.raises(ValueError, match="has 2 coordinates"):
+        Group(4, 2).encode(np.zeros((5, 3), dtype=np.int64))
+
+
+def test_decode_rejects_an_index_outside_the_group():
+    with pytest.raises(ValueError, match=r"index 99 of Z_4\^2 is outside \[0, 16\)"):
+        Group(4, 2).decode(99)
+    with pytest.raises(ValueError, match="index -1"):
+        Group(4, 2).decode(np.array([3, -1]))
+
+
+def test_from_dict_rejects_a_short_element():
+    with pytest.raises(ValueError, match="has 3 coordinates"):
+        GroupFunction.from_dict(Group(4, 3), {(1, 2): 1})
+
+
+def test_subset_from_elements_takes_arrays_and_iterables():
+    g = Group(4, 2)
+    els = [(1, 2), (3, 0), (1, 2)]
+    want = np.zeros(16, dtype=bool)
+    want[[9, 3]] = True
+    for given in (els, set(els), iter(els), np.array(els)):
+        np.testing.assert_array_equal(SubsetOfGroup.from_elements(g, given).mask, want)
+    assert SubsetOfGroup.from_elements(g, []).size == 0
+
+
 # --- transform ---------------------------------------------------------------
 
 def test_dft_delta_is_constant():

@@ -12,17 +12,16 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           ParityBalancedSet, SearchSpaceTooLarge,
                           _best_response_parallel,
                           _best_response_sequential, _counting_vectors,
-                          _distinct_pair_convolutions, _group_index_tools,
-                          _parity_sets, _tables, bits_of,
+                          _differences, _distinct_pair_convolutions,
+                          _parity_sets, _tables,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
-                          ghz_value_bruteforce,
-                          index_of, j_bias_bruteforce,
+                          ghz_value_bruteforce, j_bias_bruteforce,
                           j_bias_fourier_identity, j_sample_inputs, j_score,
                           max_eta_parity_balanced, parity_set_from_strategy,
                           reduce_ghz4_to_ghz3, strategy_from_parity_set)
 from poqlab.core import Rng
 
-from oracles import eta_set_dict, ghz_strategy_score_enum
+from oracles import bits_of, eta_set_dict, ghz_strategy_score_enum, j_bias_one_hot
 
 ONE_BIT_FUNCS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -142,10 +141,9 @@ def test_repeated_value_parallel_d2():
 
 def _search_inputs(mode, d):
     tables = _tables(d, d, mode == "sequential")
-    _, _, sub, neg = _group_index_tools(d)
     vecs = _counting_vectors(
-        np.stack([parity_set_from_strategy(t).elements for t in tables]), d)
-    return vecs, vecs[:, sub], neg
+        np.stack([parity_set_from_strategy(t).elements for t in tables]))
+    return vecs, vecs[:, _differences(d)]
 
 
 def _all_ordered_pairs(vecs, conv_all):
@@ -156,13 +154,13 @@ def _all_ordered_pairs(vecs, conv_all):
 def _repeated_value_all_pairs(k, mode, d):
     """Reference search: a best response for every ordered pair of the first
     two players (and every third player at k = 4), no deduplication."""
-    vecs, conv_all, neg = _search_inputs(mode, d)
+    vecs, conv_all = _search_inputs(mode, d)
     n, size = vecs.shape
 
     def reduce_(t_slice):
         if mode == "sequential":
-            return _best_response_sequential(t_slice, d, neg)
-        return _best_response_parallel(t_slice, d, neg)
+            return _best_response_sequential(t_slice, d)
+        return _best_response_parallel(t_slice, d)
 
     pairs = _all_ordered_pairs(vecs, conv_all)
     if k == 3:
@@ -194,7 +192,7 @@ def test_repeated_value_matches_all_pairs_reference(k, mode, d):
     ("parallel", 2, 1864), ("sequential", 2, 160),
 ])
 def test_distinct_pair_convolutions_cover_every_ordered_pair(mode, d, distinct):
-    vecs, conv_all, _ = _search_inputs(mode, d)
+    vecs, conv_all = _search_inputs(mode, d)
     n, size = vecs.shape
     circulants = conv_all.transpose(2, 0, 1).reshape(size, n * size)
     rows = _distinct_pair_convolutions(vecs, circulants.astype(np.float32))
@@ -219,6 +217,28 @@ def test_search_ceilings():
         ghz_value_bruteforce(4, "parallel", 3)
     with pytest.raises(SearchSpaceTooLarge):
         ghz_value_bruteforce(5, "parallel", 2)
+
+
+@pytest.mark.parametrize("search", [
+    lambda d: j_bias_bruteforce(d),
+    lambda d: j_bias_bruteforce(d, sequential=True),
+    lambda d: ghz_value_bruteforce(3, "parallel", d),
+    lambda d: ghz_value_bruteforce(4, "sequential", d),
+    lambda d: max_eta_parity_balanced(d, False),
+    lambda d: max_eta_parity_balanced(d, True),
+    lambda d: ghz_strategy_score([np.zeros((1, 0), dtype=np.uint8)] * 3, d),
+])
+@pytest.mark.parametrize("d", [0, -1])
+def test_searches_reject_sizes_without_a_game(search, d):
+    with pytest.raises(ValueError, match="^need d >= 1$"):
+        search(d)
+
+
+def test_strategy_score_needs_three_players():
+    table = np.zeros((2, 1), dtype=np.uint8)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="^need k >= 3$"):
+            ghz_strategy_score([table] * k, 1)
 
 
 def test_strategy_score_evaluators_agree():
@@ -455,6 +475,17 @@ def _j_bias_oracle_d1():
 
 def test_j_bias_matches_independent_oracle_d1():
     assert j_bias_bruteforce(1) == _j_bias_oracle_d1()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("sequential", [False, True])
+def test_j_bias_best_response_matches_one_hot_reference(d, sequential):
+    assert j_bias_bruteforce(d, sequential) == j_bias_one_hot(d, sequential)
+
+
+def test_j_bias_values():
+    assert j_bias_bruteforce(1) == j_bias_bruteforce(1, True) == 1
+    assert j_bias_bruteforce(2) == j_bias_bruteforce(2, True) == Fraction(7, 8)
 
 
 def test_j_bias_sequential_bounds():

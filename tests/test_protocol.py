@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poqlab import lattice, protocol
-from poqlab.attack import best_score, rewind, run_experiment_s
+from poqlab.attack import best_score, rewind
 from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
 from poqlab.lattice import ZqArray, commitment_shifts, decode_preimages, invert
@@ -20,7 +20,7 @@ from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
                             answer_table)
 from poqlab.quantum import honest_second_round
 
-from oracles import best_score_oracle
+from oracles import best_score_oracle, run_experiment_s
 
 PARAMS = desk_params()
 
