@@ -3,6 +3,8 @@
 The referee hides its question bits inside a lattice ciphertext; the honest
 prover builds a claw state from the ciphertext, commits to a measurement of
 it, and answers the second-round question by measuring the residual qubits.
+The referee decodes the commitment once through its trapdoor, and the claw
+the prover is left with is read off that assessment.
 The answer is drawn by the closed-form claw sampler; the statevector oracle
 prints the exact Born-rule probability of that answer next to it.
 
@@ -14,7 +16,8 @@ import numpy as np
 from poqlab import Rng, desk_params, run_game_r
 from poqlab.games import j_score
 from poqlab.protocol import play_round, referee_first_assessment
-from poqlab.quantum import build_claw_state, honest_second_round
+from poqlab.quantum import (build_claw_state, honest_first_round,
+                            honest_second_round)
 
 params = desk_params()
 print("desk parameters:", f"n={params.n} q={params.q} Q={params.Q} "
@@ -37,19 +40,25 @@ record = first.record
 print(f"ciphertext: A is {record.ciphertext.a.shape}, "
       f"v has {record.ciphertext.v.shape[0]} entries")
 print(f"prover commits w (length {len(first.w.values)}) and "
-      f"{len(first.ells)} measurement bits")
-(a,), _, (e_flag,), (f_flag,) = referee_first_assessment(
-    [first], params, lambda i: rng.stream("demo/referee", 0),
-    first.mem.preimages)
+      f"{len(first.bits)} measurement bits")
+# the referee decodes both shifts of w through its trapdoor, once; the
+# honest prover's claw is exactly what that decode recovers, so the prover
+# reads it off the assessment instead of decoding w itself
+preimages, answers, _, (e_flag,), (f_flag,) = referee_first_assessment(
+    [first], params, lambda i: rng.stream("demo/referee", 0))
+a = answers[0]
 print("referee's events: both preimages in the box (E):", e_flag,
       " no wraparound (F):", f_flag)
-claw = first.mem.claw(0)
+honest = honest_first_round(preimages, answers, params)
+claw = honest.claw(0)
+print("claw read off the referee's answer string: branch0 = a[:d], "
+      "branch1 = z1's data bits, phase = (-1)^{a_d} under E")
 if not claw.degenerate:
     print("claw branches:", claw.branch0, claw.branch1, " phase:", claw.phase)
     print("branch XOR (should be x's data bits):",
           claw.branch0 ^ claw.branch1)
 
-b = honest_second_round(first.mem, y[None], [rng.stream("demo/prover2", 0)])[0]
+b = honest_second_round(honest, y[None], [rng.stream("demo/prover2", 0)])[0]
 print("referee derives a =", a, "; prover answers b =", b)
 bases = ["Y" if bit else "X" for bit in y[:params.d]] + ["XY"]
 law = build_claw_state(claw).outcome_distribution(bases)

@@ -34,7 +34,7 @@ ps = parity_set_from_strategy(table)
 print("a random strategy's set in Z_4^2:", [tuple(r) for r in ps.elements])
 neg = ps.negated()
 mirrored = ghz_strategy_score(
-    [strategy_from_parity_set(s) for s in (ps, ps, neg, neg)], 2)
+    [strategy_from_parity_set(s) for s in (ps, ps, neg, neg)])
 print("eta of the set:", ps.eta(), "== mirrored-team score:", mirrored)
 
 print("\nceilings over all parity-balanced sets:")

@@ -61,7 +61,7 @@ def _config_argv(argv: list[str]) -> list[str]:
 
 def _params_from_args(args) -> Params:
     if getattr(args, "preset", DESK) == PAPER_ASYMPTOTIC:
-        return derive_params(lam=args.lam, preset=PAPER_ASYMPTOTIC)
+        return derive_params(args.lam)
     return desk_params(d=args.d, n=args.n, q=args.q, sigma=args.sigma)
 
 

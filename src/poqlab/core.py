@@ -236,32 +236,22 @@ class Params:
         return e, f
 
 
-def derive_params(lam: int | None = None, preset: str = PAPER_ASYMPTOTIC, *,
-                  n: int | None = None, q: int | None = None,
-                  d: int | None = None, sigma: float | None = None) -> Params:
-    """Build a Params under one of the two presets.
-
-    paper-asymptotic: everything follows from lam (n = lam, q the smallest
-    odd prime in [lam^3, 2 lam^3], d = floor(log2 lam), sigma = sqrt(lam)).
-    desk: n, q, d, sigma are given explicitly and validated.
-    """
-    if preset == PAPER_ASYMPTOTIC:
-        if lam is None or lam < 2:
-            raise ValueError("paper-asymptotic preset needs lam >= 2")
-        return Params(lam=lam, n=lam, q=find_prime(lam ** 3, 2 * lam ** 3),
-                      d=max(int(np.log2(lam)), 1), sigma=float(np.sqrt(lam)),
-                      preset=PAPER_ASYMPTOTIC)
-    if preset == DESK:
-        if None in (n, q, d, sigma):
-            raise InvalidDeskParams("desk preset needs explicit n, q, d, sigma")
-        return Params(lam=lam, n=n, q=q, d=d, sigma=float(sigma), preset=DESK)
-    raise ValueError(f"unknown preset {preset!r}")
+def derive_params(lam: int) -> Params:
+    """The paper-asymptotic preset: everything follows from lam (n = lam, q
+    the smallest odd prime in [lam^3, 2 lam^3], d = floor(log2 lam), sigma =
+    sqrt(lam))."""
+    if lam is None or lam < 2:
+        raise ValueError("paper-asymptotic preset needs lam >= 2")
+    return Params(lam=lam, n=lam, q=find_prime(lam ** 3, 2 * lam ** 3),
+                  d=max(int(np.log2(lam)), 1), sigma=float(np.sqrt(lam)),
+                  preset=PAPER_ASYMPTOTIC)
 
 
 def desk_params(d: int = DESK_D, n: int = DESK_N, q: int = DESK_Q,
                 sigma: float = DESK_SIGMA) -> Params:
-    """The validated default desk preset."""
-    return derive_params(preset=DESK, n=n, q=q, d=d, sigma=sigma)
+    """The desk preset: n, q, d, sigma given explicitly (the defaults are
+    the validated desk point) and validated."""
+    return Params(lam=None, n=n, q=q, d=d, sigma=float(sigma), preset=DESK)
 
 
 # ---------------------------------------------------------------------------

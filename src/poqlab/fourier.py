@@ -102,9 +102,17 @@ class GroupFunction:
 
     @classmethod
     def from_dict(cls, group: Group, entries: dict) -> "GroupFunction":
+        """Values at the listed elements, zero elsewhere; two keys that name
+        the same element mod m raise ValueError."""
         v = np.zeros(group.size, dtype=complex)
+        keys: dict[int, object] = {}
         for element, value in entries.items():
-            v[group.encode(element)] = value
+            idx = group.encode(element)
+            if idx in keys:
+                raise ValueError(f"keys {keys[idx]} and {element} name the "
+                                 f"same element of Z_{group.m}^{group.n}")
+            keys[idx] = element
+            v[idx] = value
         return cls(group, v)
 
     def norm2(self) -> float:

@@ -223,9 +223,10 @@ def _counting_vectors(sets: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ghz_strategy_score(tables: list[np.ndarray], d: int) -> Fraction:
+def ghz_strategy_score(tables: list[np.ndarray]) -> Fraction:
     """Exact expected winning probability of the given per-player strategies
-    at the d-fold repeated k-player parity game.
+    at the d-fold repeated k-player parity game, d read from the tables'
+    shape (2^d, d).
 
     Uses the subset picture: win iff the chosen set elements sum to zero in
     Z_4^d, conditioned on their sum lying in 2 Z_4^d (probability 2^{-d}).
@@ -233,6 +234,10 @@ def ghz_strategy_score(tables: list[np.ndarray], d: int) -> Fraction:
     k = len(tables)
     if k < 3:
         raise ValueError("need k >= 3")
+    shapes = [np.shape(table) for table in tables]
+    if len(set(shapes)) > 1:
+        raise NotParityBalanced(f"tables must share one shape, got {shapes}")
+    d = shapes[0][-1]
     _require_d(d)
     sub = _differences(d)
     vecs = _counting_vectors(_parity_sets(np.stack(tables)))

@@ -16,6 +16,13 @@ flags and the answer strings, the honest prover's claws and its round two,
 and the score.  play_round is the one-trial case, for experiment E in
 attack.py, which replays it on real or uniform advice.
 
+Round one has one owner, the referee: referee_first_assessment decodes a
+block's accepted commitments once and returns their Preimages with its
+verdict, and quantum.honest_first_round reads the honest claws off them.
+That is exact: one shift of an honest commitment has a residual of at most
+tau (the box) and the other of at most 2 tau (the box plus or minus the
+encryption noise), so both invert and a is never a fallback draw.
+
 The referee's rules do not depend on the block.  It is total: a message that
 is not well formed loses the trial (score -1); it is never coerced and never
 raises.  Each rule is stated once, over rows of trials, and a single message
@@ -32,7 +39,7 @@ the blocks start.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -185,14 +192,14 @@ def run_game_j(d: int, trials: int, rng: Rng,
 class FirstRound:
     """Round one of a trial as the referee sees it: its encryption record
     (None on uniform advice; the game drops it once the trapdoor images are
-    taken), the prover's commitment (w, ells) and the memory its second
-    round reads.  bits is ells as the referee accepted it, None when it
-    rejected the commitment, and shifts are the referee's Shifts of an
-    accepted commitment on real advice."""
+    taken), the prover's commitment w and the memory a ClassicalProver's
+    second round reads (None for the honest prover).  bits is the
+    commitment's ells as the referee accepted it, None when it rejected the
+    commitment, and shifts are the referee's Shifts of an accepted
+    commitment on real advice."""
 
     record: EncryptionRecord | None
     w: Any
-    ells: Any
     mem: Any
     bits: np.ndarray | None = None
     shifts: Shifts | None = None
@@ -228,45 +235,23 @@ def _commit(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         bits = None
     shifts = (None if record is None or bits is None
               else commitment_shifts(w, record, params))
-    return FirstRound(record if keep_record else None, w, ells, mem, bits,
-                      shifts)
-
-
-def _stack(shifts: Sequence[Shifts]) -> Shifts:
-    return Shifts(*(np.array(field) for field in zip(*shifts)))
-
-
-def _play_block(prover, params: Params, xs: np.ndarray, rng: Rng, label: str,
-                indices: Sequence[int], real: bool = True,
-                keep_records: bool = False):
-    """Round one of the trials `indices`, one per row of xs: each trial's
-    commitment in turn, then the honest prover's first round over the block.
-    Returns the FirstRounds and the honest prover's FirstRoundResult (None
-    for a ClassicalProver)."""
-    firsts = [_commit(prover, params, x, rng, label, t, real, keep_records)
-              for x, t in zip(xs, indices)]
-    if prover != "honest":
-        return firsts, None
-    return firsts, honest_first_round(_stack([f.shifts for f in firsts]),
-                                      np.array([f.bits for f in firsts]),
-                                      params)
+    return FirstRound(record if keep_record else None, w, mem, bits, shifts)
 
 
 def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
                index: int, real: bool = True) -> FirstRound:
     """Round one of trial `index`, drawn from the streams `label`/...: the
-    one-trial case of the game's block engine, with the record kept.
+    one-trial case of the game's engine, with the record kept.
 
     real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
     pair (A, v) that hides nothing (stream uniform).  The honest prover, the
-    string 'honest', needs real advice and measures with stream prover; its
-    memory is its one-trial FirstRoundResult.  A ClassicalProver commits
-    with coins from stream coins; a TrapdoorLeakProver is first handed the
-    trapdoor, or None.
+    string 'honest', needs real advice and measures with stream prover; it
+    keeps no memory, since its claw is read off the referee's assessment.
+    A ClassicalProver commits with coins from stream coins; a
+    TrapdoorLeakProver is first handed the trapdoor, or None.
     """
-    (first,), honest = _play_block(prover, params, x[None], rng, label,
-                                   [index], real, keep_records=True)
-    return first if honest is None else replace(first, mem=honest)
+    return _commit(prover, params, x, rng, label, index, real,
+                   keep_record=True)
 
 
 def check_bits(messages, count: int,
@@ -287,24 +272,22 @@ def check_bits(messages, count: int,
 
 
 def referee_first_assessment(firsts: Sequence[FirstRound], params: Params,
-                             fallback: Callable[[int], np.random.Generator],
-                             preimages: Preimages | None = None):
+                             fallback: Callable[[int], np.random.Generator]):
     """Referee's round-one bookkeeping over a block of trials played on real
-    advice: invert both shifts of each accepted commitment and derive the
-    answer string it will be scored with.
+    advice: decode both shifts of every accepted commitment at once and
+    derive the answer string it will be scored with.
 
-    preimages, when given, must be decode_preimages of the stacked shifts of
-    the accepted trials; the honest prover has already computed it, so the
-    game passes it on instead of decoding the block a second time.
-
-    Returns (a, committed, e_flags, f_flags): a (trials, d + 1) and three
-    (trials,) bool arrays.  A trial whose commitment was rejected (w not a
-    ZqArray of shape (m,) modulo q, or ells not nQ - d bits) has committed
-    False, a row of zeros and both flags off.  On inversion failure a trial's
-    a is sampled uniformly from fallback(i), i its row, which is called only
-    then, so a block whose inversions succeed derives no fallback stream.
+    Returns (preimages, a, committed, e_flags, f_flags): the Preimages of
+    the accepted trials, in row order (the honest prover reads its claws off
+    them and a; its commitments are always accepted), a (trials, d + 1) and
+    three (trials,) bool arrays.  A trial whose commitment was rejected (w
+    not a ZqArray of shape (m,) modulo q, or ells not nQ - d bits) has
+    committed False, a row of zeros and both flags off.  On inversion
+    failure a trial's a is sampled uniformly from fallback(i), i its row,
+    which is called only then, so a block whose inversions succeed derives
+    no fallback stream.
     """
-    q, d = params.q, params.d
+    q, n, d = params.q, params.n, params.d
     count = len(firsts)
     a = np.zeros((count, d + 1), dtype=np.uint8)
     committed = np.array([f.shifts is not None for f in firsts], dtype=bool)
@@ -312,20 +295,22 @@ def referee_first_assessment(firsts: Sequence[FirstRound], params: Params,
     f_flags = np.zeros(count, dtype=bool)
     rows = np.flatnonzero(committed)
     if not len(rows):
-        return a, committed, e_flags, f_flags
-    if preimages is None:
-        preimages = decode_preimages(_stack([firsts[i].shifts for i in rows]),
-                                     params)
+        none = np.zeros((0, 2), dtype=bool)
+        return (Preimages(np.zeros((0, 2, n), dtype=np.int64), none, none),
+                a, committed, e_flags, f_flags)
+    shifts = Shifts(*(np.array(col) for col in
+                      zip(*(firsts[i].shifts for i in rows))))
+    preimages = decode_preimages(shifts, params)
     z, inverted, in_box = preimages
-    gamma = np.array([firsts[i].shifts.gamma for i in rows])
-    ells = np.array([firsts[i].bits for i in rows])
     ok = inverted.all(axis=1)
-    a[rows] = round_one_answer(z[:, 0], z[:, 1], ells, params)
+    a[rows] = round_one_answer(z[:, 0], z[:, 1],
+                               np.array([firsts[i].bits for i in rows]), params)
     e_flags[rows] = ok & in_box.all(axis=1)
-    f_flags[rows] = ok & (balanced_abs(z[:, 0], q) > np.abs(gamma)).all(axis=1)
+    f_flags[rows] = ok & (balanced_abs(z[:, 0], q)
+                          > np.abs(shifts.gamma)).all(axis=1)
     for i in rows[~ok]:
         a[i] = fallback(int(i)).integers(0, 2, size=d + 1)
-    return a, committed, e_flags, f_flags
+    return preimages, a, committed, e_flags, f_flags
 
 
 def _losing_answer(x, y, b) -> np.ndarray:
@@ -363,14 +348,14 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
     d = params.d
     xs, ys = (np.array(col) for col in zip(
         *(j_sample_inputs(d, rng.stream("gameR/inputs", t)) for t in ts)))
-    firsts, honest = _play_block(prover, params, xs, rng, "gameR", ts)
-    a, committed, e, f = referee_first_assessment(
-        firsts, params, lambda i: rng.stream("gameR/referee", ts[i]),
-        None if honest is None else honest.preimages)
-    if honest is not None:
+    firsts = [_commit(prover, params, x, rng, "gameR", t, real=True,
+                      keep_record=False) for x, t in zip(xs, ts)]
+    preimages, a, committed, e, f = referee_first_assessment(
+        firsts, params, lambda i: rng.stream("gameR/referee", ts[i]))
+    if prover == "honest":
         b, b_ok = check_bits(honest_second_round(
-            honest, ys, [rng.stream("gameR/prover2", t) for t in ts]),
-            len(ts), d + 1)
+            honest_first_round(preimages, a, params), ys,
+            [rng.stream("gameR/prover2", t) for t in ts]), len(ts), d + 1)
     else:
         # each answer is checked alone, so a malformed one loses only its trial
         checked = [check_bits([answer_table(prover, y[None], first.mem)[0]
@@ -388,8 +373,7 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
             transcripts.append(Transcript(
                 game=game, trial=t, x=xs[i], y=ys[i], a=a[i], b=b[i],
                 w=first.w.values.copy() if kept else np.zeros(0, dtype=np.int64),
-                ells=(np.array(first.ells, dtype=np.uint8) if kept
-                      else np.zeros(0, dtype=np.uint8)),
+                ells=first.bits if kept else np.zeros(0, dtype=np.uint8),
                 score=int(scores[i]), e_flag=bool(e[i]), f_flag=bool(f[i]),
                 seed=f"{rng.seed}:gameR:{t}"))
     return scores, e, f, transcripts

@@ -9,11 +9,15 @@ materializes the (nQ+1)-qubit state; for a two-branch residual state the
 X-measurements on the non-data qubits are equivalent to uniform bits plus a
 phase XOR, which is what gets simulated.  Each trial's commitment and
 measurement bits come from honest_commitment, which draws from that trial's
-stream; honest_first_round then takes a whole block of commitments, decodes
-their two preimages through the referee's trapdoor images
-(lattice.decode_preimages), and round_one_answer turns them into the answer
-strings a that the referee scores and the prover reads its claws from; the
-E and F flags are the referee's alone (protocol.referee_first_assessment).
+stream.  The claw left behind is exactly what the referee's trapdoor decode
+recovers, so the referee decodes round one once
+(protocol.referee_first_assessment) and honest_first_round reads each claw
+off that assessment: branch0 is a[:d], branch1 the data bits of z1, and the
+phase (-1)^{a_d} when both preimages sit in the noise box, else 0.  The
+read-off is exact: an honest commitment is A r - c v plus a box vector, so
+one shift's residual is the box (at most tau) and the other's is the box
+plus or minus the encryption noise (at most 2 tau); both always invert, and
+the referee's a is the decoded answer string, never a fallback draw.
 The second round measures each remaining (d+1)-qubit claw, and its outcome
 law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
 exact Born-rule answers for a whole batch of claws at O(d) per claw; the
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, binary_repr, matmul_mod
-from .lattice import Preimages, Shifts, ZqArray, decode_preimages
+from .lattice import Preimages, ZqArray
 
 MAX_QUBITS = 26
 
@@ -272,11 +276,11 @@ def honest_commitment(a: ZqArray, v: ZqArray, params: Params,
 
 @dataclass(frozen=True)
 class FirstRoundResult:
-    """The honest prover's round one over a block of trials: the referee's
-    preimage assessment of each commitment, shared, and the claw each trial
-    is left with, as rows for sample_claw_outcomes."""
+    """The honest prover's round one over a block of trials: the claw each
+    trial is left with, as rows for sample_claw_outcomes, and which of its
+    preimages sit in the noise box."""
 
-    preimages: Preimages
+    in_box: np.ndarray   # (trials, 2) bool, from the referee's Preimages
     branch0: np.ndarray  # (trials, d) data bits of z0
     branch1: np.ndarray  # (trials, d) data bits of z1
     phase: np.ndarray    # (trials,) (-1)^{a_d} with two branches, 0 with one
@@ -284,7 +288,7 @@ class FirstRoundResult:
     def claw(self, i: int) -> ClawDescription:
         """Trial i's claw: both branches when both preimages sit in the noise
         box, else the one branch that does."""
-        in_box0, in_box1 = self.preimages.in_box[i]
+        in_box0, in_box1 = self.in_box[i]
         if in_box0 and in_box1:
             return ClawDescription(self.branch0[i], self.branch1[i],
                                    int(self.phase[i]))
@@ -293,21 +297,19 @@ class FirstRoundResult:
         return ClawDescription(branch0=None, branch1=self.branch1[i])
 
 
-def honest_first_round(shifts: Shifts, ells: np.ndarray,
+def honest_first_round(preimages: Preimages, a: np.ndarray,
                        params: Params) -> FirstRoundResult:
-    """Resolve the consistent preimages of a block of commitments through
-    the referee's trapdoor images (decode_preimages) and reduce each
-    residual state to its claw: two branches when both preimages sit inside
-    the noise box, else the one branch that does.  shifts and ells (trials,
-    nQ - d) are stacked over the block."""
+    """Read each trial's claw off the referee's assessment of a block of
+    honest commitments: preimages and the answer strings a (trials, d + 1)
+    that protocol.referee_first_assessment returns.  Two branches, a[:d]
+    and z1's data bits, with phase (-1)^{a_d} when both preimages sit in the
+    noise box; else the one branch that does."""
     n, d = params.n, params.d
-    preimages = decode_preimages(shifts, params)
-    z0, z1 = preimages.z[:, 0], preimages.z[:, 1]
-    answer = round_one_answer(z0, z1, ells, params)
     phase = np.where(preimages.in_box.all(axis=1),
-                     1 - 2 * answer[:, d].astype(np.int64), 0)
-    return FirstRoundResult(preimages, answer[:, :d],
-                            (z1[:, n - d:] % 2).astype(np.uint8), phase)
+                     1 - 2 * a[:, d].astype(np.int64), 0)
+    return FirstRoundResult(preimages.in_box, a[:, :d],
+                            (preimages.z[:, 1, n - d:] % 2).astype(np.uint8),
+                            phase)
 
 
 def honest_second_round(first: FirstRoundResult, ys,

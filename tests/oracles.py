@@ -13,11 +13,12 @@ from poqlab.attack import best_score, rewind
 from poqlab.core import Params, Rng, matmul_mod, require_count
 from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
 from poqlab.games import _tables, j_sample_inputs, j_score
-from poqlab.lattice import GaussianSampler, ZqArray
+from poqlab.lattice import (GaussianSampler, ZqArray, commitment_shifts,
+                            decode_preimages)
 from poqlab.protocol import (ScoreStats, check_bits, play_round,
                              referee_first_assessment, referee_score)
 from poqlab.provers import ClassicalProver
-from poqlab.quantum import StateVector
+from poqlab.quantum import FirstRoundResult, StateVector, round_one_answer
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,24 @@ def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
     return StateVector(state.num_qubits, grid.reshape(-1))
 
 
+def honest_first_round_oracle(firsts, params: Params) -> FirstRoundResult:
+    """The honest prover's claws derived by the prover itself, trial by
+    trial, from rounds played with their records kept: decode the
+    commitment's two shifts through the trapdoor, build the answer string
+    with round_one_answer, and take the phase (-1)^{a_d} when both
+    preimages sit in the noise box, else 0."""
+    n, d = params.n, params.d
+    rows = []
+    for first in firsts:
+        pre = decode_preimages(commitment_shifts(first.w, first.record, params),
+                               params)
+        answer = round_one_answer(pre.z[0], pre.z[1], first.bits, params)
+        phase = 1 - 2 * int(answer[d]) if pre.in_box.all() else 0
+        rows.append((pre.in_box, answer[:d],
+                     (pre.z[1, n - d:] % 2).astype(np.uint8), phase))
+    return FirstRoundResult(*(np.array(col) for col in zip(*rows)))
+
+
 # ---------------------------------------------------------------------------
 # attack
 
@@ -279,7 +298,7 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
         first = play_round(prover, params, xs[t], rng, "sexp", t,
                            real=which != 3)
         if which == 1:
-            a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
+            _, a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
                 [first], params, lambda i: rng.stream("sexp/referee", t))
         else:
             _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d),

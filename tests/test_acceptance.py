@@ -85,10 +85,10 @@ def test_criterion_03_bruteforce_exactness():
         for _ in range(5):
             tables = [gen.integers(0, 2, size=(1 << d, d)).astype(np.uint8)
                       for _ in range(4)]
-            four = ghz_strategy_score(tables, d)
+            four = ghz_strategy_score(tables)
             assert four == ghz_strategy_score_enum(tables, d)
             avg = sum(
-                (ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, d)), d)
+                (ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, d)))
                  for t in range(1 << d)), Fraction(0)) / (1 << d)
             assert avg == four
     report(3, "one-round values 3/4 exactly, closed form == enumeration on all "

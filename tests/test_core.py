@@ -149,16 +149,16 @@ def test_paper_asymptotic_lambda_4_not_runnable():
 
 
 def test_desk_example_accepted():
-    p = derive_params(preset="desk", n=64, q=524309, d=6, sigma=1.0)
+    p = desk_params(n=64, q=524309, d=6, sigma=1.0)
     assert p.tau >= 1 and p.sigma <= p.tau
     assert p.game_r_runnable
 
 
 def test_desk_validation_rejects():
     with pytest.raises(InvalidDeskParams):
-        derive_params(preset="desk", n=4, q=67, d=2, sigma=1.0)  # tau = 0
+        desk_params(n=4, q=67, d=2, sigma=1.0)  # tau = 0
     with pytest.raises(InvalidDeskParams):
-        derive_params(preset="desk", n=64, q=524309, d=6, sigma=10.0)  # sigma>tau
+        desk_params(n=64, q=524309, d=6, sigma=10.0)  # sigma>tau
 
 
 def test_default_desk_margins():

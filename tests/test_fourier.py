@@ -81,6 +81,17 @@ def test_from_dict_rejects_a_short_element():
         GroupFunction.from_dict(Group(4, 3), {(1, 2): 1})
 
 
+def test_from_dict_rejects_keys_that_name_one_element():
+    with pytest.raises(ValueError, match=r"keys \(1,\) and \(5,\) name the same"):
+        GroupFunction.from_dict(Group(4, 1), {(1,): 1.0, (5,): 2.0})
+    # distinct elements, and no elements at all, still build
+    np.testing.assert_array_equal(
+        GroupFunction.from_dict(Group(4, 1), {(1,): 1.0, (6,): 2.0}).values,
+        [0, 1, 2, 0])
+    np.testing.assert_array_equal(GroupFunction.from_dict(Group(4, 2), {}).values,
+                                  np.zeros(16))
+
+
 def test_subset_from_elements_takes_arrays_and_iterables():
     g = Group(4, 2)
     els = [(1, 2), (3, 0), (1, 2)]

@@ -135,7 +135,7 @@ def test_repeated_value_parallel_d2():
     zero = np.zeros((4, 2), dtype=np.uint8)
     copy = np.stack([bits_of(i, 2) for i in range(4)])
     tables = [zero, zero, copy, copy]
-    assert ghz_strategy_score(tables, 2) == four
+    assert ghz_strategy_score(tables) == four
     assert ghz_strategy_score_enum(tables, 2) == four
 
 
@@ -206,7 +206,7 @@ def test_distinct_pair_convolutions_cover_every_ordered_pair(mode, d, distinct):
 def test_repeated_value_matches_strategy_scores_d1():
     # the searched optimum must be attained by some explicit strategy tuple
     value = ghz_value_bruteforce(4, "parallel", 1)
-    best = max(ghz_strategy_score([s1, s2, s3, s4], 1)
+    best = max(ghz_strategy_score([s1, s2, s3, s4])
                for s1 in all_tables(1) for s2 in all_tables(1)
                for s3 in all_tables(1) for s4 in all_tables(1))
     assert best == value
@@ -226,7 +226,7 @@ def test_search_ceilings():
     lambda d: ghz_value_bruteforce(4, "sequential", d),
     lambda d: max_eta_parity_balanced(d, False),
     lambda d: max_eta_parity_balanced(d, True),
-    lambda d: ghz_strategy_score([np.zeros((1, 0), dtype=np.uint8)] * 3, d),
+    lambda d: ghz_strategy_score([np.zeros((1, 0), dtype=np.uint8)] * 3),
 ])
 @pytest.mark.parametrize("d", [0, -1])
 def test_searches_reject_sizes_without_a_game(search, d):
@@ -238,7 +238,21 @@ def test_strategy_score_needs_three_players():
     table = np.zeros((2, 1), dtype=np.uint8)
     for k in (1, 2):
         with pytest.raises(ValueError, match="^need k >= 3$"):
-            ghz_strategy_score([table] * k, 1)
+            ghz_strategy_score([table] * k)
+
+
+def test_strategy_score_reads_d_from_the_tables():
+    # three (4, 2) tables are a d = 2 game; there is no separate d to disagree
+    gen = np.random.default_rng(5)
+    tables = [gen.integers(0, 2, size=(4, 2)).astype(np.uint8) for _ in range(3)]
+    assert ghz_strategy_score(tables) == ghz_strategy_score_enum(tables, 2)
+
+
+def test_strategy_score_rejects_tables_of_unequal_shapes():
+    tables = [np.zeros((4, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8),
+              np.zeros((4, 2), dtype=np.uint8)]
+    with pytest.raises(NotParityBalanced, match=r"\(4, 2\), \(2, 1\)"):
+        ghz_strategy_score(tables)
 
 
 def test_strategy_score_evaluators_agree():
@@ -248,7 +262,7 @@ def test_strategy_score_evaluators_agree():
             for _ in range(5):
                 tables = [gen.integers(0, 2, size=(1 << d, d)).astype(np.uint8)
                           for _ in range(k)]
-                assert ghz_strategy_score(tables, d) == \
+                assert ghz_strategy_score(tables) == \
                     ghz_strategy_score_enum(tables, d)
 
 
@@ -260,11 +274,11 @@ def test_reduction_preserves_score_exactly():
         for _ in range(4):
             tables = [gen.integers(0, 2, size=(1 << d, d)).astype(np.uint8)
                       for _ in range(4)]
-            four = ghz_strategy_score(tables, d)
+            four = ghz_strategy_score(tables)
             avg = Fraction(0)
             for t_idx in range(1 << d):
                 three = reduce_ghz4_to_ghz3(tables, bits_of(t_idx, d))
-                avg += ghz_strategy_score(three, d)
+                avg += ghz_strategy_score(three)
             assert avg / (1 << d) == four
 
 
@@ -273,16 +287,16 @@ def test_reduction_of_optimal_strategy_hits_three_quarters():
               np.array([[0], [0]], dtype=np.uint8),
               np.array([[0], [1]], dtype=np.uint8),
               np.array([[0], [1]], dtype=np.uint8)]
-    assert ghz_strategy_score(tables, 1) == Fraction(3, 4)
-    scores = [ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, 1)), 1)
+    assert ghz_strategy_score(tables) == Fraction(3, 4)
+    scores = [ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, 1)))
               for t in range(2)]
     assert max(scores) >= Fraction(3, 4)
 
 
 def test_reduction_all_zero_average():
     tables = [np.zeros((2, 1), dtype=np.uint8) for _ in range(4)]
-    four = ghz_strategy_score(tables, 1)
-    avg = sum(ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, 1)), 1)
+    four = ghz_strategy_score(tables)
+    avg = sum(ghz_strategy_score(reduce_ghz4_to_ghz3(tables, bits_of(t, 1)))
               for t in range(2)) / 2
     assert avg == four
 
@@ -364,7 +378,7 @@ def test_eta_equals_mirrored_strategy_score():
             ps = parity_set_from_strategy(table)
             neg = ps.negated()
             score = ghz_strategy_score(
-                [strategy_from_parity_set(s) for s in (ps, ps, neg, neg)], d)
+                [strategy_from_parity_set(s) for s in (ps, ps, neg, neg)])
             assert ps.eta() == score
 
 

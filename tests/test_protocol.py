@@ -18,9 +18,10 @@ from poqlab.protocol import (ScoreStats, Transcript, check_bits, play_round,
                              run_game_j, run_game_r)
 from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
                             answer_table)
-from poqlab.quantum import honest_second_round
+from poqlab.quantum import honest_first_round, honest_second_round
 
-from oracles import best_score_oracle, run_experiment_s
+from oracles import (best_score_oracle, honest_first_round_oracle,
+                     run_experiment_s)
 
 PARAMS = desk_params()
 
@@ -161,17 +162,17 @@ def test_transcripts_do_not_depend_on_trials_or_blocks(prover, params,
     for t, line in enumerate(longest):
         x, y = j_sample_inputs(params.d, rng.stream("gameR/inputs", t))
         first = play_round(prover, params, x, rng, "gameR", t)
-        honest = prover == "honest"
-        a, committed, (e_flag,), (f_flag,) = referee_first_assessment(
-            [first], params, lambda i: rng.stream("gameR/referee", t),
-            first.mem.preimages if honest else None)
-        b = (honest_second_round(first.mem, y[None],
-                                 [rng.stream("gameR/prover2", t)])
-             if honest else answer_table(prover, y[None], first.mem))
+        preimages, a, committed, (e_flag,), (f_flag,) = \
+            referee_first_assessment(
+                [first], params, lambda i: rng.stream("gameR/referee", t))
+        b = (honest_second_round(honest_first_round(preimages, a, params),
+                                 y[None], [rng.stream("gameR/prover2", t)])
+             if prover == "honest"
+             else answer_table(prover, y[None], first.mem))
         (a,), (b,), (score,), (accepted,) = referee_score(
             x[None], y[None], a, committed, *check_bits(b, 1, params.d + 1))
         assert line == Transcript(
-            game, t, x, y, a, b, first.w.values, first.ells, int(score),
+            game, t, x, y, a, b, first.w.values, first.bits, int(score),
             e_flag and accepted, f_flag and accepted,
             f"{rng.seed}:gameR:{t}").to_line()
 
@@ -234,7 +235,7 @@ def test_mid_block_failure_stays_local(monkeypatch):
             continue
         x, y = j_sample_inputs(d, rng.stream("gameR/inputs", t))
         first = play_round(blind, PARAMS, x, rng, "gameR", t)
-        a, committed, (e_flag,), (f_flag,) = referee_first_assessment(
+        _, a, committed, (e_flag,), (f_flag,) = referee_first_assessment(
             [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
         (a,), (b,), (score,), _ = referee_score(
             x[None], y[None], a, committed,
@@ -288,9 +289,8 @@ def test_integers_draw_reproduces_earlier_honest_pins(monkeypatch, tmp_path):
 
 
 def test_honest_round_carries_the_referee_assessment():
-    # the preimages the prover hands the referee are exactly what the referee
-    # would compute from (w, record, params), and what invert gives for each
-    # shift, and so is its verdict
+    # the preimages the referee returns are what it would decode from
+    # (w, record, params), and what invert gives for each shift
     rng = Rng(29)
     q, tau = PARAMS.q, PARAMS.tau
     for t in range(40):
@@ -298,27 +298,67 @@ def test_honest_round_carries_the_referee_assessment():
         x = np.append(inp.integers(0, 2, size=PARAMS.d), 1)
         first = play_round("honest", PARAMS, x, rng, "gameR", t)
         record = first.record
+        preimages, *_ = referee_first_assessment(
+            [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
         fresh = decode_preimages(commitment_shifts(first.w, record, PARAMS),
                                  PARAMS)
-        for got, want in zip(first.mem.preimages, fresh):
+        for got, want in zip(preimages, fresh):
             np.testing.assert_array_equal(got[0], want)
         a_mat = record.ciphertext.a
         for k, target in enumerate([first.w, first.w + record.ciphertext.v]):
             s = invert(a_mat, record.trapdoor, target, PARAMS)
-            assert fresh.inverted[k] == (s is not None)
+            assert preimages.inverted[0, k] == (s is not None)
             if s is not None:
-                np.testing.assert_array_equal(fresh.z[k], s)
+                np.testing.assert_array_equal(preimages.z[0, k], s)
                 residual = target.values - matmul_mod(a_mat.values, s, q)
-                assert fresh.in_box[k] == (norminf(residual, q) <= tau)
+                assert preimages.in_box[0, k] == (norminf(residual, q) <= tau)
 
-        def fallback(i):
-            return rng.stream("gameR/referee", t)
 
-        shared = referee_first_assessment([first], PARAMS, fallback,
-                                          first.mem.preimages)
-        recomputed = referee_first_assessment([first], PARAMS, fallback)
-        for got, want in zip(shared, recomputed):
-            np.testing.assert_array_equal(got, want)
+def _no_fallback(i):
+    raise AssertionError(f"row {i} of an honest block failed to invert")
+
+
+@pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
+                         ids=["desk", "separation"])
+def test_honest_claws_read_off_the_assessment_are_the_provers_own(params):
+    # on every trial of honest blocks, the claws read off the referee's
+    # assessment are the ones the prover derives by decoding its own
+    # commitment, and no inversion fails (residuals within tau and 2 tau)
+    rng = Rng(83)
+    block = protocol._BLOCK
+    for start in (0, block):
+        firsts = []
+        for t in range(start, start + block):
+            x, _ = j_sample_inputs(params.d, rng.stream("gameR/inputs", t))
+            firsts.append(play_round("honest", params, x, rng, "gameR", t))
+        preimages, a, committed, _, _ = referee_first_assessment(
+            firsts, params, _no_fallback)
+        assert committed.all()
+        got = honest_first_round(preimages, a, params)
+        want = honest_first_round_oracle(firsts, params)
+        for name in ("in_box", "branch0", "branch1", "phase"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+
+
+def test_one_decode_per_block(monkeypatch):
+    # 20 honest trials are 3 blocks: the referee decodes and builds answer
+    # strings once per block, and the honest prover reads each block's claws
+    # once; the benchmark's per-layer spans count these same names
+    assert -(-20 // protocol._BLOCK) == 3
+    names = ("referee_first_assessment", "honest_first_round",
+             "honest_second_round", "decode_preimages", "round_one_answer")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(protocol, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counted)
+    run_game_r("honest", PARAMS, 20, Rng(3))
+    assert calls == dict.fromkeys(names, 3)
 
 
 def test_blind_prover_scores_like_all_zero_strategy():
@@ -628,6 +668,6 @@ def test_experiment_s_pinned_at_fixed_seed(which, prover_cls, stats):
 def test_rewind_budget_enforced():
     big = desk_params(d=8, n=16)
     assert big.d == 8
-    wide = derive_params(preset="desk", n=16, q=134_217_689, d=15, sigma=0.35)
+    wide = desk_params(n=16, q=134_217_689, d=15, sigma=0.35)
     with pytest.raises(ValueError):
         run_experiment_s(2, BlindProver(wide), wide, 1, Rng(0))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from poqlab.core import Rng, desk_params
-from poqlab.lattice import Shifts, commitment_shifts, encrypt
+from poqlab.lattice import commitment_shifts, encrypt
 from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector,
                             build_claw_state, coin_zero_probability,
                             honest_commitment, honest_first_round, measure,
                             round_one_positions, sample_claw_outcomes)
 
-from oracles import apply_zc
+from oracles import apply_zc, honest_first_round_oracle
 
 
 def stream(label, idx=0, seed=11):
@@ -296,21 +296,17 @@ def test_round_one_positions_skip_claw_bits():
 
 
 def _honest_round(record, params, gen):
-    """The honest prover's round one on one record, from its prover stream
-    gen, as the game plays it: the commitment, the FirstRound the referee
-    assesses, and the prover's one-trial FirstRoundResult."""
+    """The honest prover's commitment on one record, from its prover stream
+    gen, as the FirstRound the referee assesses."""
     w, ells = honest_commitment(record.ciphertext.a, record.ciphertext.v,
                                 params, gen)
-    shifts = commitment_shifts(w, record, params)
-    first = FirstRound(record, w, ells, None, ells, shifts)
-    honest = honest_first_round(Shifts(*(f[None] for f in shifts)),
-                                ells[None], params)
-    return first, honest
+    return FirstRound(record, w, None, ells, commitment_shifts(w, record, params))
 
 
 def test_referee_answer_matches_prover_claw():
-    # the referee inverts w itself and derives the answer string; the
-    # prover's claw must be the one that answer string describes
+    # the referee inverts w itself and derives the answer string; the claw
+    # the prover derives on its own (the reference derivation) must be the
+    # one that answer string describes
     params = desk_params()
     rng = Rng(47)
     checked = 0
@@ -318,10 +314,10 @@ def test_referee_answer_matches_prover_claw():
         gen = rng.stream("enc", t)
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
-        first, honest = _honest_round(record, params, rng.stream("prover", t))
-        (a,), _, (e_flag,), _ = referee_first_assessment(
+        first = _honest_round(record, params, rng.stream("prover", t))
+        _, (a,), _, (e_flag,), _ = referee_first_assessment(
             [first], params, lambda i: rng.stream("ref", t))
-        claw = honest.claw(0)
+        claw = honest_first_round_oracle([first], params).claw(0)
         # event E (both preimages in the noise box) is what leaves two branches
         assert e_flag == (not claw.degenerate)
         if e_flag:
@@ -340,9 +336,10 @@ def test_honest_first_round_events_and_claw():
         gen = rng.stream("enc", t)
         x = gen.integers(0, 2, size=params.d)
         record = encrypt(x, params, gen)
-        first, honest = _honest_round(record, params, rng.stream("prover", t))
-        _, _, (e_flag,), (f_flag,) = referee_first_assessment(
+        first = _honest_round(record, params, rng.stream("prover", t))
+        preimages, a, _, (e_flag,), (f_flag,) = referee_first_assessment(
             [first], params, lambda i: rng.stream("ref", t))
+        honest = honest_first_round(preimages, a, params)
         e_hits += e_flag
         f_hits += f_flag
         if e_flag and f_flag:
@@ -351,7 +348,7 @@ def test_honest_first_round_events_and_claw():
             got = (claw.branch0 ^ claw.branch1)
             np.testing.assert_array_equal(got, x.astype(np.uint8))
         assert first.w.values.shape == (params.m,)
-        assert len(first.ells) == len(round_one_positions(params))
+        assert len(first.bits) == len(round_one_positions(params))
     bound_e, bound_f = params.event_bounds()
     assert e_hits / trials >= bound_e - 0.05
     assert f_hits / trials >= bound_f - 0.05
