@@ -251,11 +251,11 @@ def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
 
 
 def honest_first_round_oracle(firsts, params: Params) -> FirstRoundResult:
-    """The honest prover's claws derived by the prover itself, trial by
-    trial, from rounds played with their records kept: decode the
-    commitment's two shifts through the trapdoor, build the answer string
-    with round_one_answer, and take the phase (-1)^{a_d} when both
-    preimages sit in the noise box, else 0."""
+    """The honest prover's claws derived apart from the referee's block
+    decode, trial by trial, from rounds played with their records kept:
+    decode the commitment's two shifts through the trapdoor, build the
+    answer string with round_one_answer, and take the phase (-1)^{a_d} when
+    both preimages sit in the noise box, else 0."""
     n, d = params.n, params.d
     rows = []
     for first in firsts:

@@ -241,13 +241,6 @@ def test_strategy_score_needs_three_players():
             ghz_strategy_score([table] * k)
 
 
-def test_strategy_score_reads_d_from_the_tables():
-    # three (4, 2) tables are a d = 2 game; there is no separate d to disagree
-    gen = np.random.default_rng(5)
-    tables = [gen.integers(0, 2, size=(4, 2)).astype(np.uint8) for _ in range(3)]
-    assert ghz_strategy_score(tables) == ghz_strategy_score_enum(tables, 2)
-
-
 def test_strategy_score_rejects_tables_of_unequal_shapes():
     tables = [np.zeros((4, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8),
               np.zeros((4, 2), dtype=np.uint8)]
