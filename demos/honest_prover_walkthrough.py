@@ -16,8 +16,8 @@ import numpy as np
 from poqlab import Rng, desk_params, run_game_r
 from poqlab.games import j_score
 from poqlab.protocol import play_round, referee_first_assessment
-from poqlab.quantum import (build_claw_state, honest_first_round,
-                            honest_second_round)
+from poqlab.quantum import (ClawDescription, build_claw_state,
+                            honest_first_round, honest_second_round)
 
 params = desk_params()
 print("desk parameters:", f"n={params.n} q={params.q} Q={params.Q} "
@@ -33,12 +33,11 @@ x = np.append(gen.integers(0, 2, size=params.d), 1).astype(np.uint8)
 y = np.append(gen.integers(0, 2, size=params.d), 1).astype(np.uint8)
 print("referee's hidden question x:", x, " second-round question y:", y)
 
-# round one, the one-trial case of the game's engine: the referee encrypts
-# x (stream demo/encrypt), the prover commits (stream demo/prover)
+# round one, the engine's per-trial step: the referee encrypts
+# x (stream demo/encrypt), the prover commits (stream demo/prover), and the
+# referee keeps only the trapdoor images of the commitment
 first = play_round("honest", params, x, rng, "demo", 0)
-record = first.record
-print(f"ciphertext: A is {record.ciphertext.a.shape}, "
-      f"v has {record.ciphertext.v.shape[0]} entries")
+print(f"ciphertext: A is ({params.m}, {params.n}), v has {params.m} entries")
 print(f"prover commits w (length {len(first.w.values)}) and "
       f"{len(first.bits)} measurement bits")
 # the referee decodes both shifts of w through its trapdoor, once; the
@@ -49,8 +48,13 @@ preimages, answers, _, (e_flag,), (f_flag,) = referee_first_assessment(
 a = answers[0]
 print("referee's events: both preimages in the box (E):", e_flag,
       " no wraparound (F):", f_flag)
-honest = honest_first_round(preimages, answers, params)
-claw = honest.claw(0)
+claws = honest_first_round(preimages, answers, params)
+# under E both branches remain; otherwise only the one whose preimage sits
+# in the noise box, and the phase is 0
+branch0, branch1, phase = (col[0] for col in claws)
+in_box0, in_box1 = preimages.in_box[0]
+claw = ClawDescription(branch0 if in_box0 else None,
+                       branch1 if in_box1 else None, int(phase) or 1)
 print("claw read off the referee's answer string: branch0 = a[:d], "
       "branch1 = z1's data bits, phase = (-1)^{a_d} under E")
 if not claw.degenerate:
@@ -58,7 +62,7 @@ if not claw.degenerate:
     print("branch XOR (should be x's data bits):",
           claw.branch0 ^ claw.branch1)
 
-b = honest_second_round(honest, y[None], [rng.stream("demo/prover2", 0)])[0]
+b = honest_second_round(claws, y[None], [rng.stream("demo/prover2", 0)])[0]
 print("referee derives a =", a, "; prover answers b =", b)
 bases = ["Y" if bit else "X" for bit in y[:params.d]] + ["XY"]
 law = build_claw_state(claw).outcome_distribution(bases)

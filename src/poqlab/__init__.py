@@ -7,7 +7,7 @@ Subpackage map:
   lattice   discrete Gaussians, gadget trapdoors, encrypt/decrypt
   quantum   the honest prover, its claw sampler, the statevector oracle
   provers   the classical prover model and built-in test provers
-  protocol  the round engine (blocks of trials; play_round plays one), the
+  protocol  the round engine (blocks of trials; play_round is its step), the
             total referee (check_bits, referee_score: each rule once, over
             rows of trials), the encrypted game and the claw game, transcripts
   attack    optimal-answer decoding, rewinding, and the distinguishing

@@ -4,8 +4,9 @@ protocol's round against a classical prover and so turns a cheating prover
 into an attack on the encryption.
 
 Experiment E plays its first round through protocol.play_round, on real or
-uniform advice, and rewinds the prover's second round through rewind(),
-which walks the d + 1 question levels once and asks the prover's
+uniform advice; the encryption record is gone once play_round returns, so
+none is held while rewinding.  It rewinds the prover's second round through
+rewind(), which walks the d + 1 question levels once and asks the prover's
 respond_bit each distinct question prefix once (provers.answer_table).  The
 prover is deterministic and sees only the prefix, so this is the table of
 its second responses exactly.  best_score judges the rewound answers by the
@@ -259,6 +260,8 @@ def attack_plan(d: int, epsilon: float, alpha: int) -> AttackPlan:
     2 * alpha * weight_cap bit operations each.
     """
     require_count("alpha", alpha)
+    if d < 1:
+        raise ValueError("need d >= 1")
     ceiling = 2 * (3 / 4) ** (d / 4)
     ceiling_4dp = math.ceil(ceiling * 10 ** 4) / 10 ** 4
     # smallest weight cap whose binomial tail drops below 0.12%

@@ -25,7 +25,8 @@ more is dropped.  Each kept byte is uniform on the 243 strings in
 R is needed only while a trial's products with it are taken.  A round-one
 commitment w is assessed in two steps: commitment_shifts takes, while R is
 live, the trapdoor images of both shifts w and w + v in one product and
-keeps them with A and gamma (Shifts); decode_preimages then decodes both
+keeps them with A and gamma (Shifts), after which the round engine drops
+the EncryptionRecord and R with it; decode_preimages then decodes both
 shifts and computes each residual t - A z once, which serves both invert's
 2 tau acceptance test and the tau noise-box test.  decode_preimages works
 over any leading trial axes, so the game decodes a block of trials at once
@@ -259,7 +260,6 @@ class EncryptionRecord:
     ciphertext: Ciphertext
     trapdoor: TrapdoorKey
     gamma: np.ndarray   # 2s + M as balanced integers (no modular wrap)
-    message: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -285,7 +285,7 @@ def encrypt(message, params: Params, rng: np.random.Generator) -> EncryptionReco
     gamma = 2 * s + m_vec
     v = (matmul_mod(a.values, gamma % params.q, params.q) + e) % params.q
     return EncryptionRecord(ciphertext=Ciphertext(a=a, v=ZqArray(params.q, v)),
-                            trapdoor=trap, gamma=gamma, message=h.copy())
+                            trapdoor=trap, gamma=gamma)
 
 
 def decrypt(a: ZqArray, trap: TrapdoorKey, v: ZqArray,

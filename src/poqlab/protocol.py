@@ -4,24 +4,27 @@ strategy, and transcript/statistics plumbing.
 
 A round: the referee sends advice (A, v), the prover commits to (w, ells),
 the referee inverts the commitment through its trapdoor into an answer
-string a, and the prover answers a question y with b.  The engine plays a
-block of trials at a time.  Each trial's draws come from its own streams,
-in a fixed order, and while its trapdoor R is live the referee takes the
-trapdoor images of both shifts of its commitment (lattice.commitment_shifts);
-then R is dropped, so a block never holds more than one.  A classical
-prover's first_response runs per trial (a TrapdoorLeakProver is handed that
-trial's trapdoor), and the referee rejects a malformed commitment there.
-The rest is vectorized over the block: decoding the preimages, the E and F
-flags and the answer strings, the honest prover's claws and its round two,
-and the score.  play_round is the one-trial case, for experiment E in
-attack.py, which replays it on real or uniform advice.
+string a, and the prover answers a question y with b.  The engine's
+per-trial step is play_round.  It draws a trial's advice and commitment
+from the trial's own streams, in a fixed order, and while the trial's
+trapdoor R is live the referee takes the trapdoor images of both shifts of
+the commitment (lattice.commitment_shifts); then the encryption record, and
+R with it, is dropped, so no record outlives its trial.  A classical
+prover's first_response also runs per trial (a TrapdoorLeakProver is handed
+that trial's trapdoor), and the referee rejects a malformed commitment
+there.  The game calls play_round for each trial of a block and vectorizes
+the rest over the block: decoding the preimages, the E and F flags and the
+answer strings, the honest prover's claws and its round two, and the score.
+Experiment E in attack.py calls play_round alone, on real or uniform
+advice.
 
 Round one has one owner, the referee: referee_first_assessment decodes a
 block's accepted commitments once and returns their Preimages with its
-verdict, and quantum.honest_first_round reads the honest claws off them.
-That is exact: one shift of an honest commitment has a residual of at most
-tau (the box) and the other of at most 2 tau (the box plus or minus the
-encryption noise), so both invert and a is never a fallback draw.
+verdict, and quantum.honest_first_round reads the honest claws off them as
+rows for the claw sampler.  That is exact: one shift of an honest
+commitment has a residual of at most tau (the box) and the other of at most
+2 tau (the box plus or minus the encryption noise), so both invert and a is
+never a fallback draw.
 
 The referee's rules do not depend on the block.  It is total: a message that
 is not well formed loses the trial (score -1); it is never coerced and never
@@ -46,8 +49,8 @@ import numpy as np
 
 from .core import Params, Rng, balanced_abs, require_count
 from .games import j_sample_inputs, j_score
-from .lattice import (EncryptionRecord, Preimages, Shifts, ZqArray,
-                      commitment_shifts, decode_preimages, encrypt)
+from .lattice import (Preimages, Shifts, ZqArray, commitment_shifts,
+                      decode_preimages, encrypt)
 from .provers import TrapdoorLeakProver, answer_table
 from .quantum import (honest_commitment, honest_first_round,
                       honest_second_round, round_one_answer,
@@ -162,6 +165,8 @@ def run_game_j(d: int, trials: int, rng: Rng,
     uniform first-round outcome, which leaves the claw
     (a[:d], a[:d] ^ x[:d], (-1)^{a_d}), and b is that claw measured in y."""
     require_count("trials", trials)
+    if d < 1:
+        raise ValueError("need d >= 1")
     gen = rng.stream("gameJ/inputs")
     xs = np.hstack([gen.integers(0, 2, size=(trials, d)),
                     np.ones((trials, 1), dtype=np.int64)])
@@ -190,26 +195,31 @@ def run_game_j(d: int, trials: int, rng: Rng,
 
 @dataclass(frozen=True)
 class FirstRound:
-    """Round one of a trial as the referee sees it: its encryption record
-    (None on uniform advice; the game drops it once the trapdoor images are
-    taken), the prover's commitment w and the memory a ClassicalProver's
-    second round reads (None for the honest prover).  bits is the
-    commitment's ells as the referee accepted it, None when it rejected the
-    commitment, and shifts are the referee's Shifts of an accepted
-    commitment on real advice."""
+    """Round one of a trial as the referee sees it: the prover's commitment
+    w and the memory a ClassicalProver's second round reads (None for the
+    honest prover).  bits is the commitment's ells as the referee accepted
+    it, None when it rejected the commitment, and shifts are the referee's
+    Shifts of an accepted commitment on real advice."""
 
-    record: EncryptionRecord | None
     w: Any
     mem: Any
     bits: np.ndarray | None = None
     shifts: Shifts | None = None
 
 
-def _commit(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
-            index: int, real: bool, keep_record: bool) -> FirstRound:
-    """Round one of trial `index` up to the commitment and its Shifts, drawn
-    from the streams `label`/...: encrypt (or uniform), then prover for the
-    honest prover or coins for a ClassicalProver."""
+def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
+               index: int, real: bool = True) -> FirstRound:
+    """Round one of trial `index`, drawn from the streams `label`/...: the
+    engine's per-trial step, up to the commitment and its Shifts.
+
+    real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
+    pair (A, v) that hides nothing (stream uniform).  The encryption record
+    is dropped on return, once the Shifts are taken.  The honest prover,
+    the string 'honest', needs real advice and measures with stream prover;
+    it keeps no memory, since its claw is read off the referee's assessment.
+    A ClassicalProver commits with coins from stream coins; a
+    TrapdoorLeakProver is first handed the trapdoor, or None.
+    """
     q, m, n = params.q, params.m, params.n
     if real:
         record = encrypt(x[:params.d], params,
@@ -235,23 +245,7 @@ def _commit(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         bits = None
     shifts = (None if record is None or bits is None
               else commitment_shifts(w, record, params))
-    return FirstRound(record if keep_record else None, w, mem, bits, shifts)
-
-
-def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
-               index: int, real: bool = True) -> FirstRound:
-    """Round one of trial `index`, drawn from the streams `label`/...: the
-    one-trial case of the game's engine, with the record kept.
-
-    real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
-    pair (A, v) that hides nothing (stream uniform).  The honest prover, the
-    string 'honest', needs real advice and measures with stream prover; it
-    keeps no memory, since its claw is read off the referee's assessment.
-    A ClassicalProver commits with coins from stream coins; a
-    TrapdoorLeakProver is first handed the trapdoor, or None.
-    """
-    return _commit(prover, params, x, rng, label, index, real,
-                   keep_record=True)
+    return FirstRound(w, mem, bits, shifts)
 
 
 def check_bits(messages, count: int,
@@ -341,15 +335,15 @@ def referee_score(xs, ys, a, committed, b, b_ok):
 # ---------------------------------------------------------------------------
 # the encrypted game
 
-def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
+def _game_r_block(prover, params: Params, ts: range, rng: Rng,
                   sequential: bool, keep_transcripts: bool):
     """Trials ts of game R: (scores, e_flags, f_flags, transcripts).  The
     block's arrays live only while this runs."""
     d = params.d
     xs, ys = (np.array(col) for col in zip(
         *(j_sample_inputs(d, rng.stream("gameR/inputs", t)) for t in ts)))
-    firsts = [_commit(prover, params, x, rng, "gameR", t, real=True,
-                      keep_record=False) for x, t in zip(xs, ts)]
+    firsts = [play_round(prover, params, x, rng, "gameR", t)
+              for x, t in zip(xs, ts)]
     preimages, a, committed, e, f = referee_first_assessment(
         firsts, params, lambda i: rng.stream("gameR/referee", ts[i]))
     if prover == "honest":
@@ -368,6 +362,7 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng, game: str,
     e, f = e & accepted, f & accepted
     transcripts = []
     if keep_transcripts:
+        game = "Rseq" if sequential else "R"
         for i, (t, first) in enumerate(zip(ts, firsts)):
             kept = committed[i]
             transcripts.append(Transcript(
@@ -394,7 +389,6 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
         raise ValueError("need d >= 1")
     if not params.game_r_runnable:
         raise ValueError("; ".join(params.runnability_problems()))
-    game = "Rseq" if sequential else "R"
     scores = np.zeros(trials, dtype=np.int64)
     e_flags = np.zeros(trials, dtype=bool)
     f_flags = np.zeros(trials, dtype=bool)
@@ -403,7 +397,7 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
         ts = range(start, min(start + _BLOCK, trials))
         rows = slice(start, ts.stop)
         scores[rows], e_flags[rows], f_flags[rows], lines = _game_r_block(
-            prover, params, ts, rng, game, sequential, keep_transcripts)
+            prover, params, ts, rng, sequential, keep_transcripts)
         transcripts.extend(lines)
 
     both = e_flags & f_flags

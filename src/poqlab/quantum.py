@@ -12,10 +12,11 @@ measurement bits come from honest_commitment, which draws from that trial's
 stream.  The claw left behind is exactly what the referee's trapdoor decode
 recovers, so the referee decodes round one once
 (protocol.referee_first_assessment) and honest_first_round reads each claw
-off that assessment: branch0 is a[:d], branch1 the data bits of z1, and the
-phase (-1)^{a_d} when both preimages sit in the noise box, else 0.  The
-read-off is exact: an honest commitment is A r - c v plus a box vector, so
-one shift's residual is the box (at most tau) and the other's is the box
+off that assessment, as the rows (branch0, branch1, phase) that
+sample_claw_outcomes takes: branch0 is a[:d], branch1 the data bits of z1,
+and the phase (-1)^{a_d} when both preimages sit in the noise box, else 0.
+The read-off is exact: an honest commitment is A r - c v plus a box vector,
+so one shift's residual is the box (at most tau) and the other's is the box
 plus or minus the encryption noise (at most 2 tau); both always invert, and
 the referee's a is the decoded answer string, never a fallback draw.
 The second round measures each remaining (d+1)-qubit claw, and its outcome
@@ -274,50 +275,27 @@ def honest_commitment(a: ZqArray, v: ZqArray, params: Params,
     return w, ells
 
 
-@dataclass(frozen=True)
-class FirstRoundResult:
-    """The honest prover's round one over a block of trials: the claw each
-    trial is left with, as rows for sample_claw_outcomes, and which of its
-    preimages sit in the noise box."""
-
-    in_box: np.ndarray   # (trials, 2) bool, from the referee's Preimages
-    branch0: np.ndarray  # (trials, d) data bits of z0
-    branch1: np.ndarray  # (trials, d) data bits of z1
-    phase: np.ndarray    # (trials,) (-1)^{a_d} with two branches, 0 with one
-
-    def claw(self, i: int) -> ClawDescription:
-        """Trial i's claw: both branches when both preimages sit in the noise
-        box, else the one branch that does."""
-        in_box0, in_box1 = self.in_box[i]
-        if in_box0 and in_box1:
-            return ClawDescription(self.branch0[i], self.branch1[i],
-                                   int(self.phase[i]))
-        if in_box0:
-            return ClawDescription(branch0=self.branch0[i], branch1=None)
-        return ClawDescription(branch0=None, branch1=self.branch1[i])
-
-
 def honest_first_round(preimages: Preimages, a: np.ndarray,
-                       params: Params) -> FirstRoundResult:
+                       params: Params) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
     """Read each trial's claw off the referee's assessment of a block of
     honest commitments: preimages and the answer strings a (trials, d + 1)
-    that protocol.referee_first_assessment returns.  Two branches, a[:d]
-    and z1's data bits, with phase (-1)^{a_d} when both preimages sit in the
-    noise box; else the one branch that does."""
+    that protocol.referee_first_assessment returns.  The claws are the rows
+    (branch0, branch1, phase) that sample_claw_outcomes takes: a[:d], z1's
+    data bits, and (-1)^{a_d} when both preimages sit in the noise box, else
+    0 (one branch, the one whose preimage does)."""
     n, d = params.n, params.d
     phase = np.where(preimages.in_box.all(axis=1),
                      1 - 2 * a[:, d].astype(np.int64), 0)
-    return FirstRoundResult(preimages.in_box, a[:, :d],
-                            (preimages.z[:, 1, n - d:] % 2).astype(np.uint8),
-                            phase)
+    return (a[:, :d], (preimages.z[:, 1, n - d:] % 2).astype(np.uint8),
+            phase)
 
 
-def honest_second_round(first: FirstRoundResult, ys,
-                        rngs) -> np.ndarray:
+def honest_second_round(claws, ys, rngs) -> np.ndarray:
     """Measure each trial's data qubit j in X or Y according to y_j, the coin
     qubit in the rotated XY basis; the d+1 outcome bits are the round-two
-    answer.  ys is (trials, d + 1), rngs one generator per trial.  Sampled
-    in closed form (sample_claw_outcomes), not simulated; a single branch
-    has phase 0, which gives every outcome with probability 1/2."""
-    return sample_claw_outcomes(first.branch0, first.branch1, first.phase,
-                                ys, rngs)
+    answer.  claws are the rows (branch0, branch1, phase) of
+    honest_first_round, ys is (trials, d + 1), rngs one generator per trial.
+    Sampled in closed form (sample_claw_outcomes), not simulated; a single
+    branch has phase 0, which gives every outcome with probability 1/2."""
+    return sample_claw_outcomes(*claws, ys, rngs)

@@ -13,12 +13,12 @@ from poqlab.attack import best_score, rewind
 from poqlab.core import Params, Rng, matmul_mod, require_count
 from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
 from poqlab.games import _tables, j_sample_inputs, j_score
-from poqlab.lattice import (GaussianSampler, ZqArray, commitment_shifts,
-                            decode_preimages)
+from poqlab.lattice import (EncryptionRecord, GaussianSampler, ZqArray,
+                            decode_preimages, encrypt)
 from poqlab.protocol import (ScoreStats, check_bits, play_round,
                              referee_first_assessment, referee_score)
 from poqlab.provers import ClassicalProver
-from poqlab.quantum import FirstRoundResult, StateVector, round_one_answer
+from poqlab.quantum import ClawDescription, StateVector, round_one_answer
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +250,39 @@ def apply_zc(state: StateVector, qubit: int, c: float) -> StateVector:
     return StateVector(state.num_qubits, grid.reshape(-1))
 
 
-def honest_first_round_oracle(firsts, params: Params) -> FirstRoundResult:
+def honest_first_round_oracle(firsts, params: Params):
     """The honest prover's claws derived apart from the referee's block
-    decode, trial by trial, from rounds played with their records kept:
-    decode the commitment's two shifts through the trapdoor, build the
+    decode, trial by trial: decode each round's Shifts alone, build the
     answer string with round_one_answer, and take the phase (-1)^{a_d} when
-    both preimages sit in the noise box, else 0."""
+    both preimages sit in the noise box, else 0.  Returns the rows
+    (branch0, branch1, phase) of quantum.honest_first_round."""
     n, d = params.n, params.d
     rows = []
     for first in firsts:
-        pre = decode_preimages(commitment_shifts(first.w, first.record, params),
-                               params)
+        pre = decode_preimages(first.shifts, params)
         answer = round_one_answer(pre.z[0], pre.z[1], first.bits, params)
         phase = 1 - 2 * int(answer[d]) if pre.in_box.all() else 0
-        rows.append((pre.in_box, answer[:d],
-                     (pre.z[1, n - d:] % 2).astype(np.uint8), phase))
-    return FirstRoundResult(*(np.array(col) for col in zip(*rows)))
+        rows.append((answer[:d], (pre.z[1, n - d:] % 2).astype(np.uint8),
+                     phase))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def claw_description(claws, in_box, i: int) -> ClawDescription:
+    """Trial i of the claw rows (branch0, branch1, phase) as a
+    ClawDescription: both branches when both preimages sit in the noise box
+    (in_box, the referee's Preimages.in_box), else the one branch that
+    does."""
+    branch0, branch1, phase = (col[i] for col in claws)
+    in_box0, in_box1 = in_box[i]
+    return ClawDescription(branch0 if in_box0 else None,
+                           branch1 if in_box1 else None, int(phase) or 1)
+
+
+def round_record(x, params: Params, rng: Rng, label: str,
+                 index: int) -> EncryptionRecord:
+    """The encryption record that protocol.play_round drew for trial index
+    on real advice and dropped: encrypt is deterministic in its stream."""
+    return encrypt(x[:params.d], params, rng.stream(f"{label}/encrypt", index))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,10 @@ def test_config_without_a_path_fails(capsys):
      "samples must be at least 1, got 0"),
     (("fourier", "--check", "uncertainty", "--samples", "-2"),
      "samples must be at least 1, got -2"),
+    (("run", "--game", "J", "--d", "0", "--trials", "5"), "need d >= 1"),
+    (("run", "--game", "J", "--d", "-2", "--trials", "5"), "need d >= 1"),
+    (("attack", "--experiment", "plan", "--d", "0"), "need d >= 1"),
+    (("attack", "--experiment", "plan", "--d", "-3"), "need d >= 1"),
 ])
 def test_counts_below_one_fail_with_their_name(capsys, argv, message):
     assert main(list(argv)) == 1

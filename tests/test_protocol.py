@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poqlab import lattice, protocol
-from poqlab.attack import best_score, rewind
+from poqlab import attack, lattice, protocol
+from poqlab.attack import best_score, experiment_e_campaign, rewind
 from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
 from poqlab.lattice import ZqArray, commitment_shifts, decode_preimages, invert
@@ -21,7 +23,7 @@ from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
 from poqlab.quantum import honest_first_round, honest_second_round
 
 from oracles import (best_score_oracle, honest_first_round_oracle,
-                     run_experiment_s)
+                     round_record, run_experiment_s)
 
 PARAMS = desk_params()
 
@@ -290,14 +292,15 @@ def test_integers_draw_reproduces_earlier_honest_pins(monkeypatch, tmp_path):
 
 def test_honest_round_carries_the_referee_assessment():
     # the preimages the referee returns are what it would decode from
-    # (w, record, params), and what invert gives for each shift
+    # (w, record, params), and what invert gives for each shift, with the
+    # record rebuilt from its stream
     rng = Rng(29)
     q, tau = PARAMS.q, PARAMS.tau
     for t in range(40):
         inp = rng.stream("gameR/inputs", t)
         x = np.append(inp.integers(0, 2, size=PARAMS.d), 1)
         first = play_round("honest", PARAMS, x, rng, "gameR", t)
-        record = first.record
+        record = round_record(x, PARAMS, rng, "gameR", t)
         preimages, *_ = referee_first_assessment(
             [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
         fresh = decode_preimages(commitment_shifts(first.w, record, PARAMS),
@@ -312,6 +315,39 @@ def test_honest_round_carries_the_referee_assessment():
                 np.testing.assert_array_equal(preimages.z[0, k], s)
                 residual = target.values - matmul_mod(a_mat.values, s, q)
                 assert preimages.in_box[0, k] == (norminf(residual, q) <= tau)
+
+
+def test_no_record_outlives_its_trial(monkeypatch):
+    # the encryption record, and its trapdoor R with it, dies inside
+    # play_round: none is live when the referee assesses a block of the game
+    # or while experiment E rewinds the prover
+    refs = []   # the frozen record hashes its arrays, so no WeakSet
+    encrypt = protocol.encrypt
+
+    def tracked(*args, **kwargs):
+        record = encrypt(*args, **kwargs)
+        refs.append(weakref.ref(record))
+        return record
+
+    live = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            gc.collect()
+            live.append((name, sum(ref() is not None for ref in refs)))
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(protocol, "encrypt", tracked)
+    monkeypatch.setattr(protocol, "referee_first_assessment",
+                        counting("referee", protocol.referee_first_assessment))
+    monkeypatch.setattr(attack, "rewind", counting("rewind", attack.rewind))
+    run_game_r("honest", PARAMS, 20, Rng(3))
+    assert len(refs) == 20
+    report = experiment_e_campaign(BlindProver(PARAMS), PARAMS, 6, Rng(4))
+    assert len(refs) == 20 + report.reps_real and report.reps_real > 0
+    assert [name for name, _ in live] == ["referee"] * 3 + ["rewind"] * 6
+    assert [entry for entry in live if entry[1]] == []
 
 
 def _no_fallback(i):
@@ -334,11 +370,14 @@ def test_honest_claws_read_off_the_assessment_are_the_provers_own(params):
         preimages, a, committed, _, _ = referee_first_assessment(
             firsts, params, _no_fallback)
         assert committed.all()
+        np.testing.assert_array_equal(
+            preimages.in_box,
+            [decode_preimages(first.shifts, params).in_box for first in firsts])
         got = honest_first_round(preimages, a, params)
         want = honest_first_round_oracle(firsts, params)
-        for name in ("in_box", "branch0", "branch1", "phase"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name), err_msg=name)
+        for name, got_col, want_col in zip(("branch0", "branch1", "phase"),
+                                           got, want):
+            np.testing.assert_array_equal(got_col, want_col, err_msg=name)
 
 
 def test_one_decode_per_block(monkeypatch):
@@ -449,16 +488,19 @@ def test_play_round_arms():
     # the uniform arm: no encryption, no key, uniform A
     first = play_round(prover, PARAMS, x, Rng(5), "test", 0, real=False)
     a, v, leak = prover.advice
-    assert first.record is None and leak is None
+    assert first.shifts is None and leak is None
     assert a.shape == (PARAMS.m, PARAMS.n) and v.shape == (PARAMS.m,)
     bins = np.histogram(a.values.reshape(-1), bins=16, range=(0, PARAMS.q))[0]
     assert chisquare(bins).pvalue > 1e-3
     # the real arm: the prover sees the ciphertext and, here, its trapdoor
     first = play_round(prover, PARAMS, x, Rng(5), "test", 0)
     a, v, leak = prover.advice
-    assert a is first.record.ciphertext.a and v is first.record.ciphertext.v
-    assert leak is first.record.trapdoor
-    np.testing.assert_array_equal(first.record.message, x[:PARAMS.d])
+    record = round_record(x, PARAMS, Rng(5), "test", 0)
+    np.testing.assert_array_equal(a.values, record.ciphertext.a.values)
+    np.testing.assert_array_equal(v.values, record.ciphertext.v.values)
+    np.testing.assert_array_equal(leak.abar, record.trapdoor.abar)
+    np.testing.assert_array_equal(leak.r, record.trapdoor.r)
+    np.testing.assert_array_equal(first.shifts.gamma, record.gamma)
 
 
 # --- a total referee --------------------------------------------------------------

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from poqlab.core import Rng, desk_params
-from poqlab.lattice import commitment_shifts, encrypt
+from poqlab.lattice import commitment_shifts, decode_preimages, encrypt
 from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector,
                             build_claw_state, coin_zero_probability,
                             honest_commitment, honest_first_round, measure,
                             round_one_positions, sample_claw_outcomes)
 
-from oracles import apply_zc, honest_first_round_oracle
+from oracles import apply_zc, claw_description, honest_first_round_oracle
 
 
 def stream(label, idx=0, seed=11):
@@ -300,7 +300,7 @@ def _honest_round(record, params, gen):
     gen, as the FirstRound the referee assesses."""
     w, ells = honest_commitment(record.ciphertext.a, record.ciphertext.v,
                                 params, gen)
-    return FirstRound(record, w, None, ells, commitment_shifts(w, record, params))
+    return FirstRound(w, None, ells, commitment_shifts(w, record, params))
 
 
 def test_referee_answer_matches_prover_claw():
@@ -317,7 +317,9 @@ def test_referee_answer_matches_prover_claw():
         first = _honest_round(record, params, rng.stream("prover", t))
         _, (a,), _, (e_flag,), _ = referee_first_assessment(
             [first], params, lambda i: rng.stream("ref", t))
-        claw = honest_first_round_oracle([first], params).claw(0)
+        claw = claw_description(
+            honest_first_round_oracle([first], params),
+            decode_preimages(first.shifts, params).in_box[None], 0)
         # event E (both preimages in the noise box) is what leaves two branches
         assert e_flag == (not claw.degenerate)
         if e_flag:
@@ -344,7 +346,7 @@ def test_honest_first_round_events_and_claw():
         f_hits += f_flag
         if e_flag and f_flag:
             both += 1
-            claw = honest.claw(0)
+            claw = claw_description(honest, preimages.in_box, 0)
             got = (claw.branch0 ^ claw.branch1)
             np.testing.assert_array_equal(got, x.astype(np.uint8))
         assert first.w.values.shape == (params.m,)
