@@ -16,7 +16,7 @@ import numpy as np
 from poqlab import Rng, desk_params, run_game_r
 from poqlab.games import j_score
 from poqlab.protocol import play_round, referee_first_assessment
-from poqlab.quantum import (ClawDescription, build_claw_state,
+from poqlab.quantum import (ClawDescription, HonestProver, build_claw_state,
                             honest_first_round, honest_second_round)
 
 params = desk_params()
@@ -26,6 +26,7 @@ bound_e, bound_f = params.event_bounds()
 print(f"analytic event bounds: P(E) >= {bound_e:.4f}, P(F) >= {bound_f:.6f}")
 
 rng = Rng(2024)
+prover = HonestProver(params)
 
 print("\n--- one round, narrated ---")
 gen = rng.stream("demo-trial")
@@ -36,7 +37,7 @@ print("referee's hidden question x:", x, " second-round question y:", y)
 # round one, the engine's per-trial step: the referee encrypts
 # x (stream demo/encrypt), the prover commits (stream demo/prover), and the
 # referee keeps only the trapdoor images of the commitment
-first = play_round("honest", params, x, rng, "demo", 0)
+first = play_round(prover, params, x, rng, "demo", 0)
 print(f"ciphertext: A is ({params.m}, {params.n}), v has {params.m} entries")
 print(f"prover commits w (length {len(first.w.values)}) and "
       f"{len(first.bits)} measurement bits")
@@ -71,7 +72,7 @@ print(f"oracle: P(b | claw) = {law[int(''.join(map(str, b)), 2)]:.6f} "
 print("score:", j_score(x, y, a, b))
 
 print("\n--- 400-trial campaign ---")
-result = run_game_r("honest", params, 400, rng)
+result = run_game_r(prover, params, 400, rng)
 print(f"mean score {result.stats.mean:.4f} "
       f"(ci95 [{result.stats.ci95_lo:.4f}, {result.stats.ci95_hi:.4f}])")
 print(f"event rates: E {result.e_rate:.4f}, F {result.f_rate:.4f}")

@@ -31,9 +31,9 @@ from .protocol import (FirstRound, GameResult, ScoreStats, Transcript,
                        check_bits, play_round, referee_score, run_game_j,
                        run_game_r)
 from .provers import BlindProver, ClassicalProver, TrapdoorLeakProver
-from .quantum import (ClawDescription, StateVector, build_claw_state,
-                      honest_first_round, honest_second_round, measure,
-                      sample_claw_outcomes)
+from .quantum import (ClawDescription, HonestProver, StateVector,
+                      build_claw_state, honest_first_round,
+                      honest_second_round, measure, sample_claw_outcomes)
 from .attack import (attack_plan, best_score, decode_error, experiment_e,
                      experiment_e_campaign, rewind, sampling_bound)
 

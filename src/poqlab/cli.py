@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attack, fourier, games, protocol, provers
+from . import attack, fourier, games, protocol, provers, quantum
 from .core import (DESK, DESK_D, DESK_N, DESK_Q, DESK_SIGMA, PAPER_ASYMPTOTIC,
                    Params, Rng, derive_params, desk_params, require_count)
 
@@ -103,8 +103,8 @@ def cmd_params(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 
-CLASSICAL_PROVERS = {"blind": provers.BlindProver,
-                     "leak": provers.TrapdoorLeakProver}
+PROVERS = {"honest": quantum.HonestProver, "blind": provers.BlindProver,
+           "leak": provers.TrapdoorLeakProver}
 
 
 def cmd_run(args) -> int:
@@ -121,9 +121,8 @@ def cmd_run(args) -> int:
         extra = ""
     else:
         params = _params_from_args(args)
-        prover = ("honest" if args.prover == "honest"
-                  else CLASSICAL_PROVERS[args.prover](params))
-        result = protocol.run_game_r(prover, params, args.trials, rng,
+        result = protocol.run_game_r(PROVERS[args.prover](params), params,
+                                     args.trials, rng,
                                      sequential=args.game == "Rseq",
                                      keep_transcripts=out_dir is not None)
         extra = (f"  E-rate: {result.e_rate:.4f}  F-rate: {result.f_rate:.4f}"
@@ -152,28 +151,26 @@ def cmd_run(args) -> int:
 # brute
 
 def cmd_brute(args) -> int:
-    rows = []
-    ok = True
     if args.target == "ghz":
         value = games.ghz_value_bruteforce(args.k, "single")
         bound = Fraction(3, 4) if args.k in (3, 4) else None
         passed = bound is None or value == bound
-        rows.append(("ghz", args.k, None, value, bound, passed))
+        row = ("ghz", args.k, None, value, bound, passed)
     elif args.target == "ghz-seq":
         value = games.ghz_value_bruteforce(args.k, "sequential", args.d)
         bound = Fraction(3, 4) ** args.d if args.k == 4 else None
         passed = bound is None or value <= bound
-        rows.append(("ghz-seq", args.k, args.d, value, bound, passed))
+        row = ("ghz-seq", args.k, args.d, value, bound, passed)
     elif args.target == "j":
         value = games.j_bias_bruteforce(args.d, sequential=False)
         bound = 2 * float(games.ghz_value_bruteforce(4, "parallel", args.d)) ** 0.25
         passed = float(value) <= bound + 1e-12
-        rows.append(("j", None, args.d, value, f"{bound:.6f}", passed))
+        row = ("j", None, args.d, value, f"{bound:.6f}", passed)
     elif args.target == "j-seq":
         value = games.j_bias_bruteforce(args.d, sequential=True)
         bound = 2 * 0.75 ** (args.d / 4)
         passed = float(value) <= bound + 1e-12
-        rows.append(("j-seq", None, args.d, value, f"{bound:.6f}", passed))
+        row = ("j-seq", None, args.d, value, f"{bound:.6f}", passed)
     elif args.target == "eta-parb":
         value = games.max_eta_parity_balanced(args.d, args.time_ordered)
         if args.time_ordered:
@@ -181,18 +178,17 @@ def cmd_brute(args) -> int:
         else:
             bound = games.ghz_value_bruteforce(4, "parallel", args.d)
         passed = value <= bound
-        rows.append(("eta-parb", None, args.d, value, bound, passed))
+        row = ("eta-parb", None, args.d, value, bound, passed)
     else:
         raise ValueError(f"unknown target {args.target!r}")
 
-    for target, k, d, value, bound, passed in rows:
-        ok &= passed
-        where = f"k={k}" if k is not None else f"d={d}"
-        print(f"{target} ({where}): value={value} bound={bound} "
-              f"{'PASS' if passed else 'FAIL'}")
+    target, k, d, value, bound, passed = row
+    where = f"k={k}" if k is not None else f"d={d}"
+    print(f"{target} ({where}): value={value} bound={bound} "
+          f"{'PASS' if passed else 'FAIL'}")
     _write_report(args, "brute_report.csv", "target,k,d,value,bound,pass",
-                  [f"{t},{k},{d},{v},{b},{int(p)}" for t, k, d, v, b, p in rows])
-    return 0 if ok else 1
+                  [f"{target},{k},{d},{value},{bound},{int(passed)}"])
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def cmd_attack(args) -> int:
         return 0
 
     params = _params_from_args(args)
-    prover = CLASSICAL_PROVERS[args.prover](params)
+    prover = PROVERS[args.prover](params)
     alpha = None if args.experiment == "E" else args.alpha
     report = attack.experiment_e_campaign(prover, params, args.reps,
                                           Rng(args.seed), alpha=alpha)

@@ -4,27 +4,28 @@ strategy, and transcript/statistics plumbing.
 
 A round: the referee sends advice (A, v), the prover commits to (w, ells),
 the referee inverts the commitment through its trapdoor into an answer
-string a, and the prover answers a question y with b.  The engine's
-per-trial step is play_round.  It draws a trial's advice and commitment
-from the trial's own streams, in a fixed order, and while the trial's
+string a, and the prover answers a question y with b.  Every prover
+(quantum.HonestProver, provers.ClassicalProver) has the same two hooks, and
+the engine calls nothing else: commit(a, v, streams, trapdoor) is round one
+of a trial, given its TrapdoorKey (None on uniform advice), and returns
+(w, ells, mem); answer(ys, mems, preimages, a, streams, sequential) is round
+two over a block, given the referee's Preimages of the accepted commitments
+and answer strings a, and returns one answer per row of ys.  streams(name)
+derives the trial's stream label/name, or one per trial of the block.
+
+The engine's per-trial step is play_round: it draws a trial's advice from
+the trial's own streams and asks the prover to commit; while the trial's
 trapdoor R is live the referee takes the trapdoor images of both shifts of
-the commitment (lattice.commitment_shifts); then the encryption record, and
-R with it, is dropped, so no record outlives its trial.  A classical
-prover's first_response also runs per trial (a TrapdoorLeakProver is handed
-that trial's trapdoor), and the referee rejects a malformed commitment
-there.  The game calls play_round for each trial of a block and vectorizes
-the rest over the block: decoding the preimages, the E and F flags and the
-answer strings, the honest prover's claws and its round two, and the score.
-Experiment E in attack.py calls play_round alone, on real or uniform
-advice.
+the commitment (lattice.commitment_shifts), and then it drops the
+encryption record, and R with it, so no record outlives its trial.  The
+game calls play_round for each trial of a block and vectorizes the rest
+over the block: the decode, the E and F flags, the answer strings, the
+answer hook and the score.  Experiment E in attack.py calls play_round.
 
 Round one has one owner, the referee: referee_first_assessment decodes a
 block's accepted commitments once and returns their Preimages with its
-verdict, and quantum.honest_first_round reads the honest claws off them as
-rows for the claw sampler.  That is exact: one shift of an honest
-commitment has a residual of at most tau (the box) and the other of at most
-2 tau (the box plus or minus the encryption noise), so both invert and a is
-never a fallback draw.
+verdict, which the answer hook is handed; the honest prover reads its claws
+off them exactly (see quantum).
 
 The referee's rules do not depend on the block.  It is total: a message that
 is not well formed loses the trial (score -1); it is never coerced and never
@@ -51,10 +52,7 @@ from .core import Params, Rng, balanced_abs, require_count
 from .games import j_sample_inputs, j_score
 from .lattice import (Preimages, Shifts, ZqArray, commitment_shifts,
                       decode_preimages, encrypt)
-from .provers import TrapdoorLeakProver, answer_table
-from .quantum import (honest_commitment, honest_first_round,
-                      honest_second_round, round_one_answer,
-                      sample_claw_outcomes)
+from .quantum import HonestProver, round_one_answer, sample_claw_outcomes
 
 # Trials per block of the encrypted game.  A block holds A, both targets and
 # their images for each of its trials, about 45 kB a trial at the desk preset
@@ -196,10 +194,10 @@ def run_game_j(d: int, trials: int, rng: Rng,
 @dataclass(frozen=True)
 class FirstRound:
     """Round one of a trial as the referee sees it: the prover's commitment
-    w and the memory a ClassicalProver's second round reads (None for the
-    honest prover).  bits is the commitment's ells as the referee accepted
-    it, None when it rejected the commitment, and shifts are the referee's
-    Shifts of an accepted commitment on real advice."""
+    w and the memory its round two reads.  bits is the commitment's ells as
+    the referee accepted it, None when it rejected the commitment, and
+    shifts are the referee's Shifts of an accepted commitment on real
+    advice."""
 
     w: Any
     mem: Any
@@ -214,11 +212,8 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
 
     real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
     pair (A, v) that hides nothing (stream uniform).  The encryption record
-    is dropped on return, once the Shifts are taken.  The honest prover,
-    the string 'honest', needs real advice and measures with stream prover;
-    it keeps no memory, since its claw is read off the referee's assessment.
-    A ClassicalProver commits with coins from stream coins; a
-    TrapdoorLeakProver is first handed the trapdoor, or None.
+    is dropped on return, once the Shifts are taken; the prover's commit
+    hook is handed its trapdoor, or None.
     """
     q, m, n = params.q, params.m, params.n
     if real:
@@ -230,15 +225,9 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         gen = rng.stream(f"{label}/uniform", index)
         a_mat = ZqArray(q, gen.integers(0, q, size=(m, n), dtype=np.int64))
         v_vec = ZqArray(q, gen.integers(0, q, size=m, dtype=np.int64))
-    if prover == "honest":
-        w, ells = honest_commitment(a_mat, v_vec, params,
-                                    rng.stream(f"{label}/prover", index))
-        mem = None
-    else:
-        if isinstance(prover, TrapdoorLeakProver):
-            prover.set_leak(None if record is None else record.trapdoor)
-        coins = rng.stream(f"{label}/coins", index).integers(0, 1 << 62, size=4)
-        w, ells, mem = prover.first_response(a_mat, v_vec, coins)
+    w, ells, mem = prover.commit(
+        a_mat, v_vec, lambda name: rng.stream(f"{label}/{name}", index),
+        None if record is None else record.trapdoor)
     (bits,), (ok,) = check_bits([ells], 1, n * params.Q - params.d)
     if (not ok or not isinstance(w, ZqArray) or w.q != q
             or w.values.shape != (m,)):
@@ -346,18 +335,12 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng,
               for x, t in zip(xs, ts)]
     preimages, a, committed, e, f = referee_first_assessment(
         firsts, params, lambda i: rng.stream("gameR/referee", ts[i]))
-    if prover == "honest":
-        b, b_ok = check_bits(honest_second_round(
-            honest_first_round(preimages, a, params), ys,
-            [rng.stream("gameR/prover2", t) for t in ts]), len(ts), d + 1)
-    else:
-        # each answer is checked alone, so a malformed one loses only its trial
-        checked = [check_bits([answer_table(prover, y[None], first.mem)[0]
-                               if sequential
-                               else prover.second_response(y, first.mem)],
-                              1, d + 1)
-                   for y, first in zip(ys, firsts)]
-        b, b_ok = (np.concatenate(col) for col in zip(*checked))
+    answers = prover.answer(
+        ys, [first.mem for first in firsts], preimages, a,
+        lambda name: [rng.stream(f"gameR/{name}", t) for t in ts], sequential)
+    # each answer is checked alone, so a malformed one loses only its trial
+    checked = [check_bits([b], 1, d + 1) for b in answers]
+    b, b_ok = (np.concatenate(col) for col in zip(*checked))
     a, b, scores, accepted = referee_score(xs, ys, a, committed, b, b_ok)
     e, f = e & accepted, f & accepted
     transcripts = []
@@ -377,18 +360,17 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng,
 def run_game_r(prover, params: Params, trials: int, rng: Rng,
                sequential: bool = False,
                keep_transcripts: bool = False) -> GameResult:
-    """The encrypted game: prover is either the string 'honest' or a
-    ClassicalProver.  Sequential mode feeds round-two question bits one at a
-    time: a classical prover's respond_bit answers one prefix per level
-    (provers.answer_table), where one-shot mode asks its second_response
-    (the honest measurement order is already sequential).  Trials are
-    played in blocks of _BLOCK (see the module docstring); the transcripts
-    do not depend on the block size."""
+    """The encrypted game against a prover with the two hooks; 'honest'
+    stands for quantum.HonestProver(params).  Sequential mode asks round two
+    one question bit at a time.  Trials are played in blocks of _BLOCK; the
+    transcripts do not depend on the block size."""
     require_count("trials", trials)
     if params.d < 1:
         raise ValueError("need d >= 1")
     if not params.game_r_runnable:
         raise ValueError("; ".join(params.runnability_problems()))
+    if prover == "honest":
+        prover = HonestProver(params)
     scores = np.zeros(trials, dtype=np.int64)
     e_flags = np.zeros(trials, dtype=bool)
     f_flags = np.zeros(trials, dtype=bool)

@@ -27,8 +27,18 @@ from .lattice import TrapdoorKey, ZqArray, decrypt
 
 
 class ClassicalProver:
-    """Deterministic (A, v, coins) -> responses; subclasses fill in the two
-    response hooks."""
+    """Deterministic (A, v, coins) -> responses.  The engine's hooks, commit
+    and answer, call the response hooks that subclasses fill in."""
+
+    def commit(self, a: ZqArray, v: ZqArray, streams, trapdoor):
+        """Round one: first_response on four coins from stream coins."""
+        coins = streams("coins").integers(0, 1 << 62, size=4)
+        return self.first_response(a, v, coins)
+
+    def answer(self, ys, mems, preimages, a, streams, sequential: bool):
+        """Per trial: answer_table when sequential, else second_response."""
+        return [answer_table(self, y[None], mem)[0] if sequential
+                else self.second_response(y, mem) for y, mem in zip(ys, mems)]
 
     def first_response(self, a: ZqArray, v: ZqArray,
                        coins: np.ndarray) -> tuple[ZqArray, np.ndarray, Any]:
@@ -120,6 +130,14 @@ class TrapdoorLeakProver(ClassicalProver):
 
     def set_leak(self, trapdoor: TrapdoorKey | None):
         self.leak = trapdoor
+
+    def commit(self, a, v, streams, trapdoor):
+        """Round one with the trial's trapdoor as the leak, then dropped."""
+        self.set_leak(trapdoor)
+        try:
+            return super().commit(a, v, streams, trapdoor)
+        finally:
+            self.leak = None
 
     def first_response(self, a, v, coins):
         p = self.params

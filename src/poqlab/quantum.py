@@ -3,16 +3,16 @@
 Measurement conventions, used throughout: Y = [[0, i], [-i, 0]] as printed,
 outcome 0 of a W-basis measurement corresponding to the projector (I + W)/2.
 
-The honest prover plays both rounds of the encrypted game without a dense
-state, batched over a leading axis of trials.  The first round never
+HonestProver plays both rounds of the encrypted game through the engine's
+two prover hooks, without a dense state.  The first round never
 materializes the (nQ+1)-qubit state; for a two-branch residual state the
 X-measurements on the non-data qubits are equivalent to uniform bits plus a
-phase XOR, which is what gets simulated.  Each trial's commitment and
-measurement bits come from honest_commitment, which draws from that trial's
-stream.  The claw left behind is exactly what the referee's trapdoor decode
-recovers, so the referee decodes round one once
-(protocol.referee_first_assessment) and honest_first_round reads each claw
-off that assessment, as the rows (branch0, branch1, phase) that
+phase XOR, which is what gets simulated.  HonestProver.commit draws a
+trial's commitment and measurement bits from that trial's stream.  The claw
+left behind is exactly what the referee's trapdoor decode recovers, so the
+referee decodes round one once (protocol.referee_first_assessment) and
+HonestProver.answer reads a block's claws off that assessment
+(honest_first_round), as the rows (branch0, branch1, phase) that
 sample_claw_outcomes takes: branch0 is a[:d], branch1 the data bits of z1,
 and the phase (-1)^{a_d} when both preimages sit in the noise box, else 0.
 The read-off is exact: an honest commitment is A r - c v plus a box vector,
@@ -261,20 +261,6 @@ def round_one_answer(z0: np.ndarray, z1: np.ndarray, ells: np.ndarray,
                           axis=-1).astype(np.uint8)
 
 
-def honest_commitment(a: ZqArray, v: ZqArray, params: Params,
-                      rng: np.random.Generator) -> tuple[ZqArray, np.ndarray]:
-    """One trial's commitment w = A r - c v + z (r uniform, c a coin, z
-    uniform in the noise box) and its round-one measurement bits ells, at
-    round_one_positions, drawn from the trial's prover stream."""
-    q, n, m, tau = params.q, params.n, params.m, params.tau
-    r = rng.integers(0, q, size=n, dtype=np.int64)
-    coin = int(rng.integers(0, 2))
-    box = rng.integers(-tau, tau + 1, size=m, dtype=np.int64)
-    w = ZqArray(q, matmul_mod(a.values, r, q) - coin * v.values + box)
-    ells = rng.integers(0, 2, size=n * params.Q - params.d).astype(np.uint8)
-    return w, ells
-
-
 def honest_first_round(preimages: Preimages, a: np.ndarray,
                        params: Params) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]:
@@ -299,3 +285,29 @@ def honest_second_round(claws, ys, rngs) -> np.ndarray:
     Sampled in closed form (sample_claw_outcomes), not simulated; a single
     branch has phase 0, which gives every outcome with probability 1/2."""
     return sample_claw_outcomes(*claws, ys, rngs)
+
+
+@dataclass
+class HonestProver:
+    """The honest prover of the encrypted game, as the engine's two hooks."""
+
+    params: Params
+
+    def commit(self, a: ZqArray, v: ZqArray, streams, trapdoor):
+        """Round one from stream prover: w = A r - c v + z (r uniform, c a
+        coin, z a noise-box vector), ells at round_one_positions, and no
+        memory, since round two reads its claws off the referee's decode."""
+        params, rng = self.params, streams("prover")
+        q, n, m, tau = params.q, params.n, params.m, params.tau
+        r = rng.integers(0, q, size=n, dtype=np.int64)
+        coin = int(rng.integers(0, 2))
+        box = rng.integers(-tau, tau + 1, size=m, dtype=np.int64)
+        w = ZqArray(q, matmul_mod(a.values, r, q) - coin * v.values + box)
+        ells = rng.integers(0, 2, size=n * params.Q - params.d)
+        return w, ells.astype(np.uint8), None
+
+    def answer(self, ys, mems, preimages, a, streams, sequential: bool):
+        """Round two over a block on streams prover2: the claws read off the
+        referee's decode, measured in an order that is already sequential."""
+        claws = honest_first_round(preimages, a, self.params)
+        return honest_second_round(claws, ys, streams("prover2"))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+from collections import Counter
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poqlab import attack, lattice, protocol
+from poqlab import attack, lattice, protocol, quantum
 from poqlab.attack import best_score, experiment_e_campaign, rewind
 from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
@@ -18,9 +19,8 @@ from poqlab.games import j_sample_inputs
 from poqlab.protocol import (ScoreStats, Transcript, check_bits, play_round,
                              referee_first_assessment, referee_score,
                              run_game_j, run_game_r)
-from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
-                            answer_table)
-from poqlab.quantum import honest_first_round, honest_second_round
+from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
+from poqlab.quantum import HonestProver, honest_first_round
 
 from oracles import (best_score_oracle, honest_first_round_oracle,
                      round_record, run_experiment_s)
@@ -124,6 +124,20 @@ def _transcript_digest(result) -> str:
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
+class _HooksOnly:
+    """A prover that derives from no poqlab class and has only the engine's
+    two hooks, both handed on to an honest prover."""
+
+    def __init__(self, params):
+        self._honest = HonestProver(params)
+
+    def commit(self, a, v, streams, trapdoor):
+        return self._honest.commit(a, v, streams, trapdoor)
+
+    def answer(self, ys, mems, preimages, a, streams, sequential):
+        return self._honest.answer(ys, mems, preimages, a, streams, sequential)
+
+
 @pytest.mark.parametrize("prover, params, trials, sequential, digest", [
     ("honest", PARAMS, 20, False,
      "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b"),
@@ -131,7 +145,13 @@ def _transcript_digest(result) -> str:
      "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10"),
     (TrapdoorLeakProver(PARAMS), PARAMS, 20, True,
      "9e9bb4429057193ce89292067fd0bd4fea4f77d55e939eda8a9a7cdc60249064"),
-], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk"])
+    # the hooks are the engine's whole contract with a prover
+    (_HooksOnly(PARAMS), PARAMS, 20, False,
+     "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b"),
+    (_HooksOnly(desk_params(d=16, n=16)), desk_params(d=16, n=16), 4, True,
+     "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10"),
+], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk",
+        "hooks-only-R-desk", "hooks-only-Rseq-separation"])
 def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
                                           digest):
     # any change to the arithmetic or to the random-stream layout moves
@@ -142,8 +162,8 @@ def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
 
 
 @pytest.mark.parametrize("prover, params, sequential", [
-    ("honest", PARAMS, False),
-    ("honest", desk_params(d=16, n=16), True),
+    (HonestProver(PARAMS), PARAMS, False),
+    (HonestProver(desk_params(d=16, n=16)), desk_params(d=16, n=16), True),
     (TrapdoorLeakProver(PARAMS), PARAMS, True),
 ], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk"])
 def test_transcripts_do_not_depend_on_trials_or_blocks(prover, params,
@@ -167,10 +187,9 @@ def test_transcripts_do_not_depend_on_trials_or_blocks(prover, params,
         preimages, a, committed, (e_flag,), (f_flag,) = \
             referee_first_assessment(
                 [first], params, lambda i: rng.stream("gameR/referee", t))
-        b = (honest_second_round(honest_first_round(preimages, a, params),
-                                 y[None], [rng.stream("gameR/prover2", t)])
-             if prover == "honest"
-             else answer_table(prover, y[None], first.mem))
+        b = prover.answer(y[None], [first.mem], preimages, a,
+                          lambda name: [rng.stream(f"gameR/{name}", t)],
+                          sequential)
         (a,), (b,), (score,), (accepted,) = referee_score(
             x[None], y[None], a, committed, *check_bits(b, 1, params.d + 1))
         assert line == Transcript(
@@ -299,7 +318,7 @@ def test_honest_round_carries_the_referee_assessment():
     for t in range(40):
         inp = rng.stream("gameR/inputs", t)
         x = np.append(inp.integers(0, 2, size=PARAMS.d), 1)
-        first = play_round("honest", PARAMS, x, rng, "gameR", t)
+        first = play_round(HonestProver(PARAMS), PARAMS, x, rng, "gameR", t)
         record = round_record(x, PARAMS, rng, "gameR", t)
         preimages, *_ = referee_first_assessment(
             [first], PARAMS, lambda i: rng.stream("gameR/referee", t))
@@ -350,6 +369,61 @@ def test_no_record_outlives_its_trial(monkeypatch):
     assert [entry for entry in live if entry[1]] == []
 
 
+def test_no_trapdoor_outlives_its_round(monkeypatch):
+    # the key-leak prover is handed each trial's trapdoor and drops it once
+    # it has committed: no key is live after the game returns, nor while
+    # experiment E rewinds the prover
+    refs = []   # the frozen key hashes its arrays, so no WeakSet
+    gen_trap = lattice.gen_trap
+
+    def tracked(*args, **kwargs):
+        a, key = gen_trap(*args, **kwargs)
+        refs.append(weakref.ref(key))
+        return a, key
+
+    def live():
+        gc.collect()
+        return sum(ref() is not None for ref in refs)
+
+    monkeypatch.setattr(lattice, "gen_trap", tracked)
+    prover = TrapdoorLeakProver(PARAMS)
+    assert run_game_r(prover, PARAMS, 10, Rng(3)).stats.mean == 1.0
+    assert len(refs) == 10 and live() == 0 and prover.leak is None
+    during = []
+    rewind = attack.rewind
+
+    def counted(*args, **kwargs):
+        during.append(live())
+        return rewind(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "rewind", counted)
+    report = experiment_e_campaign(TrapdoorLeakProver(PARAMS), PARAMS, 6,
+                                   Rng(4))
+    assert len(refs) == 10 + report.reps_real and report.reps_real > 0
+    assert report.mean_r_real == 1.0 and during == [0] * 6
+
+
+@pytest.mark.parametrize("prover, names", [
+    (HonestProver(PARAMS), ("inputs", "encrypt", "prover", "prover2")),
+    (BlindProver(PARAMS), ("inputs", "encrypt", "coins")),
+], ids=["honest", "blind"])
+def test_hooks_derive_only_the_streams_they_read(monkeypatch, prover, names):
+    # streams are handed to the hooks unevaluated, so each trial derives
+    # exactly the streams its prover reads, each once
+    derived = []
+    stream = Rng.stream
+
+    def recording_stream(self, name, index=0):
+        derived.append((name, index))
+        return stream(self, name, index)
+
+    monkeypatch.setattr(Rng, "stream", recording_stream)
+    run_game_r(prover, PARAMS, protocol._BLOCK + 3, Rng(5))
+    assert Counter(derived) == Counter(
+        (f"gameR/{name}", t) for name in names
+        for t in range(protocol._BLOCK + 3))
+
+
 def _no_fallback(i):
     raise AssertionError(f"row {i} of an honest block failed to invert")
 
@@ -366,7 +440,8 @@ def test_honest_claws_read_off_the_assessment_are_the_provers_own(params):
         firsts = []
         for t in range(start, start + block):
             x, _ = j_sample_inputs(params.d, rng.stream("gameR/inputs", t))
-            firsts.append(play_round("honest", params, x, rng, "gameR", t))
+            firsts.append(play_round(HonestProver(params), params, x, rng,
+                                     "gameR", t))
         preimages, a, committed, _, _ = referee_first_assessment(
             firsts, params, _no_fallback)
         assert committed.all()
@@ -382,22 +457,23 @@ def test_honest_claws_read_off_the_assessment_are_the_provers_own(params):
 
 def test_one_decode_per_block(monkeypatch):
     # 20 honest trials are 3 blocks: the referee decodes and builds answer
-    # strings once per block, and the honest prover reads each block's claws
-    # once; the benchmark's per-layer spans count these same names
+    # strings once per block, and the honest prover's answer hook reads each
+    # block's claws once; the benchmark's per-layer spans count these names
     assert -(-20 // protocol._BLOCK) == 3
-    names = ("referee_first_assessment", "honest_first_round",
-             "honest_second_round", "decode_preimages", "round_one_answer")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(protocol, name)
+    modules = {"referee_first_assessment": protocol,
+               "honest_first_round": quantum, "honest_second_round": quantum,
+               "decode_preimages": protocol, "round_one_answer": protocol}
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run_game_r("honest", PARAMS, 20, Rng(3))
-    assert calls == dict.fromkeys(names, 3)
+    assert calls == dict.fromkeys(modules, 3)
 
 
 def test_blind_prover_scores_like_all_zero_strategy():

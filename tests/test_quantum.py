@@ -6,10 +6,11 @@ import pytest
 from poqlab.core import Rng, desk_params
 from poqlab.lattice import commitment_shifts, decode_preimages, encrypt
 from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
-from poqlab.quantum import (BASIS_OPS, ClawDescription, StateVector,
-                            build_claw_state, coin_zero_probability,
-                            honest_commitment, honest_first_round, measure,
-                            round_one_positions, sample_claw_outcomes)
+from poqlab.quantum import (BASIS_OPS, ClawDescription, HonestProver,
+                            StateVector, build_claw_state,
+                            coin_zero_probability, honest_first_round,
+                            measure, round_one_positions,
+                            sample_claw_outcomes)
 
 from oracles import apply_zc, claw_description, honest_first_round_oracle
 
@@ -298,9 +299,10 @@ def test_round_one_positions_skip_claw_bits():
 def _honest_round(record, params, gen):
     """The honest prover's commitment on one record, from its prover stream
     gen, as the FirstRound the referee assesses."""
-    w, ells = honest_commitment(record.ciphertext.a, record.ciphertext.v,
-                                params, gen)
-    return FirstRound(w, None, ells, commitment_shifts(w, record, params))
+    w, ells, mem = HonestProver(params).commit(
+        record.ciphertext.a, record.ciphertext.v, {"prover": gen}.__getitem__,
+        record.trapdoor)
+    return FirstRound(w, mem, ells, commitment_shifts(w, record, params))
 
 
 def test_referee_answer_matches_prover_claw():
