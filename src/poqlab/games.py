@@ -11,8 +11,10 @@ Each game's score rule is stated once and broadcasts over leading axes:
 ghz_score for the parity game (the one-round search scores every strategy
 tuple through it), and j_score for the claw game, which every claw-game
 score in poqlab (search, bias identity, referee, rewinding decoder) goes
-through.  The claw-game search enumerates only the second player's tables
-and best-responds for the first player question by question.  Every flat
+through.  The repeated parity-game search keys each distinct convolution of
+two players' sets by one integer, then best-responds for a third player or
+scores four pair against pair; the claw-game search enumerates only the
+second player's tables and best-responds question by question.  Every flat
 index of Z_4^d comes from fourier.Group's encode and decode.
 """
 
@@ -255,6 +257,8 @@ def reduce_ghz4_to_ghz3(tables4: list[np.ndarray], t_bits) -> list[np.ndarray]:
 
     The third player answers F_t(z) = U(t) ^ V(t ^ z) ^ (~z & t); averaging
     the 3-player score over uniform t reproduces the 4-player score exactly.
+    Public though no search calls it: it states the soundness step (four
+    players do no better than three) that acceptance criterion 03 checks.
     """
     S, T, U, V = (np.asarray(t_) for t_ in tables4)
     d = S.shape[1]
@@ -288,32 +292,37 @@ def _best_response_sequential(t_slice: np.ndarray, d: int) -> np.ndarray:
     combos = np.indices(shape).reshape(2 * d, -1)
     g = combos[0::2] + 2 * combos[1::2]                  # (d, 4^d) coordinates
     neg = Group(4, d).encode(-g.T)
-    gathered = t_slice[..., neg].reshape(t_slice.shape[:-1] + shape)
-    # innermost coordinate first: max over its lift, sum over its class
-    out = gathered
+    out = t_slice[..., neg].reshape(t_slice.shape[:-1] + shape)
     for _ in range(d):
         out = out.max(axis=-1).sum(axis=-1)
     return out
 
 
 def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.ndarray:
-    """The distinct vectors v_i * v_j over all ordered pairs (i, j), as int16
-    rows in byte order.
+    """The distinct vectors v_i * v_j over all pairs i <= j (convolution
+    commutes), as int64 rows; circulants[h, j * size + g] = v_j(g - h).
 
-    circulants[h, j * size + g] = v_j(g - h), as float32.  Rows are
-    deduplicated as raw bytes, so two pairs share a row exactly when their
-    convolutions agree.
+    (v_i * v_j)(g) counts the pairs of S_i x S_j summing to g, at most |S_i|,
+    so the entries are the digits of one key in base max |S_i| + 1, and each
+    distinct key is read back into its row.
     """
     n, size = vecs.shape
-    lhs = vecs.astype(np.float32)
-    # blocks of 8 first players: the whole float32 product (4 MB at d = 2)
-    # left more heap resident and raised the peak RSS of later work
-    pairs = np.empty((n, n * size), dtype=np.int16)
-    for start in range(0, n, 8):
-        pairs[start:start + 8] = np.rint(lhs[start:start + 8] @ circulants)
-    rows = pairs.reshape(-1, size)
-    keys = np.unique(rows.view(np.dtype((np.void, rows.itemsize * size))).ravel())
-    return keys.view(np.int16).reshape(-1, size)
+    base = int(vecs.sum(axis=1).max()) + 1
+    powers = base ** np.arange(size)
+    # weights[h, j] = sum_g v_j(g - h) base^g, so keys[i, j] keys v_i * v_j
+    weights = circulants.reshape(size, n, size) @ powers.astype(np.float64)
+    # sorted, then neighbours compared: faster here than np.unique's hashing
+    keys = np.sort((vecs @ weights)[np.triu_indices(n)]).astype(np.int64)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return keys[:, None] // powers % base
+
+
+def _zero_sum_counts(left: np.ndarray, right: np.ndarray, d: int) -> np.ndarray:
+    """counts[i, j] = sum_g left[i](g) right[j](-g) over Z_4^d, as float32: the
+    zero-sum 4-tuples of two pair convolutions' sets."""
+    g = Group(4, d)
+    neg = g.encode(-g.decode(np.arange(g.size)))
+    return left.astype(np.float32) @ right[:, neg].T.astype(np.float32)
 
 
 def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> Fraction:
@@ -324,18 +333,20 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     ghz_score, in blocks of at most _SINGLE_BLOCK answer entries: tuple c
     answers f_j(x_j) = bit 2j + x_j of c.  'parallel' and 'sequential' are
     the d-fold variants, the latter restricted to time-ordered strategies.
-    The repeated search sees the first two players only through the
-    convolution of their counting vectors, so it runs over the distinct pair
-    convolutions (1,864 of the 65,536 ordered pairs in parallel mode at d = 2,
-    160 of 4,096 in sequential mode), enumerates the third player for k = 4,
-    and computes the last player's optimal (time-ordered, in sequential mode)
-    response in closed form.
+    The repeated search sees two players only through the convolution of
+    their counting vectors, so it runs over the distinct pair convolutions
+    (1,864 of the 65,536 ordered pairs in parallel mode at d = 2, 160 of
+    4,096 in sequential mode).  For k = 3 the last player's optimal
+    (time-ordered, in sequential mode) response is in closed form; k = 4
+    scores pair against pair, in blocks of 128 rows (both pairs are
+    time-ordered in sequential mode).
 
-    Exactness: a pair entry counts pairs summing to g, at most 2^d * 2^d = 16
-    at d <= 2, and a triple entry at most 2^(3d) = 64.  So the float32 pair
-    and triple products sum small integers exactly, and every count fits in
-    int16.
+    Exactness: a pair entry is at most 2^d, so a key in base 2^d + 1 is below
+    5^16 < 2^53 at d = 2, exact in float64 and int64.  A pair-against-pair
+    entry counts zero-sum 4-tuples, at most 2^(3d) <= 64: exact in float32.
     """
+    if k < 3:
+        raise ValueError(f"need k >= 3 players, got {k}")
     if mode == "single":
         space = (4 ** k) * (1 << (k - 1))
         if space > SEARCH_CEILING:
@@ -361,34 +372,23 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     if n_sets ** k > SEARCH_CEILING or d > 2:
         raise SearchSpaceTooLarge(
             f"{n_sets ** k} strategy tuples exceed the 2^32 ceiling")
-
-    if k not in (3, 4):
+    if k > 4:
         raise SearchSpaceTooLarge(f"repeated modes support k in (3, 4), got {k}")
     vecs = _counting_vectors(_parity_sets(_tables(d, d, mode == "sequential")))
     n, size = vecs.shape
-    # circulants[h, j * size + g] = v_j(g - h): column block j is the
-    # circulant of strategy j, shared by the pair and the triple products
+    # column block j is the circulant of strategy j
     circulants = vecs[:, _differences(d)].transpose(2, 0, 1).reshape(size, n * size)
-    circulants = circulants.astype(np.float32)
-
-    def reduce_(t_slice):
-        if mode == "sequential":
-            return _best_response_sequential(t_slice, d)
-        return _best_response_parallel(t_slice, d)
-
     pairs = _distinct_pair_convolutions(vecs, circulants)
     if k == 3:
-        best = int(reduce_(pairs).max())
+        respond = (_best_response_sequential if mode == "sequential"
+                   else _best_response_parallel)
+        best = respond(pairs, d).max()
     else:
-        # the third player's product runs in fixed row blocks of the distinct
-        # pairs, so its peak memory does not grow with their number
-        block = 128
-        best = 0
-        for start in range(0, len(pairs), block):
-            rows = pairs[start:start + block].astype(np.float32)
-            t_block = np.rint(rows @ circulants).astype(np.int16).reshape(-1, n, size)
-            best = max(best, int(reduce_(t_block).max()))
-    return Fraction((1 << d) * best, (1 << d) ** k)
+        # counts are symmetric (negate g), so a block meets only the pairs
+        # from its own first row on
+        best = max(_zero_sum_counts(pairs[start:start + 128], pairs[start:], d).max()
+                   for start in range(0, len(pairs), 128))
+    return Fraction((1 << d) * int(best), (1 << d) ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import numpy as np
 from poqlab.attack import best_score, rewind
 from poqlab.core import Params, Rng, matmul_mod, require_count
 from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
-from poqlab.games import _tables, j_sample_inputs, j_score
+from poqlab.games import (_best_response_parallel, _best_response_sequential,
+                          _counting_vectors, _differences, _parity_sets,
+                          _tables, j_sample_inputs, j_score)
 from poqlab.lattice import (EncryptionRecord, GaussianSampler, ZqArray,
                             decode_preimages, encrypt)
 from poqlab.protocol import (ScoreStats, check_bits, play_round,
@@ -150,6 +152,27 @@ def ghz_strategy_score_enum(tables: list[np.ndarray], d: int) -> Fraction:
             for i in range(d))
         wins += ok
     return Fraction(wins, total)
+
+
+def ghz4_value_third_player(mode: str, d: int) -> Fraction:
+    """Repeated 4-player value by enumerating the third player: every
+    distinct convolution of the first two players' counting vectors (found
+    by np.unique over all ordered pairs) times every third player's
+    circulant, in blocks of 128 pairs, then the last player's closed-form
+    (time-ordered, in sequential mode) best response."""
+    vecs = _counting_vectors(_parity_sets(_tables(d, d, mode == "sequential")))
+    n, size = vecs.shape
+    conv = vecs[:, _differences(d)]               # conv[j, g, h] = v_j(g - h)
+    pairs = np.unique(np.einsum("ih,jgh->ijg", vecs, conv).reshape(-1, size), axis=0)
+    circulants = conv.transpose(2, 0, 1).reshape(size, n * size).astype(np.float32)
+    respond = (_best_response_sequential if mode == "sequential"
+               else _best_response_parallel)
+    best = 0
+    for start in range(0, len(pairs), 128):
+        block = pairs[start:start + 128].astype(np.float32) @ circulants
+        triples = np.rint(block).astype(np.int64).reshape(-1, n, size)
+        best = max(best, int(respond(triples, d).max()))
+    return Fraction((1 << d) * best, (1 << d) ** 4)
 
 
 def j_bias_one_hot(d: int, sequential: bool = False) -> Fraction:

@@ -13,7 +13,7 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           _best_response_parallel,
                           _best_response_sequential, _counting_vectors,
                           _differences, _distinct_pair_convolutions,
-                          _parity_sets, _tables,
+                          _parity_sets, _tables, _zero_sum_counts,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
                           ghz_value_bruteforce, j_bias_bruteforce,
                           j_bias_fourier_identity, j_sample_inputs, j_score,
@@ -21,7 +21,8 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           reduce_ghz4_to_ghz3, strategy_from_parity_set)
 from poqlab.core import Rng
 
-from oracles import bits_of, eta_set_dict, ghz_strategy_score_enum, j_bias_one_hot
+from oracles import (bits_of, eta_set_dict, ghz4_value_third_player,
+                     ghz_strategy_score_enum, j_bias_one_hot)
 
 ONE_BIT_FUNCS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -203,6 +204,27 @@ def test_distinct_pair_convolutions_cover_every_ordered_pair(mode, d, distinct):
         assert len(rows) == distinct
 
 
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_against_pair_matches_third_player_enumeration(mode, d):
+    assert ghz_value_bruteforce(4, mode, d) == ghz4_value_third_player(mode, d)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_against_pair_count_is_the_strategy_score(mode, d):
+    # one product entry of two pairs' convolutions scores the four tables,
+    # which pins the negated index of the second pair
+    tables = _tables(d, d, mode == "sequential")
+    vecs, conv_all = _search_inputs(mode, d)
+    gen = np.random.default_rng(d)
+    for picks in gen.integers(0, len(tables), size=(50, 4)):
+        first, second = (vecs[i] @ conv_all[j].T for i, j in (picks[:2], picks[2:]))
+        count = int(_zero_sum_counts(first[None], second[None], d)[0, 0])
+        assert Fraction((1 << d) * count, (1 << d) ** 4) == \
+            ghz_strategy_score(list(tables[picks]))
+
+
 def test_repeated_value_matches_strategy_scores_d1():
     # the searched optimum must be attained by some explicit strategy tuple
     value = ghz_value_bruteforce(4, "parallel", 1)
@@ -217,6 +239,15 @@ def test_search_ceilings():
         ghz_value_bruteforce(4, "parallel", 3)
     with pytest.raises(SearchSpaceTooLarge):
         ghz_value_bruteforce(5, "parallel", 2)
+
+
+@pytest.mark.parametrize("mode", ["single", "parallel", "sequential"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_bruteforce_needs_three_players(mode, k):
+    # too few players is not a search too large to run
+    with pytest.raises(ValueError, match="^need k >= 3") as caught:
+        ghz_value_bruteforce(k, mode, 1)
+    assert caught.type is ValueError
 
 
 @pytest.mark.parametrize("search", [
