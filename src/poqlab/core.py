@@ -10,10 +10,14 @@ the primitives here.  Conventions, fixed once and used everywhere:
   representations and parity tests use the canonical one.
 * Binary representations are big-endian, ``Q = ceil(log2 q)`` bits per
   residue; bit positions are 1-based when a whole vector is indexed.
+* Randomness comes from labeled Philox streams, each keyed straight from a
+  SHA-256 digest of (seed, label, index); see ``Rng``.  ``numpy.random`` is
+  imported on the first stream, not at import.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -260,19 +264,47 @@ def desk_params(d: int = DESK_D, n: int = DESK_N, q: int = DESK_Q,
 _MASK64 = (1 << 64) - 1
 
 
+@functools.cache
+def _digest_key_class() -> type:
+    """The seed sequence that hands Philox the words of a digest, defined on
+    first use so that importing poqlab does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DigestKey(ISeedSequence):
+        """Words of a byte string, read little-endian in order; asking for
+        more bytes than it holds raises ValueError."""
+
+        def __init__(self, digest: bytes):
+            self.digest = digest
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            dtype = np.dtype(dtype)
+            if n_words * dtype.itemsize > len(self.digest):
+                raise ValueError(
+                    f"{n_words} words of {dtype} exceed the "
+                    f"{len(self.digest)}-byte digest")
+            words = np.frombuffer(self.digest, dtype.newbyteorder("<"), n_words)
+            return words.astype(dtype)
+
+    return DigestKey
+
+
 @dataclass(frozen=True)
 class Rng:
     """Labeled, replayable random streams over a counter-based generator.
 
-    stream(label, index) always yields the same Philox stream for the same
-    (seed, label, index) triple, and distinct triples give independent
-    streams, so trials can be farmed out in any order or process layout.
+    stream(label, index) is the Philox stream whose 128-bit key is the first
+    16 bytes, read as two little-endian uint64, of the SHA-256 digest of
+    ``f"{seed & (2**64 - 1)}:{label}:{index}"`` (a negative seed aliases its
+    64-bit two's complement).  The same (seed, label, index) triple always
+    yields the same stream, and distinct triples give independent streams,
+    so trials can be farmed out in any order or process layout.
     """
 
     seed: int
 
     def stream(self, label: str, index: int = 0) -> np.random.Generator:
-        digest = hashlib.sha256(f"{label}:{index}".encode()).digest()
-        words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
-        ss = np.random.SeedSequence([self.seed & _MASK64, *words])
-        return np.random.Generator(np.random.Philox(ss))
+        digest = hashlib.sha256(
+            f"{self.seed & _MASK64}:{label}:{index}".encode()).digest()
+        key = _digest_key_class()(digest)
+        return np.random.Generator(np.random.Philox(key))

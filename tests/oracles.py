@@ -3,6 +3,7 @@ of what poqlab computes, and the small helpers the tests build inputs with."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +52,21 @@ def bit_select(bits, j):
         return int(bits[int(j) - 1])
     idx = np.asarray(j, dtype=np.int64) - 1
     return bits[idx].astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# randomness
+
+def seedsequence_stream(self: Rng, label: str, index: int = 0
+                        ) -> np.random.Generator:
+    """Rng.stream as it was derived before streams were keyed straight from
+    their digest: SHA-256 of "label:index" as four little-endian uint64
+    words, behind the 64-bit seed, through numpy's SeedSequence into Philox.
+    Patched over Rng.stream, it replays every transcript of that time."""
+    digest = hashlib.sha256(f"{label}:{index}".encode()).digest()
+    words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
+    ss = np.random.SeedSequence([self.seed & ((1 << 64) - 1), *words])
+    return np.random.Generator(np.random.Philox(ss))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from poqlab.cli import main
 from poqlab.core import Rng
 
+from oracles import seedsequence_stream
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -57,16 +59,45 @@ def test_run_r_reports_event_rates(capsys):
     assert "E-rate" in out and "F-rate" in out
 
 
-@pytest.mark.parametrize("prover, digest", [
-    ("honest", "2f96209210fab278b66357287807e4044e31eac4addc70327ec8560579052f67"),
-    ("blind", "b7c38c794cd39e2a52521aef66714aea0eedf61bd0d0fd78ee490e1af4957346"),
-])
-def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest):
+# each case: the CLI transcript's digest, and the digest it had before
+# streams were keyed straight from their SHA-256 digest
+CLI_TRANSCRIPT_PINS = [
+    pytest.param(
+        "honest",
+        "705291dcaf5728af60750bb869d01cbd418ba2fdc0aea0f807c6b756bc90d6dd",
+        "2f96209210fab278b66357287807e4044e31eac4addc70327ec8560579052f67",
+        id="honest"),
+    pytest.param(
+        "blind",
+        "3e43dd98fd3ced1a1bc6bc9b3cc8251e5a4b41014eb298b32a4faef88d54d8a8",
+        "b7c38c794cd39e2a52521aef66714aea0eedf61bd0d0fd78ee490e1af4957346",
+        id="blind"),
+]
+
+
+def _transcript_digest(tmp_path, capsys, prover):
+    """SHA-256 of the transcript file of a 24-trial game R at seed 5."""
     code, _ = run_cli(capsys, "run", "--game", "R", "--prover", prover,
                       "--trials", "24", "--seed", "5", "--out", str(tmp_path))
     assert code == 0
     data = (tmp_path / f"R_{prover}_seed5.transcripts").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("prover, digest, _", CLI_TRANSCRIPT_PINS)
+def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest,
+                                              _):
+    assert _transcript_digest(tmp_path, capsys, prover) == digest
+
+
+def test_seedsequence_stream_reproduces_earlier_pins(tmp_path, capsys,
+                                                     monkeypatch):
+    # with the SeedSequence derivation put back, each earlier CLI transcript
+    # comes back byte for byte
+    monkeypatch.setattr(Rng, "stream", seedsequence_stream)
+    for case in CLI_TRANSCRIPT_PINS:
+        prover, _, earlier = case.values
+        assert _transcript_digest(tmp_path, capsys, prover) == earlier, case.id
 
 
 def test_run_rejects_classical_prover_at_claw_game(capsys):

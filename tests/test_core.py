@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +13,11 @@ from poqlab.core import (InvalidDeskParams, NoPrimeInRange, Params, Rng,
                          balanced, balanced_abs, binary_repr, derive_params,
                          desk_params, find_prime, is_prime, matmul_mod, norm1,
                          norminf)
+from poqlab.protocol import run_game_r
 
 from oracles import binary_parse, bit_select
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # --- balanced absolute value -------------------------------------------------
@@ -188,6 +197,64 @@ def test_rng_streams_independent():
     assert base.stream("trial", 7).bytes(32) != base.stream("trial", 8).bytes(32)
     assert base.stream("trial", 7).bytes(32) != base.stream("other", 7).bytes(32)
     assert Rng(124).stream("trial", 7).bytes(32) != base.stream("trial", 7).bytes(32)
+
+
+def _key(gen) -> tuple[int, int]:
+    return tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 32, (1 << 64) - 1, -1])
+def test_rng_stream_key_is_the_digest(seed):
+    # the Philox key is the first 16 bytes of SHA-256("seed:label:index"),
+    # as two little-endian uint64; a negative seed aliases its 64-bit
+    # two's complement, so -1 names the same streams as 2^64 - 1
+    text = f"{seed & ((1 << 64) - 1)}:gameR/inputs:3".encode()
+    digest = hashlib.sha256(text).digest()
+    want = (int.from_bytes(digest[:8], "little"),
+            int.from_bytes(digest[8:16], "little"))
+    gen = Rng(seed).stream("gameR/inputs", 3)
+    assert _key(gen) == want
+    assert gen.bit_generator.state["state"]["counter"].tolist() == [0] * 4
+    if seed == -1:
+        assert gen.bytes(32) == Rng((1 << 64) - 1).stream(
+            "gameR/inputs", 3).bytes(32)
+
+
+def test_rng_stream_keys_distinct_across_an_honest_run(monkeypatch):
+    # every (label, index) a 1,000-trial honest game derives owns its key
+    keys = {}
+    stream = Rng.stream
+
+    def recording(self, label, index=0):
+        gen = stream(self, label, index)
+        keys[label, index] = _key(gen)
+        return gen
+
+    monkeypatch.setattr(Rng, "stream", recording)
+    run_game_r("honest", desk_params(), 1000, Rng(2024))
+    assert len(keys) >= 4000
+    assert len(set(keys.values())) == len(keys)
+
+
+def test_rng_stream_key_refuses_words_past_the_digest():
+    key = Rng(5).stream("x").bit_generator.seed_seq
+    assert key.generate_state(4, np.uint64).tobytes() == key.digest
+    assert key.generate_state(8, np.uint32).tobytes() == key.digest
+    for n_words, dtype in ((5, np.uint64), (9, np.uint32)):
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy.random is imported on the first stream, not by importing poqlab
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    code = ("import sys, poqlab, poqlab.cli; "
+            "assert 'numpy.random' not in sys.modules, 'imported'")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # --- modular matmul ----------------------------------------------------------

@@ -23,7 +23,7 @@ from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
 from poqlab.quantum import HonestProver, honest_first_round
 
 from oracles import (best_score_oracle, honest_first_round_oracle,
-                     round_record, run_experiment_s)
+                     round_record, run_experiment_s, seedsequence_stream)
 
 PARAMS = desk_params()
 
@@ -138,22 +138,43 @@ class _HooksOnly:
         return self._honest.answer(ys, mems, preimages, a, streams, sequential)
 
 
-@pytest.mark.parametrize("prover, params, trials, sequential, digest", [
-    ("honest", PARAMS, 20, False,
-     "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b"),
-    ("honest", desk_params(d=16, n=16), 4, True,
-     "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10"),
-    (TrapdoorLeakProver(PARAMS), PARAMS, 20, True,
-     "9e9bb4429057193ce89292067fd0bd4fea4f77d55e939eda8a9a7cdc60249064"),
+# each case: the game, its digest, and the digest it had before streams were
+# keyed straight from their SHA-256 digest (see
+# test_seedsequence_stream_reproduces_earlier_pins)
+TRANSCRIPT_PINS = [
+    pytest.param(
+        "honest", PARAMS, 20, False,
+        "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+        "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b",
+        id="honest-R-desk"),
+    pytest.param(
+        "honest", desk_params(d=16, n=16), 4, True,
+        "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+        "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10",
+        id="honest-Rseq-separation"),
+    pytest.param(
+        TrapdoorLeakProver(PARAMS), PARAMS, 20, True,
+        "5a93eb6dad7ba189e2d89ebe8d722662afe7b474dfc11a399e3e8f59e696380c",
+        "9e9bb4429057193ce89292067fd0bd4fea4f77d55e939eda8a9a7cdc60249064",
+        id="leak-Rseq-desk"),
     # the hooks are the engine's whole contract with a prover
-    (_HooksOnly(PARAMS), PARAMS, 20, False,
-     "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b"),
-    (_HooksOnly(desk_params(d=16, n=16)), desk_params(d=16, n=16), 4, True,
-     "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10"),
-], ids=["honest-R-desk", "honest-Rseq-separation", "leak-Rseq-desk",
-        "hooks-only-R-desk", "hooks-only-Rseq-separation"])
+    pytest.param(
+        _HooksOnly(PARAMS), PARAMS, 20, False,
+        "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+        "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b",
+        id="hooks-only-R-desk"),
+    pytest.param(
+        _HooksOnly(desk_params(d=16, n=16)), desk_params(d=16, n=16), 4, True,
+        "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+        "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10",
+        id="hooks-only-Rseq-separation"),
+]
+
+
+@pytest.mark.parametrize("prover, params, trials, sequential, digest, _",
+                         TRANSCRIPT_PINS)
 def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
-                                          digest):
+                                          digest, _):
     # any change to the arithmetic or to the random-stream layout moves
     # these digests; such a change must say why it moved them
     res = run_game_r(prover, params, trials, Rng(2024), sequential=sequential,
@@ -290,10 +311,25 @@ def _integers_draw(rng, rows, cols):
                         dtype=np.int64).astype(np.float64)
 
 
-def test_integers_draw_reproduces_earlier_honest_pins(monkeypatch, tmp_path):
-    # the byte draw of R moved the three honest pins; with the integers draw
-    # put back, all three give their earlier digests byte for byte, so
-    # nothing but the draw of R moved them
+def test_seedsequence_stream_reproduces_earlier_pins(monkeypatch, tmp_path):
+    # keying streams straight from their digest moved every pin of this
+    # module; with the SeedSequence derivation put back, each earlier digest
+    # and report comes back byte for byte, so nothing but the derivation
+    # moved them
+    monkeypatch.setattr(Rng, "stream", seedsequence_stream)
+    for case in TRANSCRIPT_PINS:
+        prover, params, trials, sequential, _, earlier = case.values
+        res = run_game_r(prover, params, trials, Rng(2024),
+                         sequential=sequential, keep_transcripts=True)
+        assert _transcript_digest(res) == earlier, case.id
+    for case in EXPERIMENT_S_PINS:
+        which, prover_cls, _, earlier = case.values
+        got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40,
+                               Rng(2024))
+        assert dataclasses.astuple(got) == earlier, case.id
+    # with the integers draw of R put back as well, the three honest pins
+    # from before the byte draw come back, so nothing but the draw of R
+    # moved them then
     monkeypatch.setattr(lattice, "_ternary_draw", _integers_draw)
     res = run_game_r("honest", PARAMS, 20, Rng(2024), keep_transcripts=True)
     assert _transcript_digest(res) == \
@@ -765,19 +801,37 @@ def test_s3_collapses_leak_prover():
     assert s3.mean <= 0.70
 
 
-@pytest.mark.parametrize("which, prover_cls, stats", [
-    (1, BlindProver, (40, -0.2, 0.15689290811054724, -0.5075100998966726,
-                      0.10751009989667254)),
-    (1, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0)),
-    (2, BlindProver, (40, 0.75, 0.10591481821704042, 0.5424069562946008,
-                      0.9575930437053992)),
-    (2, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0)),
-    (3, BlindProver, (40, 0.75, 0.10591481821704042, 0.5424069562946008,
-                      0.9575930437053992)),
-    (3, TrapdoorLeakProver, (40, 0.5, 0.13867504905630726,
-                             0.22819690384963776, 0.7718030961503622)),
-], ids=["s1-blind", "s1-leak", "s2-blind", "s2-leak", "s3-blind", "s3-leak"])
-def test_experiment_s_pinned_at_fixed_seed(which, prover_cls, stats):
+# each case: the experiment, its report, and the report it gave before
+# streams were keyed straight from their SHA-256 digest
+EXPERIMENT_S_PINS = [
+    pytest.param(1, BlindProver,
+                 (40, -0.35, 0.15, -0.6439999999999999, -0.055999999999999994),
+                 (40, -0.2, 0.15689290811054724, -0.5075100998966726,
+                  0.10751009989667254), id="s1-blind"),
+    pytest.param(1, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0),
+                 (40, 1.0, 0.0, 1.0, 1.0), id="s1-leak"),
+    pytest.param(2, BlindProver,
+                 (40, 0.6, 0.12810252304406972, 0.34891905483362334,
+                  0.8510809451663766),
+                 (40, 0.75, 0.10591481821704042, 0.5424069562946008,
+                  0.9575930437053992), id="s2-blind"),
+    pytest.param(2, TrapdoorLeakProver, (40, 1.0, 0.0, 1.0, 1.0),
+                 (40, 1.0, 0.0, 1.0, 1.0), id="s2-leak"),
+    pytest.param(3, BlindProver,
+                 (40, 0.6, 0.12810252304406972, 0.34891905483362334,
+                  0.8510809451663766),
+                 (40, 0.75, 0.10591481821704042, 0.5424069562946008,
+                  0.9575930437053992), id="s3-blind"),
+    pytest.param(3, TrapdoorLeakProver,
+                 (40, 0.25, 0.15504341823651058, -0.053885099743560705,
+                  0.5538850997435607),
+                 (40, 0.5, 0.13867504905630726, 0.22819690384963776,
+                  0.7718030961503622), id="s3-leak"),
+]
+
+
+@pytest.mark.parametrize("which, prover_cls, stats, _", EXPERIMENT_S_PINS)
+def test_experiment_s_pinned_at_fixed_seed(which, prover_cls, stats, _):
     # pins the stream layout of the share-the-prover experiments
     got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40, Rng(2024))
     assert dataclasses.astuple(got) == stats
