@@ -7,18 +7,23 @@ the group with itself through the character x' |-> zeta^{x . x'} with
 zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 
 dft, idft, convolve and the linearity coefficient all go through one unitary
-transform with two paths.  For m <= _MATRIX_MAX_M it applies the m x m
-character matrix once per axis, built on first use and cached read-only;
-larger moduli go to np.fft, where a dense matrix would be slower and, near
-the CLI's 4^12 cap, too large to hold.  The linearity coefficient takes one
-forward transform: by Parseval, sum_s P[x+y=s]^2 = |G| sum |p_hat|^4.
+transform with two paths.  It takes a stack of functions on its leading axes
+and transforms them in one call.  For m <= _MATRIX_MAX_M it applies the
+m x m character matrix once per axis, built on first use and cached
+read-only; larger moduli go to np.fft, where a dense matrix would be slower
+and, near the CLI's 4^12 cap, too large to hold.  The linearity coefficient
+takes one forward transform: by Parseval, sum_s P[x+y=s]^2 =
+|G| sum |p_hat|^4.  Each uncertainty check makes one transform call:
+uncertainty_product and uncertainty_bound_check transform f together with
+p = |f| / ||f||_1, and read nu and eta off that stack.
 
 The transform runs in floating point for every input.  Supports, on either
-side of the transform, are the entries whose modulus exceeds SUPPORT_EPS, so
-support sizes and the uncertainty products built on them depend on that one
-cutoff; uncertainty_bound_check tests unit norms and the bound within
-BOUND_TOL.  Only the Fraction-valued linearity coefficient of an indicator
-(eta_set, which counts pair sums in integers) is exact.
+side of the transform and in the uniformity coefficient nu, are the entries
+whose modulus exceeds SUPPORT_EPS, so support sizes and the uncertainty
+products built on them depend on that one cutoff; uncertainty_bound_check
+tests unit norms and the bound within BOUND_TOL.  Only the Fraction-valued
+linearity coefficient of an indicator (eta_set, which counts pair sums in
+integers) is exact.
 """
 
 from __future__ import annotations
@@ -166,18 +171,21 @@ def _characters(m: int, sign: int) -> np.ndarray:
 
 
 def _transform(values: np.ndarray, group: Group, sign: int) -> np.ndarray:
-    """|G|^{-1/2} sum_x values(x) zeta^{sign x . x'}, as a flat array."""
+    """|G|^{-1/2} sum_x values(x) zeta^{sign x . x'} along the last axis, which
+    holds flat indices; leading axes index a stack of functions."""
     m, n = group.m, group.n
+    lead = values.shape[:-1]
     if m > _MATRIX_MAX_M:
         fft = np.fft.ifftn if sign > 0 else np.fft.fftn
-        return fft(values.reshape([m] * n), norm="ortho").reshape(-1)
+        return fft(values.reshape(lead + (m,) * n), axes=tuple(range(-n, 0)),
+                   norm="ortho").reshape(values.shape)
     c = _characters(m, sign)
     x = values
     for _ in range(n):
-        # transform the leading (slowest) axis and rotate it to the back;
-        # after n steps every axis is transformed and back in place
-        x = x.reshape(m, -1).T @ c
-    return x.reshape(-1)
+        # transform each function's leading (slowest) axis and rotate it to
+        # the back; after n steps every axis is transformed and back in place
+        x = x.reshape(lead + (m, -1)).swapaxes(-1, -2) @ c
+    return x.reshape(values.shape)
 
 
 def dft(f: GroupFunction) -> GroupFunction:
@@ -195,8 +203,8 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     if f.group != g.group:
         raise GroupMismatch(f"{f.group} vs {g.group}")
     gr = f.group
-    prod = _transform(f.values, gr, 1) * _transform(g.values, gr, 1)
-    return GroupFunction(gr, _transform(prod, gr, -1))
+    fh, gh = _transform(np.array([f.values, g.values]), gr, 1)
+    return GroupFunction(gr, _transform(fh * gh, gr, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +217,35 @@ def _weights(f: GroupFunction) -> np.ndarray:
     return w
 
 
+def _count(w: np.ndarray) -> int:
+    """Support size of a function whose moduli are w."""
+    return int(np.count_nonzero(w > SUPPORT_EPS))
+
+
+def _nu(w: np.ndarray, p: np.ndarray) -> float:
+    """Uniformity coefficient of p = w / ||w||_1, its support that of w under
+    the cutoff."""
+    return 1.0 / (_count(w) * float((p ** 2).sum()))
+
+
+def _eta(p: np.ndarray, p_hat: np.ndarray, size: int) -> float:
+    """Linearity coefficient of the distribution p from its transform p_hat:
+    by Parseval, sum_s P[x+y=s]^2 = |G| sum |p_hat|^4."""
+    power = np.abs(p_hat) ** 2
+    return size * float((power ** 2).sum()) / float((p ** 2).sum())
+
+
 def uniformity_nu(f: GroupFunction) -> float:
-    """1 / (|Supp p| sum p^2) for p = |f| / ||f||_1; equals 1 iff |f| is
-    constant on its support."""
+    """1 / (|Supp f| sum p^2) for p = |f| / ||f||_1, with Supp f the entries
+    where |f| exceeds SUPPORT_EPS, as everywhere in this module.
+
+    At most 1, with equality iff |f| is constant on its support, when f has
+    no entry of modulus in (0, SUPPORT_EPS].  Such entries enter p but not
+    the support, and can lift nu above 1 by up to about twice their share
+    of ||f||_1.
+    """
     w = _weights(f)
-    p = w / w.sum()
-    supp = int(np.count_nonzero(p))
-    return 1.0 / (supp * float((p ** 2).sum()))
+    return _nu(w, w / w.sum())
 
 
 def linearity_eta(f: GroupFunction) -> float:
@@ -226,8 +256,7 @@ def linearity_eta(f: GroupFunction) -> float:
     """
     w = _weights(f)
     p = w / w.sum()
-    power = np.abs(_transform(p, f.group, 1)) ** 2
-    return f.group.size * float((power ** 2).sum()) / float((p ** 2).sum())
+    return _eta(p, _transform(p, f.group, 1), f.group.size)
 
 
 def eta_set(s: SubsetOfGroup) -> Fraction:
@@ -263,23 +292,28 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
 # uncertainty relations
 
 def support_size(f: GroupFunction) -> int:
-    return int(len(f.support()))
+    return _count(np.abs(f.values))
 
 
 def uncertainty_product(h: GroupFunction) -> float:
-    """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|; at least 1 for nonzero h."""
-    if not np.abs(h.values).any():
+    """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, every support under the
+    cutoff; at least 1 for nonzero h."""
+    w = np.abs(h.values)
+    if not w.any():
         raise ZeroFunction("uncertainty product of the zero function")
-    hh = dft(h)
-    return (support_size(h) * support_size(hh)
-            * uniformity_nu(h) * linearity_eta(h)) / h.group.size
+    p = w / w.sum()
+    hh, p_hat = _transform(np.array([h.values, p]), h.group, 1)
+    return (_count(w) * _count(np.abs(hh)) * _nu(w, p)
+            * _eta(p, p_hat, h.group.size)) / h.group.size
 
 
 def donoho_stark_check(h: GroupFunction) -> bool:
     """|Supp h| * |Supp h_hat| >= |G| under the support cutoff."""
-    if not np.abs(h.values).any():
+    w = np.abs(h.values)
+    if not w.any():
         raise ZeroFunction("support product of the zero function")
-    return support_size(h) * support_size(dft(h)) >= h.group.size
+    hh = _transform(h.values, h.group, 1)
+    return _count(w) * _count(np.abs(hh)) >= h.group.size
 
 
 def uncertainty_bound_check(f: GroupFunction,
@@ -293,8 +327,10 @@ def uncertainty_bound_check(f: GroupFunction,
         raise GroupMismatch(f"{f.group} vs {g.group}")
     if abs(f.norm2() - 1.0) > BOUND_TOL or abs(g.norm2() - 1.0) > BOUND_TOL:
         raise ValueError("f and g must be normalized to unit 2-norm")
-    fh = dft(f)
-    lhs = abs(complex(np.vdot(g.values, fh.values)))
-    rhs = float((support_size(f) * support_size(g)
-                 * uniformity_nu(f) * linearity_eta(f) / f.group.size) ** 0.25)
+    w = np.abs(f.values)
+    p = w / w.sum()
+    fh, p_hat = _transform(np.array([f.values, p]), f.group, 1)
+    lhs = abs(complex(np.vdot(g.values, fh)))
+    rhs = float((_count(w) * _count(np.abs(g.values)) * _nu(w, p)
+                 * _eta(p, p_hat, f.group.size) / f.group.size) ** 0.25)
     return lhs, rhs, lhs <= rhs + BOUND_TOL

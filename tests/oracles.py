@@ -12,7 +12,8 @@ import numpy as np
 
 from poqlab.attack import best_score, rewind
 from poqlab.core import Params, Rng, matmul_mod, require_count
-from poqlab.fourier import Group, GroupFunction, SubsetOfGroup, ZeroFunction
+from poqlab.fourier import (BOUND_TOL, SUPPORT_EPS, Group, GroupFunction,
+                            SubsetOfGroup, ZeroFunction)
 from poqlab.games import (_best_response_parallel, _best_response_sequential,
                           _counting_vectors, _differences, _parity_sets,
                           _tables, j_sample_inputs, j_score)
@@ -268,6 +269,52 @@ def linearity_eta_two_transforms(f: GroupFunction) -> float:
     p = w / w.sum()
     conv = np.fft.ifftn(np.fft.fftn(p.reshape([m] * n)) ** 2).real
     return float((conv ** 2).sum()) / float((p ** 2).sum())
+
+
+def dft_oracle(f: GroupFunction) -> np.ndarray:
+    """The unitary transform of one function, through np.fft.ifftn."""
+    m, n = f.group.m, f.group.n
+    return np.fft.ifftn(f.values.reshape([m] * n), norm="ortho").reshape(-1)
+
+
+def support_size_oracle(values: np.ndarray) -> int:
+    return len(np.flatnonzero(np.abs(values) > SUPPORT_EPS))
+
+
+def nu_eta_oracle(f: GroupFunction) -> tuple[float, float]:
+    """nu and eta of p = |f| / ||f||_1, as the uncertainty checks computed
+    them one function and one transform at a time; nu counts its support
+    under SUPPORT_EPS."""
+    w = np.abs(f.values)
+    p = w / w.sum()
+    nu = 1.0 / (support_size_oracle(w) * float((p ** 2).sum()))
+    power = np.abs(dft_oracle(GroupFunction(f.group, p))) ** 2
+    eta = f.group.size * float((power ** 2).sum()) / float((p ** 2).sum())
+    return nu, eta
+
+
+def uncertainty_product_oracle(h: GroupFunction) -> float:
+    """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, transforming h and |h|
+    apart."""
+    nu, eta = nu_eta_oracle(h)
+    return (support_size_oracle(h.values) * support_size_oracle(dft_oracle(h))
+            * nu * eta) / h.group.size
+
+
+def donoho_stark_oracle(h: GroupFunction) -> bool:
+    return (support_size_oracle(h.values) * support_size_oracle(dft_oracle(h))
+            >= h.group.size)
+
+
+def uncertainty_bound_oracle(f: GroupFunction,
+                             g: GroupFunction) -> tuple[float, float, bool]:
+    """(lhs, rhs, holds) of fourier.uncertainty_bound_check for unit f, g,
+    transforming f and |f| apart."""
+    lhs = abs(complex(np.vdot(g.values, dft_oracle(f))))
+    nu, eta = nu_eta_oracle(f)
+    rhs = float((support_size_oracle(f.values) * support_size_oracle(g.values)
+                 * nu * eta / f.group.size) ** 0.25)
+    return lhs, rhs, lhs <= rhs + BOUND_TOL
 
 
 def collision_probability(p: np.ndarray) -> Fraction:

@@ -158,6 +158,25 @@ def test_fourier_checks(capsys, tmp_path):
     assert report.startswith("check,group,samples")
 
 
+# worst margins at seed 3 with 200 samples; Z_4^3 takes the character-matrix
+# path, Z_64^2 the np.fft path
+FOURIER_MARGINS = {
+    ("parseval", "4^3"): "3.553e-15", ("convolution", "4^3"): "1.891e-15",
+    ("donoho", "4^3"): "0.000e+00", ("uncertainty", "4^3"): "0.000e+00",
+    ("parseval", "64^2"): "8.527e-14", ("convolution", "64^2"): "4.441e-15",
+    ("donoho", "64^2"): "0.000e+00", ("uncertainty", "64^2"): "0.000e+00",
+}
+
+
+@pytest.mark.parametrize("check, group", FOURIER_MARGINS)
+def test_fourier_output_pinned(capsys, check, group):
+    code, out = run_cli(capsys, "fourier", "--check", check, "--group", group,
+                        "--samples", "200", "--seed", "3")
+    assert code == 0
+    assert out == (f"{check} on {group}: samples=200 violations=0 "
+                   f"worst-margin={FOURIER_MARGINS[check, group]} PASS\n")
+
+
 @pytest.mark.parametrize("check", ["donoho", "uncertainty"])
 def test_fourier_reports_the_functions_it_checked(capsys, tmp_path, check):
     # redraw the CLI's inputs: each sample is a complex Gaussian on Z_4 with

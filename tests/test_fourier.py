@@ -11,8 +11,10 @@ from poqlab.fourier import (Group, GroupFunction, GroupMismatch, SubsetOfGroup,
                             uncertainty_bound_check, uncertainty_product,
                             uniformity_nu)
 
-from oracles import (collision_probability, eta_quadruple_bruteforce,
-                     eta_set_dict, group_elements, linearity_eta_two_transforms)
+from oracles import (collision_probability, donoho_stark_oracle,
+                     eta_quadruple_bruteforce, eta_set_dict, group_elements,
+                     linearity_eta_two_transforms, uncertainty_bound_oracle,
+                     uncertainty_product_oracle)
 
 
 def dft_z4_exact(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +184,51 @@ def test_character_matrices_are_cached_read_only():
     assert not c.flags.writeable
     with pytest.raises(ValueError):
         c[0, 0] = 0
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (32, 2), (64, 2)])
+def test_stacked_transform_equals_row_by_row(m, n):
+    g = Group(m, n)
+    gen = np.random.default_rng(m * 10 + n)
+    stack = (gen.normal(size=(2, 3, g.size))
+             + 1j * gen.normal(size=(2, 3, g.size)))
+    for sign in (1, -1):
+        got = fourier._transform(stack, g, sign)
+        assert got.shape == stack.shape
+        for i, j in itertools.product(range(2), range(3)):
+            np.testing.assert_allclose(
+                got[i, j], fourier._transform(stack[i, j], g, sign),
+                rtol=0, atol=1e-13)
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Count fourier._transform calls made through the module."""
+    calls = []
+    transform = fourier._transform
+
+    def counted(values, group, sign):
+        calls.append(values.shape)
+        return transform(values, group, sign)
+
+    monkeypatch.setattr(fourier, "_transform", counted)
+    return calls
+
+
+def test_each_check_makes_one_transform_call(transform_calls):
+    gen = np.random.default_rng(16)
+    f = random_function(Z4_3, gen)
+    unit = GroupFunction(Z4_3, f.values / f.norm2())
+    for call, want in ((lambda: dft(f), 1), (lambda: idft(f), 1),
+                       (lambda: convolve(f, f), 2),
+                       (lambda: donoho_stark_check(f), 1),
+                       (lambda: uncertainty_product(f), 1),
+                       (lambda: uncertainty_bound_check(unit, unit), 1),
+                       (lambda: linearity_eta(f), 1),
+                       (lambda: uniformity_nu(f), 0)):
+        transform_calls.clear()
+        call()
+        assert len(transform_calls) == want
 
 
 # --- convolution -------------------------------------------------------------
@@ -415,6 +462,68 @@ def test_uncertainty_product_random_sparse():
             continue
         f = GroupFunction(Z4_3, f.values * keep)
         assert uncertainty_product(f) >= 1 - 1e-9
+
+
+def _sub_cutoff_subgroup(m: int) -> GroupFunction:
+    """Indicator of the subgroup {0} x Z_m of Z_m^2 plus 1e-12 everywhere:
+    every added entry lies below SUPPORT_EPS, and so does its transform."""
+    g = Group(m, 2)
+    vals = np.full(g.size, 1e-12, dtype=complex)
+    column = np.stack([np.zeros(m, dtype=np.int64), np.arange(m)], axis=1)
+    vals[g.encode(column)] += 1
+    return GroupFunction(g, vals)
+
+
+@pytest.mark.parametrize("m", [4, 64])
+def test_nu_counts_its_support_under_the_cutoff(m):
+    # m = 4 takes the character-matrix path, m = 64 the np.fft path
+    h = _sub_cutoff_subgroup(m)
+    assert support_size(h) == m and support_size(dft(h)) == m
+    # the noise enters p but not the support: nu exceeds 1 by about twice
+    # its share of ||h||_1
+    share = 1e-12 * (m * m - m) / np.abs(h.values).sum()
+    assert 1 <= uniformity_nu(h) <= 1 + 3 * share
+    assert abs(uncertainty_product(h) - 1) < 1e-9
+    f = GroupFunction(h.group, h.values / h.norm2())
+    lhs, rhs, holds = uncertainty_bound_check(f, dft(f))
+    assert holds and abs(lhs - 1) < 1e-9 and abs(rhs - 1) < 1e-9
+
+
+# sparse random functions on both transform paths
+ORACLE_GROUPS = [(2, 4), (4, 3), (4, 4), (32, 2), (64, 2), (1021, 1)]
+
+
+@pytest.mark.parametrize("m, n", ORACLE_GROUPS)
+def test_uncertainty_checks_match_one_at_a_time_oracle(m, n):
+    g = Group(m, n)
+    gen = np.random.default_rng(m * 1000 + n)
+
+    def sparse(i):
+        f = random_function(g, gen)
+        mask = gen.random(g.size) < 0.25
+        mask[gen.integers(g.size)] = True
+        vals = f.values * mask
+        if i % 3 == 0:
+            # entries below the support cutoff
+            vals = vals + 1e-12 * (gen.random(g.size) < 0.5)
+        return GroupFunction(g, vals)
+
+    for i in range(200):
+        h = sparse(i)
+        want = uncertainty_product_oracle(h)
+        assert abs(uncertainty_product(h) - want) < 1e-12
+        assert donoho_stark_check(h) == donoho_stark_oracle(h)
+        f = GroupFunction(g, h.values / h.norm2())
+        if i % 2:
+            mask = gen.random(g.size) < 0.25
+            mask[gen.integers(g.size)] = True
+            other = GroupFunction(g, mask / np.sqrt(mask.sum()))
+        else:
+            other = dft(f)
+        got = uncertainty_bound_check(f, other)
+        want = uncertainty_bound_oracle(f, other)
+        assert abs(got[0] - want[0]) < 1e-12 and abs(got[1] - want[1]) < 1e-12
+        assert got[2] == want[2]
 
 
 def test_uncertainty_bound_check_cases():
