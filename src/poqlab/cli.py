@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import attack, fourier, games, protocol, provers, quantum
+from . import attack, fourier, games, lattice, protocol, provers, quantum
 from .core import (DESK, DESK_D, DESK_N, DESK_Q, DESK_SIGMA, PAPER_ASYMPTOTIC,
                    Params, Rng, derive_params, desk_params, require_count)
 
@@ -95,8 +96,15 @@ def cmd_params(args) -> int:
     problems = params.runnability_problems()
     verdict = "runnable" if not problems else "non-runnable: " + "; ".join(problems)
     print(f"{'game verdict':>20}: {verdict}")
+    # the exact law, in scientific notation even where e^ln underflows;
+    # + 0.0 prints P(E) = 1 (tau = 0) as 0.000000, not -0.000000
+    ln_e = lattice.honest_e_log_rate(params) + 0.0
+    exact = [("honest_E_rate", f"{Decimal(ln_e).exp():.6e}"),
+             ("ln_honest_E_rate", f"{ln_e:.6f}")]
+    for key, value in exact:
+        print(f"{key:>20}: {value}")
     _write_report(args, "params.csv", "key,value",
-                  [f"{k},{v}" for k, v in rows + [("verdict", verdict)]])
+                  [f"{k},{v}" for k, v in rows + [("verdict", verdict)] + exact])
     return 0
 
 
@@ -241,7 +249,7 @@ def cmd_fourier(args) -> int:
                 product = (fourier.support_size(f)
                            * fourier.support_size(fourier.dft(f)))
                 worst = max(worst, float(group.size - product))
-                failures += not fourier.donoho_stark_check(f)
+                failures += product < group.size
             else:
                 product = fourier.uncertainty_product(f)
                 worst = max(worst, 1.0 - product)

@@ -412,8 +412,10 @@ class DeterministicStrategy:
 def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform question pair on {0,1}^d x {1}."""
     _require_d(d)
-    x = np.append(rng.integers(0, 2, size=d), 1).astype(np.uint8)
-    y = np.append(rng.integers(0, 2, size=d), 1).astype(np.uint8)
+    x = np.ones(d + 1, dtype=np.uint8)
+    y = np.ones(d + 1, dtype=np.uint8)
+    x[:d] = rng.integers(0, 2, size=d)
+    y[:d] = rng.integers(0, 2, size=d)
     return x, y
 
 

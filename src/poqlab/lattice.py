@@ -22,6 +22,13 @@ more is dropped.  Each kept byte is uniform on the 243 strings in
 {-1, 0, 1}^5, so the entries of R are independent and exactly uniform on
 {-1, 0, 1}; the rejection only costs bytes.
 
+Each residue is reduced once.  ZqArray copies its input to int64 and takes
+% q only when a min/max scan finds an entry outside [0, q), so a canonical
+A, v or w costs a scan and no division.  gen_trap writes Abar and G - R Abar
+into one preallocated A, the bottom block made canonical by one conditional
+add of q (both terms lie in [0, q)), and commitment_shifts forms w + v with
+one conditional subtract of q.
+
 R is needed only while a trial's products with it are taken.  A round-one
 commitment w is assessed in two steps: commitment_shifts takes, while R is
 live, the trapdoor images of both shifts w and w + v in one product and
@@ -37,6 +44,7 @@ decode share gadget_decode and the residual test.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,8 +61,12 @@ class ZqArray:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.int64) % self.q)
+        # a copy, never the caller's array; reduced only when some entry
+        # lies outside [0, q), since a min/max scan costs less than a %
+        values = np.array(self.values, dtype=np.int64)
+        if values.size and (values.min() < 0 or values.max() >= self.q):
+            values %= self.q
+        object.__setattr__(self, "values", values)
 
     def _check(self, other: "ZqArray"):
         if self.q != other.q:
@@ -62,7 +74,7 @@ class ZqArray:
 
     def __add__(self, other: "ZqArray") -> "ZqArray":
         self._check(other)
-        return ZqArray(self.q, (self.values + other.values) % self.q)
+        return ZqArray(self.q, self.values + other.values)
 
     @property
     def shape(self):
@@ -187,12 +199,16 @@ def _gadget(params: Params) -> np.ndarray:
 def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, TrapdoorKey]:
     """Matrix A = [Abar ; G - R Abar] with m = (2Q+1) n rows, plus the
     trapdoor (Abar, R) that makes invert() work."""
-    top_rows = (params.Q + 1) * params.n
-    abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
+    q, top_rows = params.q, (params.Q + 1) * params.n
+    abar = rng.integers(0, q, size=(top_rows, params.n), dtype=np.int64)
     r = _ternary_draw(rng, params.Q * params.n, top_rows)
-    bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
-    a = np.vstack([abar, bottom])
-    return ZqArray(params.q, a), TrapdoorKey(abar=abar, r=r)
+    a = np.empty((params.m, params.n), dtype=np.int64)
+    a[:top_rows] = abar
+    # G and R Abar are canonical, so their difference lies in (-q, q)
+    bottom = a[top_rows:]
+    np.subtract(_gadget(params), _ternary_matmul_mod(r, abar, q), out=bottom)
+    np.add(bottom, q, out=bottom, where=bottom < 0)
+    return ZqArray(q, a), TrapdoorKey(abar=abar, r=r)
 
 
 def recombine(trap: TrapdoorKey, targets: np.ndarray,
@@ -268,6 +284,27 @@ def _noise_sampler(params: Params) -> GaussianSampler:
     return GaussianSampler(params.sigma, params.tau)
 
 
+def honest_e_log_rate(params: Params) -> float:
+    """ln P(E), the exact law of the honest prover's E event.
+
+    One shift's residual is the noise box, uniform on [-tau, tau]^m; the
+    other's is the box plus or minus e, e truncated-Gaussian, which stays in
+    the box with probability (2 tau + 1 - |e|) / (2 tau + 1) per coordinate.
+    So P(E) = (sum_e P(e) (2 tau + 1 - |e|) / (2 tau + 1))^m, which is
+    (1 - E|e| / (2 tau + 1))^m, taken as m log1p(...) since it underflows a
+    float at the paper-asymptotic sets."""
+    sampler = _noise_sampler(params)
+    kept = np.abs(sampler._support) <= params.tau
+    pmf = sampler._pmf[kept]
+    mean_abs = float(pmf @ np.abs(sampler._support[kept]) / pmf.sum())
+    return params.m * math.log1p(-mean_abs / (2 * params.tau + 1))
+
+
+def honest_e_rate(params: Params) -> float:
+    """P(E) for the honest prover (honest_e_log_rate)."""
+    return math.exp(honest_e_log_rate(params))
+
+
 def encrypt(message, params: Params, rng: np.random.Generator) -> EncryptionRecord:
     """v = A (2s + M) + e with s, e truncated-Gaussian and M carrying the
     message bits in the last d coordinates."""
@@ -329,7 +366,12 @@ def commitment_shifts(w: ZqArray, record: EncryptionRecord,
     commitment of the wrong length raises ValueError."""
     if w.values.shape != (params.m,):
         raise ValueError(f"w must have length m = {params.m}")
-    targets = np.array([w.values, (w + record.ciphertext.v).values])
+    targets = np.empty((2, params.m), dtype=np.int64)
+    targets[0] = w.values
+    # both canonical, so the sum is at most 2q - 2
+    shifted = targets[1]
+    np.add(w.values, record.ciphertext.v.values, out=shifted)
+    np.subtract(shifted, params.q, out=shifted, where=shifted >= params.q)
     return Shifts(record.ciphertext.a.values, targets,
                   recombine(record.trapdoor, targets, params), record.gamma)
 

@@ -89,13 +89,25 @@ def answer_table(prover: ClassicalProver, questions: np.ndarray,
 
 
 def _coin_bits(coins: np.ndarray, j: int, prefixes: np.ndarray) -> np.ndarray:
-    """One deterministic pseudorandom bit per prefix row from the coin
-    register: the low bit of SHA-256(coins "/" j "," the prefix bits joined
-    by ",")."""
-    head = coins.tobytes() + f"/{j},".encode()
-    return np.array([hashlib.sha256(head + ",".join(map(str, row)).encode())
-                     .digest()[0] & 1 for row in prefixes.tolist()],
-                    dtype=np.uint8)
+    """One deterministic pseudorandom bit per row of the (k, width) prefix
+    bits from the coin register: the low bit of SHA-256(coins "/" j "," the
+    prefix bits as ASCII digits joined by ",").
+
+    The level's payloads are one (k, 2 width - 1) byte array, digits in the
+    even columns and commas between them, and each row is hashed from a
+    copy of one SHA-256 object already fed the shared head, so a row costs
+    one copy, one update and one digest.
+    """
+    k, width = prefixes.shape
+    payload = np.full((k, 2 * width - 1), ord(","), dtype=np.uint8)
+    np.add(prefixes, ord("0"), out=payload[:, ::2])
+    head = hashlib.sha256(coins.tobytes() + f"/{j},".encode())
+    first = bytearray(k)
+    for i, row in enumerate(payload):
+        h = head.copy()
+        h.update(row)
+        first[i] = h.digest()[0]
+    return np.frombuffer(first, dtype=np.uint8) & 1
 
 
 @dataclass

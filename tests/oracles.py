@@ -17,8 +17,9 @@ from poqlab.fourier import (BOUND_TOL, SUPPORT_EPS, Group, GroupFunction,
 from poqlab.games import (_best_response_parallel, _best_response_sequential,
                           _counting_vectors, _differences, _parity_sets,
                           _tables, j_sample_inputs, j_score)
-from poqlab.lattice import (EncryptionRecord, GaussianSampler, ZqArray,
-                            decode_preimages, encrypt)
+from poqlab.lattice import (EncryptionRecord, GaussianSampler, TrapdoorKey,
+                            ZqArray, _gadget, _ternary_draw,
+                            _ternary_matmul_mod, decode_preimages, encrypt)
 from poqlab.protocol import (ScoreStats, check_bits, play_round,
                              referee_first_assessment, referee_score)
 from poqlab.provers import ClassicalProver
@@ -70,6 +71,15 @@ def seedsequence_stream(self: Rng, label: str, index: int = 0
     return np.random.Generator(np.random.Philox(ss))
 
 
+def coin_bits_oracle(coins: np.ndarray, j: int, prefixes) -> np.ndarray:
+    """provers._coin_bits one prefix at a time: the low bit of
+    SHA-256(coins "/" j "," the prefix bits joined by ",") per row."""
+    head = coins.tobytes() + f"/{j},".encode()
+    return np.array([hashlib.sha256(head + ",".join(map(str, row)).encode())
+                     .digest()[0] & 1 for row in np.asarray(prefixes).tolist()],
+                    dtype=np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # lattice
 
@@ -78,6 +88,17 @@ def zq_matmul(a: ZqArray, b: ZqArray) -> ZqArray:
     if a.q != b.q:
         raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
     return ZqArray(a.q, matmul_mod(a.values, b.values, a.q))
+
+
+def gen_trap_oracle(params: Params, rng: np.random.Generator
+                    ) -> tuple[ZqArray, TrapdoorKey]:
+    """gen_trap as it was before A was assembled in place: the same draws,
+    the bottom block reduced with % q and stacked under Abar."""
+    top_rows = (params.Q + 1) * params.n
+    abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
+    r = _ternary_draw(rng, params.Q * params.n, top_rows)
+    bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
+    return ZqArray(params.q, np.vstack([abar, bottom])), TrapdoorKey(abar, r)
 
 
 def gaussian_pmf(sampler: GaussianSampler, j: int) -> float:

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from poqlab import attack
-from poqlab.attack import (attack_plan, best_score, decode_error,
-                           experiment_e, experiment_e_campaign, rewind,
-                           sampling_bound)
+from poqlab.attack import (REWIND_LIMIT, attack_plan, best_score,
+                           decode_error, experiment_e, experiment_e_campaign,
+                           rewind, sampling_bound)
 from poqlab.core import Rng, desk_params
 from poqlab.games import j_sample_inputs, j_score
 from poqlab.protocol import check_bits, play_round, referee_score
-from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
+from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
+                            _coin_bits)
 
-from oracles import (best_score_oracle, exact_max_mean, sampled_max_mean,
-                     seedsequence_stream)
+from oracles import (best_score_oracle, coin_bits_oracle, exact_max_mean,
+                     sampled_max_mean, seedsequence_stream)
 
 
 # --- decoding ----------------------------------------------------------------
@@ -293,6 +294,22 @@ REWOUND_PINS = [
 def test_rewound_tables_pinned_at_fixed_seed(prover_cls, real, digest, _):
     # pins what rewinding asks and what each built-in prover answers
     assert _rewound_digest(prover_cls(desk_params(d=8)), real) == digest
+
+
+@pytest.mark.parametrize("width", range(1, REWIND_LIMIT + 2))
+def test_coin_bits_equal_per_prefix_hashing(width):
+    # every width a rewind reaches (d + 1 <= REWIND_LIMIT + 1), coin words
+    # drawn as the leak prover draws them and at the top of that range
+    gen = np.random.default_rng(width)
+    top = (1 << 62) - 1
+    for coins in (gen.integers(0, 1 << 62, size=4),
+                  np.array([top, top - 1, top - 255, 1 << 61], dtype=np.int64)):
+        for k in (0, 1, 256):
+            prefixes = gen.integers(0, 2, size=(k, width)).astype(np.uint8)
+            got = _coin_bits(coins, width - 1, prefixes)
+            assert got.dtype == np.uint8 and got.shape == (k,)
+            np.testing.assert_array_equal(
+                got, coin_bits_oracle(coins, width - 1, prefixes))
 
 
 def _question_sets(d: int):

@@ -3,9 +3,12 @@ ways: a key-leak prover that overrides set_leak to record which arm each
 experiment-E repetition hands it, and a blind prover that overrides only
 first_response(a, v, coins).  A change to the prover hooks that broke either
 would only show up as a benchmark run with incorrect outputs, so both ways
-are played here."""
+are played here.  The benchmark's own self-test runs here too."""
 
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -77,3 +80,13 @@ def test_first_response_override_still_plays_game_r():
     short = run_game_r(_ShortCommitment(PARAMS), PARAMS, 3, Rng(9),
                        sequential=True, keep_transcripts=True)
     assert [t.score for t in short.transcripts] == [-1, -1, -1]
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/selftest.py feeds every output check of the benchmark a
+    # genuine poqlab output and corrupted copies; a change to poqlab that
+    # breaks those checks fails here, with no change to perfbench/
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -30,6 +30,23 @@ def test_params_lambda_4_flags_tau(capsys):
     assert "tau = 0" in out
 
 
+@pytest.mark.parametrize("argv, rate, log_rate", [
+    ((), "9.974595e-1", "-0.002544"),
+    (("--sigma", "10"), "5.371962e-1", "-0.621392"),
+    (("--preset", "paper-asymptotic", "--lam", "384"), "4.664521e-2135",
+     "-4914.479188"),
+    (("--preset", "paper-asymptotic", "--lam", "4"), "1.000000e+0", "0.000000"),
+], ids=["desk", "sigma10", "lam384", "lam4-tau0"])
+def test_params_prints_the_exact_honest_e_rate(capsys, argv, rate, log_rate):
+    # below the game verdict; at lambda = 384 the union bound is negative
+    # and the exact rate underflows a float, so it is printed from its log
+    code, out = run_cli(capsys, "params", *argv)
+    assert code == 0
+    assert out.splitlines()[-3].startswith(" " * 8 + "game verdict: ")
+    assert out.splitlines()[-2:] == [f"       honest_E_rate: {rate}",
+                                     f"    ln_honest_E_rate: {log_rate}"]
+
+
 def test_params_desk_round_trip(capsys):
     code, out = run_cli(capsys, "params")
     assert code == 0

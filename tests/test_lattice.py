@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poqlab import lattice
 from poqlab.core import Rng, balanced, derive_params, desk_params
 from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _ternary_draw,
-                            _ternary_matmul_mod, decrypt, encrypt, gen_trap,
-                            invert)
+                            _ternary_matmul_mod, commitment_shifts, decrypt,
+                            encrypt, gen_trap, honest_e_log_rate,
+                            honest_e_rate, invert)
 
-from oracles import gaussian_pmf, lwe_oracle, solve_linear_mod, zq_matmul
+from oracles import (gaussian_pmf, gen_trap_oracle, lwe_oracle,
+                     solve_linear_mod, zq_matmul)
 
 PARAMS = desk_params()
 
@@ -88,6 +91,28 @@ def test_gen_trap_dimensions():
         _, again = gen_trap(params, stream("gt"))
         np.testing.assert_array_equal(trap.r, again.r)
         np.testing.assert_array_equal(trap.abar, again.abar)
+
+
+@pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
+                         ids=["desk", "d16n16"])
+def test_gen_trap_equals_stacked_form(params, monkeypatch):
+    # A assembled in place equals vstack([Abar, (G - R Abar) % q]) drawn
+    # from the same stream, and the trapdoor is the same; A is canonical
+    # before ZqArray sees it, so ZqArray only scans it
+    handed = []
+
+    def recording(q, values):
+        handed.append(values.copy())
+        return ZqArray(q, values)
+
+    monkeypatch.setattr(lattice, "ZqArray", recording)
+    a, trap = gen_trap(params, stream("stacked"))
+    assert handed[0].min() >= 0 and handed[0].max() < params.q
+    want, want_trap = gen_trap_oracle(params, stream("stacked"))
+    assert a.values.dtype == np.int64
+    np.testing.assert_array_equal(a.values, want.values)
+    np.testing.assert_array_equal(trap.abar, want_trap.abar)
+    np.testing.assert_array_equal(trap.r, want_trap.r)
 
 
 def test_trit_table_holds_each_ternary_string_once():
@@ -359,3 +384,80 @@ def test_stream_determinism():
 def test_zq_array_modulus_mismatch():
     with pytest.raises(ValueError):
         ZqArray(5, np.arange(3)) + ZqArray(7, np.arange(3))
+
+
+ZQ_CASES = {"inside": lambda q: [0, 1, q - 1],
+            "below": lambda q: [-1, -q - 3, 5],
+            "above": lambda q: [q, 2 * q + 5, 0]}
+
+
+# a uint8 array holds no negative entry, so it is given no "below" case
+@pytest.mark.parametrize("case, container",
+                         [(case, container) for case in ZQ_CASES
+                          for container in ("list", "int32", "uint8")
+                          if (case, container) != ("below", "uint8")])
+def test_zq_array_stores_canonical_values(case, container):
+    q = 101   # 2q + 5 still fits in a uint8
+    raw = ZQ_CASES[case](q)
+    given = raw if container == "list" else np.array(raw, dtype=container)
+    z = ZqArray(q, given)
+    assert z.values.dtype == np.int64
+    np.testing.assert_array_equal(z.values, [x % q for x in raw])
+
+
+def test_zq_array_empty_and_sum():
+    assert ZqArray(7, []).values.shape == (0,)
+    total = ZqArray(7, [6, 3, 0]) + ZqArray(7, [6, 4, 0])
+    np.testing.assert_array_equal(total.values, [5, 0, 0])
+
+
+@pytest.mark.parametrize("offset", [0, 100], ids=["canonical", "reduced"])
+def test_zq_array_never_aliases_its_input(offset):
+    raw = np.arange(5, dtype=np.int64) + offset
+    z = ZqArray(101, raw)
+    kept = z.values.copy()
+    raw[:] = 7
+    np.testing.assert_array_equal(z.values, kept)
+
+
+def test_commitment_shifts_targets_are_w_and_w_plus_v():
+    record = encrypt(np.ones(PARAMS.d, dtype=np.int64), PARAMS, stream("cs"))
+    q, v = PARAMS.q, record.ciphertext.v.values
+    # w = q - 1 - v wraps nowhere; w = q - 1 wraps wherever v > 0
+    for w in (q - 1 - v, np.full(PARAMS.m, q - 1), np.zeros(PARAMS.m)):
+        shifts = commitment_shifts(ZqArray(q, w), record, PARAMS)
+        np.testing.assert_array_equal(shifts.targets, [w, (w + v) % q])
+
+
+# --- the honest E event --------------------------------------------------------
+
+def test_honest_e_rate_worked_values():
+    assert honest_e_rate(PARAMS) == pytest.approx(0.997460, abs=1e-6)
+    assert honest_e_rate(desk_params(sigma=10)) == pytest.approx(0.537196, abs=1e-6)
+    # the paper-asymptotic set first validates at lambda = 384, where the
+    # rate underflows a float and only its logarithm is informative
+    assert honest_e_log_rate(derive_params(384)) == pytest.approx(-4914.479, abs=1e-3)
+    assert honest_e_rate(derive_params(384)) == 0.0
+
+
+def test_honest_e_rate_law_by_enumeration():
+    # the law summed over e and over the box offset u directly, at a small tau
+    params = desk_params(n=2, d=1, q=12_289, sigma=2.0)
+    sampler = GaussianSampler(params.sigma, params.tau)
+    tau = params.tau
+    inside = sum(gaussian_pmf(sampler, e) * sum(abs(u + e) <= tau
+                                                for u in range(-tau, tau + 1))
+                 for e in range(-tau, tau + 1)) / (2 * tau + 1)
+    assert honest_e_log_rate(params) == pytest.approx(params.m * np.log(inside),
+                                                      rel=1e-9)
+
+
+def test_event_bound_lies_below_the_exact_rate():
+    grid = [desk_params(sigma=s) for s in (0.35, 1, 3, 10, 20)]
+    grid += [desk_params(d=16, n=16, q=2 ** 31 - 1, sigma=s)
+             for s in (0.35, 1, 2, 4, 8)]
+    grid += [derive_params(lam) for lam in (384, 512, 1024)]
+    positive = [p for p in grid if p.event_bounds()[0] > 0]
+    assert len(positive) >= 8
+    for p in positive:
+        assert p.event_bounds()[0] <= honest_e_rate(p)

@@ -88,6 +88,17 @@ def test_game_r_honest_smoke():
         assert t.rescore() == t.score
 
 
+@pytest.mark.parametrize("params, trials, seed",
+                         [(PARAMS, 2000, 31), (desk_params(sigma=10), 1000, 32)],
+                         ids=["desk", "sigma10"])
+def test_honest_e_rate_matches_sampled_campaign(params, trials, seed):
+    # lattice.honest_e_rate is the exact law of the E event the game samples
+    rate = lattice.honest_e_rate(params)
+    res = run_game_r(HonestProver(params), params, trials, Rng(seed))
+    stderr = np.sqrt(rate * (1 - rate) / trials)
+    assert abs(res.e_rate - rate) <= 4 * stderr
+
+
 def test_game_r_rejects_bad_params():
     bad = derive_params(lam=4)
     with pytest.raises(ValueError):
