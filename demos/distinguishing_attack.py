@@ -25,8 +25,8 @@ zeros = np.zeros_like(x)
 targets = (j_score(x, ys, zeros, bs) == -1).astype(np.int64)
 print("decode instance rows (x AND y):")
 print(rows)
-print("targets:", targets, " minimum flips:", decode_error(rows, targets))
-print("best reachable average score:", best_score(x, ys, bs))
+print("targets:", targets, " minimum flips:", decode_error(rows, targets)[0])
+print("best reachable average score:", best_score(x, ys, bs)[0])
 
 print("\n=== rewinding one first round ===")
 # rewind asks respond_bit once per question level, with each distinct
@@ -39,7 +39,7 @@ for real in (True, False):
     first = play_round(prover, params, x6, rng, "demo", 0, real=real)
     ys, bs = rewind(prover, first.mem, params.d)
     print(f"{'real' if real else 'uniform'} advice: {len(ys)} questions "
-          f"rewound, best reachable score {best_score(x6, ys, bs):+.3f}")
+          f"rewound, best reachable score {best_score(x6, ys, bs)[0]:+.3f}")
 
 print("\n=== the two arms, measured ===")
 params = desk_params(d=6)

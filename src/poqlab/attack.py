@@ -34,8 +34,9 @@ REWIND_LIMIT = 14
 _DECODE_BLOCK = 1 << 20
 
 
-def decode_error(b_matrix, w, return_argmin: bool = False):
-    """min over z in {0,1}^{d+1} of the Hamming weight of B z xor w.
+def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
+    """min over z in {0,1}^{d+1} of the Hamming weight of B z xor w, and the
+    z that reaches it, as (errors, z).
 
     Zero columns of B cannot affect the product, so the search runs over
     the nonzero columns only (their count k is at most the weight of the
@@ -68,15 +69,14 @@ def decode_error(b_matrix, w, return_argmin: bool = False):
             best = int(errs[idx])
             best_z = np.zeros(width, dtype=np.uint8)
             best_z[nonzero] = patterns[idx]
-    if return_argmin:
-        return best, best_z
-    return best
+    return best, best_z
 
 
-def best_score(x, ys, bs, return_argmax: bool = False):
+def best_score(x, ys, bs) -> tuple[float, np.ndarray]:
     """Best average score the first player can still reach against the
     second player's answers bs to questions ys (both (k, d + 1), row by
-    row), maximized over her answer string.
+    row), maximized over her answer string, and that string, as
+    (score, z).
 
     Row j of the decode instance is x AND y_j; the target bit w_j records
     whether the all-zero answer loses against (y_j, b_j), by games.j_score.
@@ -94,11 +94,8 @@ def best_score(x, ys, bs, return_argmax: bool = False):
     bs, valid = check_bits(bs, *ys.shape)
     zeros = np.zeros_like(x)
     targets = np.where(valid, j_score(x, ys, zeros, bs) == -1, 1)
-    err, z = decode_error((x & ys) * valid[:, None], targets, return_argmin=True)
-    score = 1 - 2 * err / len(ys)
-    if return_argmax:
-        return score, z
-    return score
+    err, z = decode_error((x & ys) * valid[:, None], targets)
+    return 1 - 2 * err / len(ys), z
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
     drawn with mean rho (the minimum-variance choice: P(+1) = (1+rho)/2).
 
     alpha = None enumerates every second-round question; a positive alpha
-    samples that many.
+    samples min(alpha, 2^d) distinct ones.
     """
     if alpha is not None:
         require_count("alpha", alpha)
@@ -163,16 +160,12 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
     first = play_round(prover, params, x, rng, "expE", rep, real=hidden == 0)
     indices = None
     if alpha is not None:
-        sample_rng = rng.stream("expE/questions", rep)
-        if d <= 20:
-            # the prover is deterministic, so repeated questions add nothing;
-            # sample without replacement (at alpha = 2^d this reproduces the
-            # full enumeration exactly)
-            indices = sample_rng.choice(1 << d, size=min(alpha, 1 << d),
-                                        replace=False)
-        else:
-            indices = sample_rng.integers(0, 1 << d, size=alpha)
-    rho = best_score(x, *rewind(prover, first.mem, d, indices))
+        # the prover is deterministic, so repeated questions add nothing;
+        # sample without replacement (at alpha = 2^d this reproduces the
+        # full enumeration exactly)
+        indices = rng.stream("expE/questions", rep).choice(
+            1 << d, size=min(alpha, 1 << d), replace=False)
+    rho, _ = best_score(x, *rewind(prover, first.mem, d, indices))
     r = 1 if rng.stream("expE/signal", rep).random() < (1 + rho) / 2 else -1
     return ExperimentOutcome(hidden_bit=hidden, guess=0 if r == 1 else 1,
                              r=r, rho=rho)

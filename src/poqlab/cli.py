@@ -37,11 +37,15 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _config_argv(argv: list[str]) -> list[str]:
     """Expand --config PATH (or --config=PATH) into equivalent flags placed
-    before the user's own, so explicitly passed flags keep the last word."""
-    at = next((i for i, arg in enumerate(argv)
-               if arg == "--config" or arg.startswith("--config=")), None)
-    if at is None:
+    before the user's own, so explicitly passed flags keep the last word.
+    At most one --config is accepted."""
+    found = [i for i, arg in enumerate(argv)
+             if arg == "--config" or arg.startswith("--config=")]
+    if len(found) > 1:
+        raise ValueError("--config given more than once")
+    if not found:
         return argv
+    at = found[0]
     if argv[at] == "--config":
         path = argv[at + 1] if at + 1 < len(argv) else ""
     else:
@@ -61,7 +65,7 @@ def _config_argv(argv: list[str]) -> list[str]:
 
 
 def _params_from_args(args) -> Params:
-    if getattr(args, "preset", DESK) == PAPER_ASYMPTOTIC:
+    if args.preset == PAPER_ASYMPTOTIC:
         return derive_params(args.lam)
     return desk_params(d=args.d, n=args.n, q=args.q, sigma=args.sigma)
 
@@ -84,8 +88,9 @@ def cmd_params(args) -> int:
         print(f"invalid parameters: {exc}")
         return 1
     bound_e, bound_f = params.event_bounds()
+    lam = args.lam if args.preset == PAPER_ASYMPTOTIC else None
     rows = [
-        ("preset", params.preset), ("lambda", params.lam),
+        ("preset", args.preset), ("lambda", lam),
         ("n", params.n), ("q", params.q), ("Q", params.Q), ("m", params.m),
         ("sigma", params.sigma), ("tau", params.tau), ("d", params.d),
         ("gadget_error_bound", params.gadget_bound),
@@ -191,7 +196,8 @@ def cmd_brute(args) -> int:
         raise ValueError(f"unknown target {args.target!r}")
 
     target, k, d, value, bound, passed = row
-    where = f"k={k}" if k is not None else f"d={d}"
+    where = " ".join(f"{name}={size}" for name, size in (("k", k), ("d", d))
+                     if size is not None)
     print(f"{target} ({where}): value={value} bound={bound} "
           f"{'PASS' if passed else 'FAIL'}")
     _write_report(args, "brute_report.csv", "target,k,d,value,bound,pass",

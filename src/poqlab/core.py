@@ -28,7 +28,7 @@ DESK = "desk"
 
 # Default desk-scale configuration.  q is the largest prime below 2**27, which
 # keeps every int64 matrix product in range while making the honest-prover
-# success events overwhelmingly likely (see Params.event_bounds).
+# event E likely: lattice.honest_e_rate gives P(E) = 0.99746 here.
 DESK_N = 8
 DESK_Q = 134_217_689
 DESK_D = 4
@@ -176,19 +176,18 @@ def require_count(name: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class Params:
-    """The seven protocol sizes plus the preset tag they were derived under.
+    """The protocol sizes: n, q, d and sigma as given, Q, m and tau derived.
 
     Invariants: q is an odd prime, Q = ceil(log2 q), m = (2Q+1)n,
-    tau = floor(q / (4 m Q)), d <= n.  The desk preset additionally requires
-    tau >= 1, sigma <= tau, and the trapdoor error margin (see gadget_bound).
+    tau = floor(q / (4 m Q)), d <= n.  Whether the encrypted game can run
+    (tau >= 1, sigma <= tau, the trapdoor error margin; see gadget_bound) is
+    reported by runnability_problems, and desk_params requires it.
     """
 
-    lam: int | None
     n: int
     q: int
     d: int
     sigma: float
-    preset: str
     Q: int = field(init=False)
     m: int = field(init=False)
     tau: int = field(init=False)
@@ -206,10 +205,6 @@ class Params:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau", tau)
-        if self.preset == DESK:
-            problems = self.runnability_problems()
-            if problems:
-                raise InvalidDeskParams("; ".join(problems))
 
     @property
     def gadget_bound(self) -> int:
@@ -246,16 +241,20 @@ def derive_params(lam: int) -> Params:
     sqrt(lam))."""
     if lam is None or lam < 2:
         raise ValueError("paper-asymptotic preset needs lam >= 2")
-    return Params(lam=lam, n=lam, q=find_prime(lam ** 3, 2 * lam ** 3),
-                  d=max(int(np.log2(lam)), 1), sigma=float(np.sqrt(lam)),
-                  preset=PAPER_ASYMPTOTIC)
+    return Params(n=lam, q=find_prime(lam ** 3, 2 * lam ** 3),
+                  d=max(int(np.log2(lam)), 1), sigma=float(np.sqrt(lam)))
 
 
 def desk_params(d: int = DESK_D, n: int = DESK_N, q: int = DESK_Q,
                 sigma: float = DESK_SIGMA) -> Params:
     """The desk preset: n, q, d, sigma given explicitly (the defaults are
-    the validated desk point) and validated."""
-    return Params(lam=None, n=n, q=q, d=d, sigma=float(sigma), preset=DESK)
+    the validated desk point).  Raises InvalidDeskParams unless the
+    encrypted game can run at them."""
+    params = Params(n=n, q=q, d=d, sigma=float(sigma))
+    problems = params.runnability_problems()
+    if problems:
+        raise InvalidDeskParams("; ".join(problems))
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,6 @@ class GroupFunction:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.values) > SUPPORT_EPS)
-
 
 @dataclass(frozen=True)
 class SubsetOfGroup:

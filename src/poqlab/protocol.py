@@ -173,7 +173,8 @@ def run_game_j(d: int, trials: int, rng: Rng,
     gen = rng.stream("gameJ/answers")
     a = gen.integers(0, 2, size=(trials, d + 1))
     b = sample_claw_outcomes(a[:, :d], a[:, :d] ^ xs[:, :d], 1 - 2 * a[:, d],
-                             ys, gen)
+                             ys, gen.integers(0, 2, size=(trials, d)),
+                             gen.random(trials))
     scores = j_score(xs, ys, a, b)
     transcripts = []
     if keep_transcripts:

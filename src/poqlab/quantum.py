@@ -20,9 +20,9 @@ so one shift's residual is the box (at most tau) and the other's is the box
 plus or minus the encryption noise (at most 2 tau); both always invert, and
 the referee's a is the decoded answer string, never a fallback draw.
 The second round measures each remaining (d+1)-qubit claw, and its outcome
-law has a closed form (coin_zero_probability), so sample_claw_outcomes draws
-exact Born-rule answers for a whole batch of claws at O(d) per claw; the
-claw game uses the same sampler.
+law has a closed form (coin_zero_probability), so sample_claw_outcomes turns
+the caller's uniform draws into exact Born-rule answers for a whole batch of
+claws at O(d) per claw; the claw game uses the same sampler.
 
 StateVector, build_claw_state, measure and StateVector.outcome_distribution
 (a dense simulator of up to 26 qubits) are the reference oracle that the
@@ -204,27 +204,20 @@ def coin_zero_probability(branch0, branch1, phase, y, data) -> np.ndarray:
     return (1 + np.asarray(phase) * np.cos(angle)) / 2
 
 
-def sample_claw_outcomes(branch0, branch1, phase, y, rng) -> np.ndarray:
+def sample_claw_outcomes(branch0, branch1, phase, y, data,
+                         uniforms) -> np.ndarray:
     """Exact Born-rule samples of the round-two measurement, one (d+1)-bit
-    row per claw: uniform data bits, then the coin from
-    coin_zero_probability.  O(d) work per claw and no statevector.
+    row per claw: the caller's uniform data bits, then the coin, which is 1
+    when the caller's uniform in [0, 1) reaches coin_zero_probability.
+    O(d) work per claw and no statevector.
 
-    rng is one generator for the batch, which draws every claw's data bits
-    and then the coin uniforms, or a sequence of one generator per claw,
-    each drawing its claw's data bits and then its coin uniform.
+    data: (trials, d) bits shaped like branch0; uniforms: (trials,).
     """
     branch0 = np.asarray(branch0)
-    if isinstance(rng, np.random.Generator):
-        data = rng.integers(0, 2, size=branch0.shape)
-        uniforms = rng.random(len(branch0))
-    else:
-        if len(rng) != len(branch0):
-            raise ValueError("one generator per claw")
-        data = np.empty(branch0.shape, dtype=np.int64)
-        uniforms = np.empty(len(branch0))
-        for i, gen in enumerate(rng):
-            data[i] = gen.integers(0, 2, size=branch0.shape[-1])
-            uniforms[i] = gen.random()
+    data = np.asarray(data)
+    uniforms = np.asarray(uniforms)
+    if data.shape != branch0.shape or uniforms.shape != branch0.shape[:1]:
+        raise ValueError("need one row of data bits and one uniform per claw")
     p0 = coin_zero_probability(branch0, branch1, phase, y, data)
     return np.column_stack([data, uniforms >= p0]).astype(np.uint8)
 
@@ -281,10 +274,19 @@ def honest_second_round(claws, ys, rngs) -> np.ndarray:
     """Measure each trial's data qubit j in X or Y according to y_j, the coin
     qubit in the rotated XY basis; the d+1 outcome bits are the round-two
     answer.  claws are the rows (branch0, branch1, phase) of
-    honest_first_round, ys is (trials, d + 1), rngs one generator per trial.
-    Sampled in closed form (sample_claw_outcomes), not simulated; a single
-    branch has phase 0, which gives every outcome with probability 1/2."""
-    return sample_claw_outcomes(*claws, ys, rngs)
+    honest_first_round, ys is (trials, d + 1), rngs one generator per trial,
+    which draws its trial's data bits and then its coin uniform.  Sampled in
+    closed form (sample_claw_outcomes), not simulated; a single branch has
+    phase 0, which gives every outcome with probability 1/2."""
+    branch0 = np.asarray(claws[0])
+    if len(rngs) != len(branch0):
+        raise ValueError("one generator per claw")
+    data = np.empty(branch0.shape, dtype=np.int64)
+    uniforms = np.empty(len(branch0))
+    for i, gen in enumerate(rngs):
+        data[i] = gen.integers(0, 2, size=branch0.shape[-1])
+        uniforms[i] = gen.random()
+    return sample_claw_outcomes(*claws, ys, data, uniforms)
 
 
 @dataclass

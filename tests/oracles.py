@@ -425,8 +425,7 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
             _, a[t:t + 1], committed[t:t + 1], _, _ = referee_first_assessment(
                 [first], params, lambda i: rng.stream("sexp/referee", t))
         else:
-            _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d),
-                                 return_argmax=True)
+            _, a[t] = best_score(xs[t], *rewind(prover, first.mem, d))
         checked.append(check_bits([prover.second_response(ys[t], first.mem)],
                                   1, d + 1))
     b, b_ok = (np.concatenate(col) for col in zip(*checked))

@@ -218,7 +218,7 @@ def test_criterion_08_attack_machinery():
         for xb in range(1 << (d + 1)):
             x = ((xb >> np.arange(d + 1)) & 1).astype(np.int64)
             pairs = [(y, gen.integers(0, 2, size=d + 1)) for y in ys]
-            assert abs(best_score(x, *zip(*pairs))
+            assert abs(best_score(x, *zip(*pairs))[0]
                        - best_score_oracle(x, pairs)) < 1e-12
     report(8, f"key-leak prover advantage {leak.advantage:.3f} >= 0.3; blind "
               f"prover advantage {blind.advantage:+.4f} within 3 sigma of 0; "

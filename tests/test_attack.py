@@ -23,8 +23,8 @@ from oracles import (best_score_oracle, coin_bits_oracle, exact_max_mean,
 # --- decoding ----------------------------------------------------------------
 
 def test_decode_error_degenerate_cases():
-    assert decode_error(np.zeros((4, 3)), np.zeros(4)) == 0
-    assert decode_error(np.zeros((4, 3)), np.ones(4)) == 4
+    assert decode_error(np.zeros((4, 3)), np.zeros(4))[0] == 0
+    assert decode_error(np.zeros((4, 3)), np.ones(4))[0] == 4
 
 
 def _decode_oracle(b_matrix, w):
@@ -42,11 +42,11 @@ def test_decode_error_matches_unstripped_oracle():
     for _ in range(50):
         b = gen.integers(0, 2, size=(8, 3))
         w = gen.integers(0, 2, size=8)
-        assert decode_error(b, w) == _decode_oracle(b, w)
+        assert decode_error(b, w)[0] == _decode_oracle(b, w)
     # argmin actually achieves the reported error
     b = gen.integers(0, 2, size=(10, 4))
     w = gen.integers(0, 2, size=10)
-    err, z = decode_error(b, w, return_argmin=True)
+    err, z = decode_error(b, w)
     assert int((((b @ z) % 2) != w).sum()) == err
 
 
@@ -81,7 +81,7 @@ def _decode_instances():
 def test_decode_error_blocks_equal_one_shot(monkeypatch, block):
     monkeypatch.setattr(attack, "_DECODE_BLOCK", block)
     for b, w in _decode_instances():
-        err, z = decode_error(b, w, return_argmin=True)
+        err, z = decode_error(b, w)
         want_err, want_z = _decode_one_shot(b, w)
         assert err == want_err
         np.testing.assert_array_equal(z, want_z)
@@ -109,14 +109,14 @@ def test_best_score_single_pair():
     x = np.array([1, 0, 1], dtype=np.int64)
     y = np.array([1, 1, 1], dtype=np.int64)
     b = np.array([0, 0, 0], dtype=np.int64)
-    assert best_score(x, [y], [b]) == 1.0
+    assert best_score(x, [y], [b])[0] == 1.0
 
 
 def test_best_score_matches_direct_max_d1():
     x = np.array([1, 1], dtype=np.int64)
     pairs = [(np.array([yb, 1], dtype=np.int64),
               np.zeros(2, dtype=np.int64)) for yb in (0, 1)]
-    assert best_score(x, *zip(*pairs)) == best_score_oracle(x, pairs)
+    assert best_score(x, *zip(*pairs))[0] == best_score_oracle(x, pairs)
 
 
 def test_best_score_exhaustive_up_to_d3():
@@ -127,7 +127,7 @@ def test_best_score_exhaustive_up_to_d3():
         for xb in range(1 << (d + 1)):
             x = ((xb >> np.arange(d + 1)) & 1).astype(np.int64)
             pairs = [(y, gen.integers(0, 2, size=d + 1)) for y in ys]
-            got = best_score(x, *zip(*pairs))
+            got, _ = best_score(x, *zip(*pairs))
             want = best_score_oracle(x, pairs)
             assert abs(got - want) < 1e-12
             # max dominates the all-zero answer
@@ -150,14 +150,14 @@ def test_best_score_loses_malformed_answers_like_the_referee():
         # on well-formed pairs the referee-scored oracle is the plain maximum
         plain = max(np.mean([j_score(x, y, (a >> np.arange(d + 1)) & 1, b)
                              for y, b in pairs]) for a in range(1 << (d + 1)))
-        assert best_score_oracle(x, pairs) == plain == best_score(x, ys, bs)
+        assert best_score_oracle(x, pairs) == plain == best_score(x, ys, bs)[0]
         bs[0, 1], bs[2, 3], bs[4, 0] = 5, -1, 2
-        assert best_score(x, ys, bs) == best_score_oracle(x, list(zip(ys, bs)))
+        assert best_score(x, ys, bs)[0] == best_score_oracle(x, list(zip(ys, bs)))
     # a table that is not one row of d + 1 integers per question: floats,
     # too few bits or rows, ragged data; every question loses
     ragged = [list(b) for b in bs[:-1]] + [[0, [1, 0], 1, 1]]
     for bad in (bs % 2 * 1.0, bs[:, :d] % 2, bs[:-1] % 2, ragged, None):
-        assert best_score(x, ys, bad) == -1.0
+        assert best_score(x, ys, bad)[0] == -1.0
     assert best_score_oracle(x, list(zip(ys, bs % 2 * 1.0))) == -1.0
 
 
@@ -183,7 +183,7 @@ def test_rewound_score_is_the_referee_score():
         first = play_round(prover, params, x, rng, "expE", rep,
                            real=hidden == 0)
         ys, bs = rewind(prover, first.mem, params.d)
-        rho, a = best_score(x, ys, bs, return_argmax=True)
+        rho, a = best_score(x, ys, bs)
         assert out.hidden_bit == hidden and out.rho == rho
         rows = np.ones(len(ys), dtype=bool)
         scores = referee_score(x, ys, np.broadcast_to(a, ys.shape), rows,
@@ -406,6 +406,25 @@ def test_full_enumeration_equals_exhaustive_alpha():
         sampled = experiment_e(leak, params, Rng(7), rep, alpha=1 << params.d)
         assert full.rho == sampled.rho
         assert full.r == sampled.r and full.hidden_bit == sampled.hidden_bit
+
+
+def test_sampled_questions_are_distinct_beyond_d20(monkeypatch):
+    # one draw without replacement at every d: alpha distinct questions
+    # inside [0, 2^d), and exactly those are rewound
+    params = desk_params(d=21, n=21)
+    asked = []
+
+    def recording_rewind(prover, mem, d, indices=None):
+        asked.append(indices)
+        return rewind(prover, mem, d, indices)
+
+    monkeypatch.setattr(attack, "rewind", recording_rewind)
+    out = experiment_e(TrapdoorLeakProver(params), params, Rng(21), 0,
+                       alpha=16)
+    (indices,) = asked
+    assert len(set(indices.tolist())) == 16
+    assert 0 <= indices.min() and indices.max() < 1 << 21
+    assert -1 <= out.rho <= 1
 
 
 # each case: the campaign's report, and the report it gave before streams

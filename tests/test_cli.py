@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from poqlab.cli import main
+from poqlab.cli import _config_argv, build_parser, main
 from poqlab.core import Rng
 
 from oracles import seedsequence_stream
@@ -45,6 +45,28 @@ def test_params_prints_the_exact_honest_e_rate(capsys, argv, rate, log_rate):
     assert out.splitlines()[-3].startswith(" " * 8 + "game verdict: ")
     assert out.splitlines()[-2:] == [f"       honest_E_rate: {rate}",
                                      f"    ln_honest_E_rate: {log_rate}"]
+
+
+@pytest.mark.parametrize("argv, preset, lam", [
+    ((), "desk", "None"),
+    (("--lam", "64"), "desk", "None"),
+    (("--preset", "paper-asymptotic", "--lam", "4"), "paper-asymptotic", "4"),
+    (("--preset", "paper-asymptotic", "--lam", "64"), "paper-asymptotic", "64"),
+    (("--preset", "paper-asymptotic", "--lam", "384"), "paper-asymptotic",
+     "384"),
+], ids=["desk", "desk-lam64", "lam4", "lam64", "lam384"])
+def test_params_prints_the_preset_and_lambda_it_was_given(capsys, argv,
+                                                          preset, lam):
+    # lambda belongs to the paper-asymptotic schedule; the desk ignores it
+    code, out = run_cli(capsys, "params", *argv)
+    assert code == 0
+    assert out.splitlines()[:2] == [f"              preset: {preset}",
+                                    f"              lambda: {lam}"]
+
+
+def test_params_reports_an_invalid_set(capsys):
+    assert run_cli(capsys, "params", "--q", "91") == (
+        1, "invalid parameters: q = 91 is not an odd prime\n")
 
 
 def test_params_desk_round_trip(capsys):
@@ -159,6 +181,24 @@ def test_brute_rejects_d_below_one(capsys, target):
     assert captured.err == "error: need d >= 1\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("ghz-seq", "--k", "4", "--d", "1"),
+     "ghz-seq (k=4 d=1): value=3/4 bound=3/4 PASS"),
+    (("ghz-seq", "--k", "4", "--d", "2"),
+     "ghz-seq (k=4 d=2): value=9/16 bound=9/16 PASS"),
+    (("ghz-seq", "--k", "3", "--d", "1"),
+     "ghz-seq (k=3 d=1): value=3/4 bound=None PASS"),
+    (("ghz", "--k", "3"), "ghz (k=3): value=3/4 bound=3/4 PASS"),
+    (("j", "--d", "2"), "j (d=2): value=7/8 bound=1.732051 PASS"),
+    (("j-seq", "--d", "2"), "j-seq (d=2): value=7/8 bound=1.732051 PASS"),
+    (("eta-parb", "--d", "2"), "eta-parb (d=2): value=9/16 bound=9/16 PASS"),
+], ids=["ghz-seq-k4-d1", "ghz-seq-k4-d2", "ghz-seq-k3", "ghz", "j", "j-seq",
+        "eta-parb"])
+def test_brute_output_pinned(capsys, argv, line):
+    # each target names the sizes it takes; ghz-seq takes both k and d
+    assert run_cli(capsys, "brute", "--target", *argv) == (0, line + "\n")
+
+
 def test_brute_j_sequential(capsys):
     code, out = run_cli(capsys, "brute", "--target", "j-seq", "--d", "2")
     assert code == 0 and "PASS" in out
@@ -265,6 +305,54 @@ def test_config_equals_form_matches_two_word_form(tmp_path, capsys):
                for form in (("--config", str(cfg)), (f"--config={cfg}",))]
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and "trials=7 " in outputs[0][1]
+
+
+def test_config_skips_comments_and_reads_booleans(tmp_path):
+    cfg = tmp_path / "brute.cfg"
+    parser = build_parser()
+    for value, flag in (("true", True), ("TRUE", True), ("false", False)):
+        cfg.write_text(f"# the time-ordered ceiling\n\n  # indented\n"
+                       f"target=eta-parb\nd=2\ntime_ordered={value}\n")
+        args = parser.parse_args(_config_argv(["brute", "--config", str(cfg)]))
+        assert (args.target, args.d, args.time_ordered) == ("eta-parb", 2, flag)
+
+
+def test_config_boolean_switches_the_plan_to_base_2(tmp_path, capsys):
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("# the worked example\nexperiment=plan\nd=40\n"
+                   "alpha=400000\nlog2_mode=true\n")
+    code, out = run_cli(capsys, "attack", "--config", str(cfg))
+    assert code == 0 and "sampling slack ( base-2)       = 0.01886" in out
+    assert (code, out) == run_cli(capsys, "attack", "--experiment", "plan",
+                                  "--d", "40", "--alpha", "400000",
+                                  "--log2-mode")
+
+
+def test_config_given_twice_fails(tmp_path, capsys):
+    # only one file is expanded, so a second would be silently ignored
+    first, second = tmp_path / "c1.cfg", tmp_path / "c2.cfg"
+    first.write_text("trials=3\n")
+    second.write_text("trials=5\n")
+    for again in (("--config", str(second)), (f"--config={second}",),
+                  ("--config", str(first))):
+        assert main(["run", "--game", "J", "--config", str(first),
+                     *again]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --config given more than once\n"
+        assert captured.out == ""
+
+
+def test_readme_command_lines_parse():
+    # every poqlab line of README's "Command line" block, comment stripped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["poqlab"]]
+    assert len(commands) >= 10
+    assert ["brute", "--target", "ghz-seq", "--k", "4", "--d", "2"] in commands
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_config_without_a_path_fails(capsys):

@@ -181,7 +181,7 @@ def test_default_desk_margins():
 
 def test_params_reject_composite_modulus():
     with pytest.raises(ValueError):
-        Params(lam=None, n=4, q=91, d=2, sigma=1.0, preset="paper-asymptotic")
+        Params(n=4, q=91, d=2, sigma=1.0)
 
 
 # --- randomness --------------------------------------------------------------

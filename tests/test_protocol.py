@@ -105,6 +105,13 @@ def test_game_r_rejects_bad_params():
         run_game_r("honest", bad, 10, Rng(0))
 
 
+def test_game_r_rejects_d_below_one():
+    # desk_params accepts d = 0; the game needs a question bit besides the
+    # final 1
+    with pytest.raises(ValueError, match="^need d >= 1$"):
+        run_game_r("honest", desk_params(d=0), 1, Rng(0))
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_trial_counts_below_one_name_the_argument(trials):
     # refused up front, by name: no empty mean (a RuntimeWarning and NaN
@@ -737,7 +744,7 @@ def test_referee_is_total(w_kind, w_seed, ells, answers, sequential, packing,
     if not whole:
         # rewound, every question loses to a malformed answer column
         ys, bs = rewind(prover, None, d)
-        score = best_score(t.x, ys, bs)
+        score, _ = best_score(t.x, ys, bs)
         assert score == best_score_oracle(t.x, list(zip(ys, bs)))
         assert score == -1.0 or answers_ok
 

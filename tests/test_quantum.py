@@ -9,8 +9,8 @@ from poqlab.protocol import FirstRound, referee_first_assessment, run_game_j
 from poqlab.quantum import (BASIS_OPS, ClawDescription, HonestProver,
                             StateVector, build_claw_state,
                             coin_zero_probability, honest_first_round,
-                            measure, round_one_positions,
-                            sample_claw_outcomes)
+                            honest_second_round, measure,
+                            round_one_positions, sample_claw_outcomes)
 
 from oracles import apply_zc, claw_description, honest_first_round_oracle
 
@@ -262,15 +262,30 @@ def test_sampler_batch_shapes_and_question_check():
     gen = stream("s0")
     branch0 = np.zeros((5, 3), dtype=np.uint8)
     branch1 = np.ones((5, 3), dtype=np.uint8)
-    out = sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 1], gen)
+    y = [0, 1, 0, 1]
+    data, uniforms = gen.integers(0, 2, size=(5, 3)), gen.random(5)
+    out = sample_claw_outcomes(branch0, branch1, np.ones(5), y, data, uniforms)
     assert out.shape == (5, 4) and out.dtype == np.uint8
-    with pytest.raises(ValueError):
-        sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 0], gen)
-    # one generator per claw, as the honest prover draws: the same checks
-    with pytest.raises(ValueError):
-        sample_claw_outcomes([[0, 1]], [[1, 1]], [-1], [0, 1], [gen])
+    # the data bits are the caller's, the coin is 1 where the uniform reaches
+    # the coin's zero probability
+    np.testing.assert_array_equal(out[:, :3], data)
+    p0 = coin_zero_probability(branch0, branch1, np.ones(5), y, data)
+    np.testing.assert_array_equal(out[:, 3], uniforms >= p0)
+    with pytest.raises(ValueError, match="ending in 1"):
+        sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 0],
+                             data, uniforms)
+    with pytest.raises(ValueError, match="ending in 1"):
+        sample_claw_outcomes([[0, 1]], [[1, 1]], [-1], [0, 1], [[0, 0]], [0.5])
+    # one row of data bits and one uniform per claw
+    for bad_data, bad_uniforms in ((data[:4], uniforms), (data[:, :2], uniforms),
+                                   (data, uniforms[:4]), (data, uniforms[:, None])):
+        with pytest.raises(ValueError, match="one uniform per claw"):
+            sample_claw_outcomes(branch0, branch1, np.ones(5), y,
+                                 bad_data, bad_uniforms)
+    # the honest prover draws each claw's bits from that claw's generator
     with pytest.raises(ValueError, match="one generator per claw"):
-        sample_claw_outcomes(branch0, branch1, np.ones(5), [0, 1, 0, 1], [gen])
+        honest_second_round((branch0, branch1, np.ones(5)), np.tile(y, (5, 1)),
+                            [gen])
 
 
 def test_degenerate_claw_outcomes_uniform():
@@ -278,7 +293,7 @@ def test_degenerate_claw_outcomes_uniform():
     claw = ClawDescription(branch0=np.array([1, 0], dtype=np.uint8), branch1=None)
     y = np.array([1, 0, 1], dtype=np.uint8)
     rows = [np.asarray(col)[None] for col in _rows(claw)]
-    outs = np.array([sample_claw_outcomes(*rows, y, [gen])[0]
+    outs = np.array([honest_second_round(rows, y[None], [gen])[0]
                      for _ in range(4000)])
     for j in range(3):
         p = outs[:, j].mean()
