@@ -2,14 +2,15 @@
 sweeps, transform checks, and the distinguishing-attack reports.
 
 Every command is deterministic under a fixed --seed.  A flat key=value
---config file supplies defaults; explicit flags win.  Exit status is 0 on
-success/PASS and 1 on any FAIL comparison or error, so harnesses can gate
-on it.
+--config file supplies defaults; explicit flags win, and are spelled in
+full.  Exit status is 0 on success/PASS, 1 on any FAIL comparison or error
+and 2 on a usage error (argparse's), so harnesses can gate on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -330,9 +331,12 @@ def cmd_attack(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="poqlab",
+        prog="poqlab", allow_abbrev=False,
         description="hidden-state proof-of-quantumness laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: --conf would be taken for --config, which
+    # _config_argv never expands
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="64-bit run seed")
@@ -349,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=DESK_D)
         p.add_argument("--sigma", type=float, default=DESK_SIGMA)
 
-    p = sub.add_parser("params", help="derive and validate a parameter set")
+    p = command("params", help="derive and validate a parameter set")
     common(p)
     desk_flags(p)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("run", help="play a game for many trials")
+    p = command("run", help="play a game for many trials")
     common(p)
     desk_flags(p)
     p.add_argument("--game", choices=["J", "R", "Rseq"], required=True)
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("brute", help="exhaustive game values with bounds")
+    p = command("brute", help="exhaustive game values with bounds")
     common(p)
     p.add_argument("--target", choices=["ghz", "ghz-seq", "j", "j-seq",
                                         "eta-parb"], required=True)
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-ordered", action="store_true")
     p.set_defaults(func=cmd_brute)
 
-    p = sub.add_parser("fourier", help="transform identity and bound checks")
+    p = command("fourier", help="transform identity and bound checks")
     common(p)
     p.add_argument("--check", choices=["parseval", "convolution", "donoho",
                                        "uncertainty"], required=True)
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_fourier)
 
-    p = sub.add_parser("attack", help="distinguishing experiments and the plan")
+    p = command("attack", help="distinguishing experiments and the plan")
     common(p)
     desk_flags(p)
     p.add_argument("--experiment", choices=["E", "Eprime", "plan"],

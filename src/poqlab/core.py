@@ -53,7 +53,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -163,6 +163,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         chunk = (a[..., rows] @ (b[rows] if b.ndim == 1 else b[..., rows, :])) % q
         acc = chunk if acc is None else (acc + chunk) % q
     return acc
+
+
+def integer_array(x, shape: tuple[int, ...]) -> np.ndarray | None:
+    """x as an array when it is one of integers (bools included) with the
+    given shape; None otherwise, ragged nesting included.  The gate every
+    prover message passes before its entries are read."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):   # ragged nesting
+        return None
+    if arr.shape != shape or arr.dtype.kind not in "biu":
+        return None
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Discrete Gaussian sampling, gadget trapdoors, and the encryption layer.
 
-The trapdoor pair is the classic two-block construction: a uniform top block
-Abar with (Q+1)n rows, and a bottom block G - R Abar where R has small
-entries and G stacks the binary gadget (1, 2, ..., 2^{Q-1}) per secret
-coordinate.  Recombining v = A s + e through R (recombine) turns inversion
-into decoding G s from noise bounded by B = 2 tau (1 + (Q+1) n)
-(gadget_decode).  The decode is exact when 3B < q/2 (its 6B < q guard), and
-every Params meets that: tau = floor(q / (4 m Q)) with m = (2Q+1) n gives
-6B < q whenever Q >= 3, and Q < 3 leaves tau = 0 (6B/q < 0.17 for odd
-primes q < 2 * 10^5 and n <= 64).
+A is the classic two-block construction: a uniform top block Abar with
+(Q+1)n rows, and a bottom block G - R Abar where G stacks the binary gadget
+(1, 2, ..., 2^{Q-1}) per secret coordinate.  The trapdoor is R alone, a
+matrix with small entries; inversion reads R and A, never Abar by itself.
+Recombining v = A s + e through R (recombine) turns inversion into decoding
+G s from noise bounded by B = 2 tau (1 + (Q+1) n) (gadget_decode).  The
+decode is exact when 3B < q/2 (its 6B < q guard), and every Params meets
+that: tau = floor(q / (4 m Q)) with m = (2Q+1) n gives 6B < q whenever
+Q >= 3, and Q < 3 leaves tau = 0 (6B/q < 0.17 for odd primes q < 2 * 10^5
+and n <= 64).
 
 The two trapdoor products, R Abar in gen_trap and R t_top in recombine, run
 in float64 BLAS and are exact: R is ternary and the other operand canonical
@@ -135,7 +136,6 @@ class GaussianSampler:
 
 @dataclass(frozen=True)
 class TrapdoorKey:
-    abar: np.ndarray  # (Q+1)n x n, uniform
     # Qn x (Q+1)n float64, uniform on {-1, 0, 1}, five entries per accepted
     # stream byte (see _ternary_draw); products with residues stay exact
     # while (Q+1) n q < 2^53 (see _ternary_matmul_mod)
@@ -180,12 +180,6 @@ def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
     return (r @ x.astype(np.float64)).astype(np.int64) % q
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    a: ZqArray  # m x n
-    v: ZqArray  # length m
-
-
 @functools.lru_cache(maxsize=16)
 def _gadget(params: Params) -> np.ndarray:
     """The gadget matrix G of params, read-only and built once."""
@@ -198,7 +192,7 @@ def _gadget(params: Params) -> np.ndarray:
 
 def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, TrapdoorKey]:
     """Matrix A = [Abar ; G - R Abar] with m = (2Q+1) n rows, plus the
-    trapdoor (Abar, R) that makes invert() work."""
+    trapdoor R that makes invert() work (Abar is drawn first, then R)."""
     q, top_rows = params.q, (params.Q + 1) * params.n
     abar = rng.integers(0, q, size=(top_rows, params.n), dtype=np.int64)
     r = _ternary_draw(rng, params.Q * params.n, top_rows)
@@ -208,7 +202,7 @@ def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, Trapdoo
     bottom = a[top_rows:]
     np.subtract(_gadget(params), _ternary_matmul_mod(r, abar, q), out=bottom)
     np.add(bottom, q, out=bottom, where=bottom < 0)
-    return ZqArray(q, a), TrapdoorKey(abar=abar, r=r)
+    return ZqArray(q, a), TrapdoorKey(r=r)
 
 
 def recombine(trap: TrapdoorKey, targets: np.ndarray,
@@ -271,9 +265,10 @@ def invert(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
 
 @dataclass(frozen=True)
 class EncryptionRecord:
-    """Ciphertext plus the referee-side secrets produced alongside it."""
+    """The ciphertext (a, v) plus the referee-side secrets made with it."""
 
-    ciphertext: Ciphertext
+    a: ZqArray          # m x n
+    v: ZqArray          # length m
     trapdoor: TrapdoorKey
     gamma: np.ndarray   # 2s + M as balanced integers (no modular wrap)
 
@@ -321,8 +316,7 @@ def encrypt(message, params: Params, rng: np.random.Generator) -> EncryptionReco
     m_vec[params.n - params.d:] = h
     gamma = 2 * s + m_vec
     v = (matmul_mod(a.values, gamma % params.q, params.q) + e) % params.q
-    return EncryptionRecord(ciphertext=Ciphertext(a=a, v=ZqArray(params.q, v)),
-                            trapdoor=trap, gamma=gamma)
+    return EncryptionRecord(a, ZqArray(params.q, v), trap, gamma)
 
 
 def decrypt(a: ZqArray, trap: TrapdoorKey, v: ZqArray,
@@ -370,9 +364,9 @@ def commitment_shifts(w: ZqArray, record: EncryptionRecord,
     targets[0] = w.values
     # both canonical, so the sum is at most 2q - 2
     shifted = targets[1]
-    np.add(w.values, record.ciphertext.v.values, out=shifted)
+    np.add(w.values, record.v.values, out=shifted)
     np.subtract(shifted, params.q, out=shifted, where=shifted >= params.q)
-    return Shifts(record.ciphertext.a.values, targets,
+    return Shifts(record.a.values, targets,
                   recombine(record.trapdoor, targets, params), record.gamma)
 
 

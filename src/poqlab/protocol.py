@@ -34,10 +34,11 @@ or round is a one-row call: the answer string quantum.round_one_answer, the
 score games.j_score, the message check check_bits (attack.best_score checks
 the rewound answers with it), and the verdict referee_score.
 
-Per-trial randomness always comes from labeled streams of a single Rng, so
-any trial subset can be recomputed independently and reruns are bit-exact:
-a trial's transcript does not depend on the number of trials or on where
-the blocks start.
+Randomness comes from labeled streams of a single Rng; reruns are
+bit-exact.  In game R and experiment E each trial has its own streams, so a
+trial's transcript does not depend on the number of trials or on where the
+blocks start.  Game J draws each column for all trials from one stream: its
+seed=...:gameJ:t names the run and trial, not a per-trial stream.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng, balanced_abs, require_count
+from .core import Params, Rng, balanced_abs, integer_array, require_count
 from .games import j_sample_inputs, j_score
 from .lattice import (Preimages, Shifts, ZqArray, commitment_shifts,
                       decode_preimages, encrypt)
@@ -220,7 +221,7 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
     if real:
         record = encrypt(x[:params.d], params,
                          rng.stream(f"{label}/encrypt", index))
-        a_mat, v_vec = record.ciphertext.a, record.ciphertext.v
+        a_mat, v_vec = record.a, record.v
     else:
         record = None
         gen = rng.stream(f"{label}/uniform", index)
@@ -244,11 +245,8 @@ def check_bits(messages, count: int,
     accepted when it is `length` integer entries in {0, 1}, and every row is
     rejected unless messages is a (count, length) integer array.  Returns
     the rows as uint8, zeros where rejected, and which were accepted."""
-    try:
-        arr = np.asarray(messages)
-    except (TypeError, ValueError):   # ragged nesting
-        arr = None
-    if arr is None or arr.shape != (count, length) or arr.dtype.kind not in "biu":
+    arr = integer_array(messages, (count, length))
+    if arr is None:
         return (np.zeros((count, length), dtype=np.uint8),
                 np.zeros(count, dtype=bool))
     valid = ((arr == 0) | (arr == 1)).all(axis=1)
@@ -366,8 +364,6 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
     one question bit at a time.  Trials are played in blocks of _BLOCK; the
     transcripts do not depend on the block size."""
     require_count("trials", trials)
-    if params.d < 1:
-        raise ValueError("need d >= 1")
     if not params.game_r_runnable:
         raise ValueError("; ".join(params.runnability_problems()))
     if prover == "honest":

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params
+from .core import Params, integer_array
 from .games import j_score
 from .lattice import TrapdoorKey, ZqArray, decrypt
 
@@ -53,17 +53,6 @@ class ClassicalProver:
         return answer_table(self, np.asarray(y, dtype=np.uint8)[None], mem)[0]
 
 
-def _column(answers, count: int) -> np.ndarray | None:
-    """answers as int64 when they are `count` integer entries."""
-    try:
-        arr = np.asarray(answers)
-    except (TypeError, ValueError):   # ragged nesting
-        return None
-    if arr.shape != (count,) or arr.dtype.kind not in "biu":
-        return None
-    return arr.astype(np.int64)
-
-
 def answer_table(prover: ClassicalProver, questions: np.ndarray,
                  mem: Any) -> np.ndarray:
     """The prover's answers to each row of questions, a (k, d + 1) uint8
@@ -82,8 +71,8 @@ def answer_table(prover: ClassicalProver, questions: np.ndarray,
         if len(first) < k:
             _, first, group = np.unique(2 * group + questions[:, j],
                                         return_index=True, return_inverse=True)
-        column = _column(prover.respond_bit(j, questions[first, :j + 1], mem),
-                         len(first))
+        column = integer_array(
+            prover.respond_bit(j, questions[first, :j + 1], mem), first.shape)
         table[:, j] = -1 if column is None else column[group]
     return table
 

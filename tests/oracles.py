@@ -98,7 +98,7 @@ def gen_trap_oracle(params: Params, rng: np.random.Generator
     abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
     r = _ternary_draw(rng, params.Q * params.n, top_rows)
     bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
-    return ZqArray(params.q, np.vstack([abar, bottom])), TrapdoorKey(abar, r)
+    return ZqArray(params.q, np.vstack([abar, bottom])), TrapdoorKey(r)
 
 
 def gaussian_pmf(sampler: GaussianSampler, j: int) -> float:

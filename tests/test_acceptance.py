@@ -195,8 +195,7 @@ def test_criterion_07_lattice_contract():
     for _ in range(500):
         h = gen.integers(0, 2, size=DESK.d)
         record = encrypt(h, DESK, gen)
-        out = decrypt(record.ciphertext.a, record.trapdoor,
-                      record.ciphertext.v, DESK)
+        out = decrypt(record.a, record.trapdoor, record.v, DESK)
         assert np.array_equal(out, h)
     report(7, "trapdoor inversion exact on 1000 full-noise instances; "
               "encrypt/decrypt identity on 500 messages (100%)")

@@ -355,6 +355,30 @@ def test_readme_command_lines_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_bad_choice_is_a_usage_error(capsys):
+    # argparse's exit status, not the 1 of a FAIL comparison or an error
+    assert main(["run", "--game", "X"]) == 2
+    assert "invalid choice: 'X'" in capsys.readouterr().err
+
+
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys):
+    # a prefix of --config would be parsed but never expanded into the
+    # file's flags, so every abbreviation is refused instead
+    cfg = tmp_path / "c1.cfg"
+    cfg.write_text("trials=3\n")
+    for argv, flag in ((("run", "--game", "J", "--d", "2", "--conf", cfg),
+                        "--conf"),
+                       (("run", "--game", "J", "--tri", "3"), "--tri"),
+                       (("brute", "--target", "j", "--time"), "--time")):
+        assert main([str(arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+    code, out = run_cli(capsys, "run", "--game", "J", "--d", "2",
+                        "--config", str(cfg))
+    assert code == 0 and "trials=3 " in out
+
+
 def test_config_without_a_path_fails(capsys):
     for form in ("--config", "--config="):
         assert main(["run", "--game", "J", form]) == 1

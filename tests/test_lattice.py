@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from poqlab import lattice
 from poqlab.core import Rng, balanced, derive_params, desk_params
-from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _ternary_draw,
-                            _ternary_matmul_mod, commitment_shifts, decrypt,
-                            encrypt, gen_trap, honest_e_log_rate,
-                            honest_e_rate, invert)
+from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _gadget,
+                            _ternary_draw, _ternary_matmul_mod,
+                            commitment_shifts, decrypt, encrypt, gen_trap,
+                            honest_e_log_rate, honest_e_rate, invert)
 
 from oracles import (gaussian_pmf, gen_trap_oracle, lwe_oracle,
                      solve_linear_mod, zq_matmul)
@@ -79,18 +79,21 @@ def test_gen_trap_dimensions():
         a, trap = gen_trap(params, stream("gt"))
         assert a.shape == (params.m, params.n)
         assert a.shape[0] == (2 * params.Q + 1) * params.n
-        assert trap.abar.shape == ((params.Q + 1) * params.n, params.n)
         assert trap.r.shape == (params.Q * params.n, (params.Q + 1) * params.n)
         assert set(np.unique(trap.r)) <= {-1, 0, 1}
         assert trap.r.dtype == np.float64  # drawn as float64, for the BLAS products
         # neither preset's R fills whole bytes: the last byte's trits are trimmed
         assert trap.r.size % 5
-        np.testing.assert_array_equal(a.values[:(params.Q + 1) * params.n],
-                                      trap.abar % params.q)
-        # equal streams give equal keys
-        _, again = gen_trap(params, stream("gt"))
+        # A's bottom block is G - R Abar, Abar its top block
+        top = (params.Q + 1) * params.n
+        np.testing.assert_array_equal(
+            a.values[top:],
+            (_gadget(params) - trap.r.astype(np.int64) @ a.values[:top])
+            % params.q)
+        # equal streams give equal matrices and keys
+        again_a, again = gen_trap(params, stream("gt"))
+        np.testing.assert_array_equal(a.values, again_a.values)
         np.testing.assert_array_equal(trap.r, again.r)
-        np.testing.assert_array_equal(trap.abar, again.abar)
 
 
 @pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
@@ -111,7 +114,6 @@ def test_gen_trap_equals_stacked_form(params, monkeypatch):
     want, want_trap = gen_trap_oracle(params, stream("stacked"))
     assert a.values.dtype == np.int64
     np.testing.assert_array_equal(a.values, want.values)
-    np.testing.assert_array_equal(trap.abar, want_trap.abar)
     np.testing.assert_array_equal(trap.r, want_trap.r)
 
 
@@ -282,8 +284,7 @@ def test_encrypt_decrypt_round_trip():
     for _ in range(100):
         h = gen.integers(0, 2, size=PARAMS.d)
         record = encrypt(h, PARAMS, gen)
-        out = decrypt(record.ciphertext.a, record.trapdoor,
-                      record.ciphertext.v, PARAMS)
+        out = decrypt(record.a, record.trapdoor, record.v, PARAMS)
         np.testing.assert_array_equal(out, h)
 
 
@@ -291,8 +292,7 @@ def test_invert_recovers_offset_exactly():
     gen = stream("enc1")
     h = gen.integers(0, 2, size=PARAMS.d)
     record = encrypt(h, PARAMS, gen)
-    got = invert(record.ciphertext.a, record.trapdoor, record.ciphertext.v,
-                 PARAMS)
+    got = invert(record.a, record.trapdoor, record.v, PARAMS)
     np.testing.assert_array_equal(got, record.gamma % PARAMS.q)
 
 
@@ -308,10 +308,9 @@ def test_tampered_ciphertext_never_crashes():
     gen = stream("enc3")
     h = gen.integers(0, 2, size=PARAMS.d)
     record = encrypt(h, PARAMS, gen)
-    v = record.ciphertext.v.values.copy()
+    v = record.v.values.copy()
     v[0] = (v[0] + PARAMS.q // 2) % PARAMS.q
-    out = decrypt(record.ciphertext.a, record.trapdoor,
-                  ZqArray(PARAMS.q, v), PARAMS)
+    out = decrypt(record.a, record.trapdoor, ZqArray(PARAMS.q, v), PARAMS)
     assert out is None or not np.array_equal(out, h)
 
 
@@ -319,8 +318,7 @@ def test_zero_length_message_edge():
     params = desk_params(d=0)
     gen = stream("enc4")
     record = encrypt(np.zeros(0, dtype=np.int64), params, gen)
-    out = decrypt(record.ciphertext.a, record.trapdoor, record.ciphertext.v,
-                  params)
+    out = decrypt(record.a, record.trapdoor, record.v, params)
     assert out is not None and out.shape == (0,)
 
 
@@ -422,7 +420,7 @@ def test_zq_array_never_aliases_its_input(offset):
 
 def test_commitment_shifts_targets_are_w_and_w_plus_v():
     record = encrypt(np.ones(PARAMS.d, dtype=np.int64), PARAMS, stream("cs"))
-    q, v = PARAMS.q, record.ciphertext.v.values
+    q, v = PARAMS.q, record.v.values
     # w = q - 1 - v wraps nowhere; w = q - 1 wraps wherever v > 0
     for w in (q - 1 - v, np.full(PARAMS.m, q - 1), np.zeros(PARAMS.m)):
         shifts = commitment_shifts(ZqArray(q, w), record, PARAMS)

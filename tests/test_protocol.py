@@ -19,7 +19,8 @@ from poqlab.games import j_sample_inputs
 from poqlab.protocol import (ScoreStats, Transcript, check_bits, play_round,
                              referee_first_assessment, referee_score,
                              run_game_j, run_game_r)
-from poqlab.provers import BlindProver, ClassicalProver, TrapdoorLeakProver
+from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
+                            answer_table)
 from poqlab.quantum import HonestProver, honest_first_round
 
 from oracles import (best_score_oracle, honest_first_round_oracle,
@@ -380,8 +381,8 @@ def test_honest_round_carries_the_referee_assessment():
                                  PARAMS)
         for got, want in zip(preimages, fresh):
             np.testing.assert_array_equal(got[0], want)
-        a_mat = record.ciphertext.a
-        for k, target in enumerate([first.w, first.w + record.ciphertext.v]):
+        a_mat = record.a
+        for k, target in enumerate([first.w, first.w + record.v]):
             s = invert(a_mat, record.trapdoor, target, PARAMS)
             assert preimages.inverted[0, k] == (s is not None)
             if s is not None:
@@ -626,9 +627,8 @@ def test_play_round_arms():
     first = play_round(prover, PARAMS, x, Rng(5), "test", 0)
     a, v, leak = prover.advice
     record = round_record(x, PARAMS, Rng(5), "test", 0)
-    np.testing.assert_array_equal(a.values, record.ciphertext.a.values)
-    np.testing.assert_array_equal(v.values, record.ciphertext.v.values)
-    np.testing.assert_array_equal(leak.abar, record.trapdoor.abar)
+    np.testing.assert_array_equal(a.values, record.a.values)
+    np.testing.assert_array_equal(v.values, record.v.values)
     np.testing.assert_array_equal(leak.r, record.trapdoor.r)
     np.testing.assert_array_equal(first.shifts.gamma, record.gamma)
 
@@ -688,7 +688,7 @@ class _FuzzProver(ClassicalProver):
     from second_response when `whole`, else through respond_bit, which
     answers every prefix of level j with answers[j], packed into its column
     as `packing` says: one entry per prefix, a bare entry, one entry too
-    many, float zeros, or ragged data."""
+    many, float zeros, ragged data, or an object array of the entries."""
 
     def __init__(self, w, ells, answers, packing, whole):
         self.w, self.ells, self.answers = w, ells, answers
@@ -701,12 +701,35 @@ class _FuzzProver(ClassicalProver):
         entry, k = self.answers[j], len(prefixes)
         return {"column": [entry] * k, "bare": entry,
                 "extra": [entry] * (k + 1), "floats": np.zeros(k),
-                "ragged": [[entry, 0]] + [entry] * (k - 1)}[self.packing]
+                "ragged": [[entry, 0]] + [entry] * (k - 1),
+                "objects": np.array([entry] * k, dtype=object)}[self.packing]
 
     def second_response(self, y, mem):
         if self.whole:
             return self.answers
         return super().second_response(y, mem)
+
+
+@pytest.mark.parametrize("packing", ["column", "bare", "extra", "floats",
+                                     "ragged", "objects"])
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_referee_and_answer_table_share_the_message_gate(packing, entry):
+    # two distinct prefixes at each level, so each column has two entries;
+    # a column that fails the shared gate is rejected by the referee and
+    # answers -1 in answer_table
+    prover = _FuzzProver(None, None, [entry, entry], packing, whole=False)
+    questions = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    table = answer_table(prover, questions, None)
+    assert table.dtype == np.int64
+    for j in range(2):
+        column = prover.respond_bit(j, questions[:, :j + 1], None)
+        bits, ok = check_bits([column], 1, 2)
+        if packing == "column":
+            # integers pass the gate; only the referee asks for bits
+            assert (table[:, j] == entry).all() and ok[0] == (entry < 2)
+        else:
+            assert (table[:, j] == -1).all() and not ok[0]
+            np.testing.assert_array_equal(bits, np.zeros((1, 2)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -315,8 +315,7 @@ def _honest_round(record, params, gen):
     """The honest prover's commitment on one record, from its prover stream
     gen, as the FirstRound the referee assesses."""
     w, ells, mem = HonestProver(params).commit(
-        record.ciphertext.a, record.ciphertext.v, {"prover": gen}.__getitem__,
-        record.trapdoor)
+        record.a, record.v, {"prover": gen}.__getitem__, record.trapdoor)
     return FirstRound(w, mem, ells, commitment_shifts(w, record, params))
 
 
