@@ -8,11 +8,13 @@ zeta = exp(2 pi i / m), so transformed functions live on the same index space.
 
 dft, idft, convolve and the linearity coefficient all go through one unitary
 transform with two paths.  It takes a stack of functions on its leading axes
-and transforms them in one call.  For m <= _MATRIX_MAX_M it applies the
-m x m character matrix once per axis, built on first use and cached
-read-only; larger moduli go to np.fft, where a dense matrix would be slower
-and, near the CLI's 4^12 cap, too large to hold.  The linearity coefficient
-takes one forward transform: by Parseval, sum_s P[x+y=s]^2 =
+and transforms them in one call.  For m <= _MATRIX_MAX_M it splits the n
+axes into blocks of at most _BLOCK_MAX entries (one axis at least) and
+applies each block's character table, the Kronecker power of the m x m
+character matrix, in one product; the tables are built on first use and
+cached read-only.  Larger moduli go to np.fft, where a dense matrix would be
+slower and, near the CLI's 4^12 cap, too large to hold.  The linearity
+coefficient takes one forward transform: by Parseval, sum_s P[x+y=s]^2 =
 |G| sum |p_hat|^4.  Each uncertainty check makes one transform call:
 uncertainty_product and uncertainty_bound_check transform f together with
 p = |f| / ||f||_1, and read nu and eta off that stack.
@@ -37,12 +39,23 @@ import numpy as np
 SUPPORT_EPS = 1e-9
 BOUND_TOL = 1e-9
 
-# Largest modulus transformed by character matrices.  Against np.fft.ifftn
-# (numpy 2.4.6, 2 CPUs) the matrix path measured 3.6-4.7x faster at Z_4^3,
-# 9-19x at Z_4^n for 5 <= n <= 10 and 1.5-2.3x at Z_32^2; it broke even
-# near Z_64^2 and ran at 0.4-0.6x on Z_128^2 and 0.2-0.3x on Z_1021.  Near
-# the CLI's cap of 4^12 elements an m x m matrix would not fit in memory.
+# Largest modulus transformed by character tables.  Against np.fft.ifftn
+# (numpy 2.4.6, 2 CPUs, blocks as below) the table path measured 5.9x faster
+# at Z_4^3, 11-18x at Z_4^n for 5 <= n <= 10 and 2.2x at Z_32^2; it ran at
+# 1.1-1.3x on Z_64^2, 0.7-0.8x on Z_128^2 and 0.4x on Z_1021, so the
+# crossover lies between 64 and 128 and the gain at 64 is within the
+# machine's drift.  Near the CLI's cap of 4^12 elements an m x m matrix
+# would not fit in memory.
 _MATRIX_MAX_M = 32
+
+# Most entries in one block's character table (a block of one axis may hold
+# more).  Median per transform call on 2 CPUs, one axis per block against
+# blocks of at most 16 and 64 entries: one Z_4^3 function 16.4 / 12.6 /
+# 9.4 us, a stack of two Z_4^4 functions 35.1 / 20.9 / 32.2 us, one Z_4^10
+# function 24.3 / 17.8 / 28.7 ms, one Z_2^16 function 3.66 / 0.82 / 1.20 ms.
+# A cap of 32 matched 16 on Z_4^n, gained on Z_3^8 (117 against 145 us)
+# and lost on Z_2^16 (1.13 ms).
+_BLOCK_MAX = 16
 
 # eta_set counts pair sums in row blocks of at most this many pairs
 _PAIR_BLOCK = 1 << 16
@@ -158,13 +171,31 @@ class SubsetOfGroup:
 # transform and convolution
 
 @functools.cache
-def _characters(m: int, sign: int) -> np.ndarray:
-    """Read-only unitary m x m matrix C[x, x'] = zeta^{sign x x'} / sqrt(m)."""
-    roots = np.exp(sign * 2j * np.pi * np.arange(m) / m) / np.sqrt(m)
-    k = np.arange(m)
-    c = roots[np.outer(k, k) % m]
+def _characters(m: int, sign: int, axes: int) -> np.ndarray:
+    """Read-only unitary table of a block of axes: the Kronecker power
+    C^{(x) axes} of the m x m matrix C[x, x'] = zeta^{sign x x'} / sqrt(m)."""
+    if axes > 1:
+        c = np.kron(_characters(m, sign, axes - 1), _characters(m, sign, 1))
+    else:
+        roots = np.exp(sign * 2j * np.pi * np.arange(m) / m) / np.sqrt(m)
+        k = np.arange(m)
+        c = roots[np.outer(k, k) % m]
     c.flags.writeable = False
     return c
+
+
+@functools.cache
+def _blocks(m: int, n: int, sign: int) -> tuple:
+    """(table, (entries, rest)) per block of axes that _transform applies to
+    Z_m^n, slowest block first: runs of the most axes whose entries number at
+    most _BLOCK_MAX (one axis at least), the fastest run taking the
+    remainder, and rest = m^n / entries."""
+    per = 1
+    while m ** (per + 1) <= _BLOCK_MAX:
+        per += 1
+    axes = [per] * (n // per) + [n % per] * (n % per > 0)
+    return tuple((_characters(m, sign, a), (m ** a, m ** (n - a)))
+                 for a in axes)
 
 
 def _transform(values: np.ndarray, group: Group, sign: int) -> np.ndarray:
@@ -176,12 +207,14 @@ def _transform(values: np.ndarray, group: Group, sign: int) -> np.ndarray:
         fft = np.fft.ifftn if sign > 0 else np.fft.fftn
         return fft(values.reshape(lead + (m,) * n), axes=tuple(range(-n, 0)),
                    norm="ortho").reshape(values.shape)
-    c = _characters(m, sign)
     x = values
-    for _ in range(n):
-        # transform each function's leading (slowest) axis and rotate it to
-        # the back; after n steps every axis is transformed and back in place
-        x = x.reshape(lead + (m, -1)).swapaxes(-1, -2) @ c
+    for c, shape in _blocks(m, n, sign):
+        # transform each function's slowest block of axes and rotate it to
+        # the back; after the last block every axis is transformed and back
+        # in place.  Applying each block where it sits, by a left or right
+        # product, measured the same up to Z_4^4 but 1.6x slower at Z_4^8,
+        # where a middle block takes one small product per slice
+        x = x.reshape(lead + shape).swapaxes(-1, -2) @ c
     return x.reshape(values.shape)
 
 
@@ -207,11 +240,14 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # uniformity and linearity coefficients
 
-def _weights(f: GroupFunction) -> np.ndarray:
+def _distribution(f: GroupFunction, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli w = |f| and the distribution p = w / ||w||_1; the zero
+    function raises ZeroFunction."""
     w = np.abs(f.values)
-    if not w.any():
-        raise ZeroFunction("coefficient undefined for the zero function")
-    return w
+    total = w.sum()
+    if not total:
+        raise ZeroFunction(f"{what} of the zero function")
+    return w, w / total
 
 
 def _count(w: np.ndarray) -> int:
@@ -219,17 +255,27 @@ def _count(w: np.ndarray) -> int:
     return int(np.count_nonzero(w > SUPPORT_EPS))
 
 
-def _nu(w: np.ndarray, p: np.ndarray) -> float:
-    """Uniformity coefficient of p = w / ||w||_1, its support that of w under
-    the cutoff."""
-    return 1.0 / (_count(w) * float((p ** 2).sum()))
+def _nu(count: int, square: float) -> float:
+    """Uniformity coefficient of a distribution p from its support size under
+    the cutoff and square = sum p^2."""
+    return 1.0 / (count * square)
 
 
-def _eta(p: np.ndarray, p_hat: np.ndarray, size: int) -> float:
-    """Linearity coefficient of the distribution p from its transform p_hat:
-    by Parseval, sum_s P[x+y=s]^2 = |G| sum |p_hat|^4."""
-    power = np.abs(p_hat) ** 2
-    return size * float((power ** 2).sum()) / float((p ** 2).sum())
+def _eta(moduli: np.ndarray, square: float, size: int) -> float:
+    """Linearity coefficient of a distribution p from the moduli |p_hat| of
+    its transform and square = sum p^2: by Parseval,
+    sum_s P[x+y=s]^2 = |G| sum |p_hat|^4."""
+    power = moduli ** 2
+    return size * float(power @ power) / square
+
+
+def _support_product(count: int, other: int, p: np.ndarray,
+                     moduli: np.ndarray, size: int) -> float:
+    """count * other * nu * eta / |G| for the distribution p with support
+    size count and transform moduli |p_hat|, sum p^2 taken once for nu and
+    eta."""
+    square = float(p @ p)
+    return count * other * _nu(count, square) * _eta(moduli, square, size) / size
 
 
 def uniformity_nu(f: GroupFunction) -> float:
@@ -241,8 +287,8 @@ def uniformity_nu(f: GroupFunction) -> float:
     the support, and can lift nu above 1 by up to about twice their share
     of ||f||_1.
     """
-    w = _weights(f)
-    return _nu(w, w / w.sum())
+    w, p = _distribution(f, "uniformity coefficient")
+    return _nu(_count(w), float(p @ p))
 
 
 def linearity_eta(f: GroupFunction) -> float:
@@ -251,9 +297,8 @@ def linearity_eta(f: GroupFunction) -> float:
     The numerator is sum_s P[x+y=s]^2, which by Parseval equals
     |G| sum |p_hat|^4 for the unitary transform p_hat.
     """
-    w = _weights(f)
-    p = w / w.sum()
-    return _eta(p, _transform(p, f.group, 1), f.group.size)
+    _, p = _distribution(f, "linearity coefficient")
+    return _eta(np.abs(_transform(p, f.group, 1)), float(p @ p), f.group.size)
 
 
 def eta_set(s: SubsetOfGroup) -> Fraction:
@@ -295,13 +340,10 @@ def support_size(f: GroupFunction) -> int:
 def uncertainty_product(h: GroupFunction) -> float:
     """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, every support under the
     cutoff; at least 1 for nonzero h."""
-    w = np.abs(h.values)
-    if not w.any():
-        raise ZeroFunction("uncertainty product of the zero function")
-    p = w / w.sum()
-    hh, p_hat = _transform(np.array([h.values, p]), h.group, 1)
-    return (_count(w) * _count(np.abs(hh)) * _nu(w, p)
-            * _eta(p, p_hat, h.group.size)) / h.group.size
+    w, p = _distribution(h, "uncertainty product")
+    hh_abs, p_hat_abs = np.abs(_transform(np.array([h.values, p]), h.group, 1))
+    return _support_product(_count(w), _count(hh_abs), p, p_hat_abs,
+                            h.group.size)
 
 
 def donoho_stark_check(h: GroupFunction) -> bool:
@@ -322,12 +364,12 @@ def uncertainty_bound_check(f: GroupFunction,
     """
     if f.group != g.group:
         raise GroupMismatch(f"{f.group} vs {g.group}")
-    if abs(f.norm2() - 1.0) > BOUND_TOL or abs(g.norm2() - 1.0) > BOUND_TOL:
+    w, v = np.abs(f.values), np.abs(g.values)
+    if max(abs(np.sqrt(w @ w) - 1.0), abs(np.sqrt(v @ v) - 1.0)) > BOUND_TOL:
         raise ValueError("f and g must be normalized to unit 2-norm")
-    w = np.abs(f.values)
     p = w / w.sum()
     fh, p_hat = _transform(np.array([f.values, p]), f.group, 1)
     lhs = abs(complex(np.vdot(g.values, fh)))
-    rhs = float((_count(w) * _count(np.abs(g.values)) * _nu(w, p)
-                 * _eta(p, p_hat, f.group.size) / f.group.size) ** 0.25)
+    rhs = _support_product(_count(w), _count(v), p, np.abs(p_hat),
+                           f.group.size) ** 0.25
     return lhs, rhs, lhs <= rhs + BOUND_TOL

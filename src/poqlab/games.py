@@ -317,12 +317,13 @@ def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.
     return keys[:, None] // powers % base
 
 
-def _zero_sum_counts(left: np.ndarray, right: np.ndarray, d: int) -> np.ndarray:
-    """counts[i, j] = sum_g left[i](g) right[j](-g) over Z_4^d, as float32: the
-    zero-sum 4-tuples of two pair convolutions' sets."""
+def _zero_sum_operands(pairs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """float32 copies of pairs and of pairs negated over Z_4^d (row j holds
+    g |-> pairs[j](-g)): left[i] @ right[j] = sum_g pairs[i](g) pairs[j](-g)
+    counts the zero-sum 4-tuples of two pair convolutions' sets."""
     g = Group(4, d)
     neg = g.encode(-g.decode(np.arange(g.size)))
-    return left.astype(np.float32) @ right[:, neg].T.astype(np.float32)
+    return pairs.astype(np.float32), pairs[:, neg].astype(np.float32)
 
 
 def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> Fraction:
@@ -386,7 +387,8 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     else:
         # counts are symmetric (negate g), so a block meets only the pairs
         # from its own first row on
-        best = max(_zero_sum_counts(pairs[start:start + 128], pairs[start:], d).max()
+        left, right = _zero_sum_operands(pairs, d)
+        best = max((left[start:start + 128] @ right[start:].T).max()
                    for start in range(0, len(pairs), 128))
     return Fraction((1 << d) * int(best), (1 << d) ** k)
 

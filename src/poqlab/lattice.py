@@ -69,14 +69,6 @@ class ZqArray:
             values %= self.q
         object.__setattr__(self, "values", values)
 
-    def _check(self, other: "ZqArray"):
-        if self.q != other.q:
-            raise ValueError(f"modulus mismatch: {self.q} vs {other.q}")
-
-    def __add__(self, other: "ZqArray") -> "ZqArray":
-        self._check(other)
-        return ZqArray(self.q, self.values + other.values)
-
     @property
     def shape(self):
         return self.values.shape

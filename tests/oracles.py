@@ -83,6 +83,13 @@ def coin_bits_oracle(coins: np.ndarray, j: int, prefixes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # lattice
 
+def zq_add(a: ZqArray, b: ZqArray) -> ZqArray:
+    """a + b mod q."""
+    if a.q != b.q:
+        raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
+    return ZqArray(a.q, a.values + b.values)
+
+
 def zq_matmul(a: ZqArray, b: ZqArray) -> ZqArray:
     """a @ b mod q."""
     if a.q != b.q:

@@ -218,7 +218,7 @@ def test_fourier_checks(capsys, tmp_path):
 # worst margins at seed 3 with 200 samples; Z_4^3 takes the character-matrix
 # path, Z_64^2 the np.fft path
 FOURIER_MARGINS = {
-    ("parseval", "4^3"): "3.553e-15", ("convolution", "4^3"): "1.891e-15",
+    ("parseval", "4^3"): "1.776e-15", ("convolution", "4^3"): "1.986e-15",
     ("donoho", "4^3"): "0.000e+00", ("uncertainty", "4^3"): "0.000e+00",
     ("parseval", "64^2"): "8.527e-14", ("convolution", "64^2"): "4.441e-15",
     ("donoho", "64^2"): "0.000e+00", ("uncertainty", "64^2"): "0.000e+00",

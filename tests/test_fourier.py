@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -148,15 +149,22 @@ def test_double_transform_is_negation():
         np.array([f.values[i] for i in range(Z4_3.size)]), neg, atol=1e-9)
 
 
-# groups on both sides of the character-matrix cutoff
-PATH_GROUPS = [(2, 4), (3, 2), *((4, n) for n in range(1, 7)), (32, 2), (64, 2),
-               (1021, 1)]
+# groups on both sides of the character-matrix cutoff, and on its near side
+# groups that take one, two and three or more blocks of axes
+PATH_GROUPS = [(2, 4), (2, 9), (3, 2), (3, 5), *((4, n) for n in range(1, 7)),
+               (32, 2), (64, 2), (1021, 1)]
 
 
 def test_path_groups_straddle_the_matrix_cutoff():
     moduli = [m for m, _ in PATH_GROUPS]
     assert min(moduli) <= fourier._MATRIX_MAX_M < max(moduli)
     assert fourier._MATRIX_MAX_M in moduli
+
+
+def test_path_groups_take_one_two_and_three_blocks():
+    blocks = {min(len(fourier._blocks(m, n, 1)), 3) for m, n in PATH_GROUPS
+              if m <= fourier._MATRIX_MAX_M}
+    assert blocks == {1, 2, 3}
 
 
 @pytest.mark.parametrize("m, n", PATH_GROUPS)
@@ -179,14 +187,36 @@ def test_transforms_match_numpy_fft(m, n):
 
 def test_character_matrices_are_cached_read_only():
     dft(GroupFunction(Z4, np.ones(4)))
-    c = fourier._characters(4, 1)
-    assert c is fourier._characters(4, 1)
+    c = fourier._characters(4, 1, 1)
+    assert c is fourier._characters(4, 1, 1)
     assert not c.flags.writeable
     with pytest.raises(ValueError):
         c[0, 0] = 0
 
 
-@pytest.mark.parametrize("m, n", [(4, 4), (32, 2), (64, 2)])
+@pytest.mark.parametrize("m, n", [(m, n) for m, n in PATH_GROUPS
+                                  if m <= fourier._MATRIX_MAX_M])
+def test_block_tables_are_kronecker_powers(m, n):
+    for sign in (1, -1):
+        one = fourier._characters(m, sign, 1)
+        roots = np.exp(sign * 2j * np.pi * np.arange(m) / m)
+        np.testing.assert_allclose(
+            one, roots[np.outer(np.arange(m), np.arange(m)) % m] / np.sqrt(m),
+            rtol=0, atol=1e-15)
+        blocks = fourier._blocks(m, n, sign)
+        assert blocks is fourier._blocks(m, n, sign)
+        assert np.prod([len(c) for c, _ in blocks]) == m ** n
+        for c, (entries, rest) in blocks:
+            assert entries == len(c) and entries * rest == m ** n
+            axes = round(np.log(len(c)) / np.log(m))
+            np.testing.assert_array_equal(
+                c, functools.reduce(np.kron, [one] * axes))
+            assert c is fourier._characters(m, sign, axes)
+            assert not c.flags.writeable
+            assert axes == 1 or len(c) <= fourier._BLOCK_MAX
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (4, 5), (32, 2), (64, 2)])
 def test_stacked_transform_equals_row_by_row(m, n):
     g = Group(m, n)
     gen = np.random.default_rng(m * 10 + n)
@@ -199,6 +229,8 @@ def test_stacked_transform_equals_row_by_row(m, n):
             np.testing.assert_allclose(
                 got[i, j], fourier._transform(stack[i, j], g, sign),
                 rtol=0, atol=1e-13)
+        for empty in (stack[0, :0], stack[:, :0]):
+            assert fourier._transform(empty, g, sign).shape == empty.shape
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInp
                           _best_response_parallel,
                           _best_response_sequential, _counting_vectors,
                           _differences, _distinct_pair_convolutions,
-                          _parity_sets, _tables, _zero_sum_counts,
+                          _parity_sets, _tables, _zero_sum_operands,
                           ghz4_closed_form, ghz_score, ghz_strategy_score,
                           ghz_value_bruteforce, j_bias_bruteforce,
                           j_bias_fourier_identity, j_sample_inputs, j_score,
@@ -220,7 +220,8 @@ def test_pair_against_pair_count_is_the_strategy_score(mode, d):
     gen = np.random.default_rng(d)
     for picks in gen.integers(0, len(tables), size=(50, 4)):
         first, second = (vecs[i] @ conv_all[j].T for i, j in (picks[:2], picks[2:]))
-        count = int(_zero_sum_counts(first[None], second[None], d)[0, 0])
+        left, right = _zero_sum_operands(np.array([first, second]), d)
+        count = int(left[0] @ right[1])
         assert Fraction((1 << d) * count, (1 << d) ** 4) == \
             ghz_strategy_score(list(tables[picks]))
 

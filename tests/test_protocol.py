@@ -24,7 +24,8 @@ from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
 from poqlab.quantum import HonestProver, honest_first_round
 
 from oracles import (best_score_oracle, honest_first_round_oracle,
-                     round_record, run_experiment_s, seedsequence_stream)
+                     round_record, run_experiment_s, seedsequence_stream,
+                     zq_add)
 
 PARAMS = desk_params()
 
@@ -382,7 +383,7 @@ def test_honest_round_carries_the_referee_assessment():
         for got, want in zip(preimages, fresh):
             np.testing.assert_array_equal(got[0], want)
         a_mat = record.a
-        for k, target in enumerate([first.w, first.w + record.v]):
+        for k, target in enumerate([first.w, zq_add(first.w, record.v)]):
             s = invert(a_mat, record.trapdoor, target, PARAMS)
             assert preimages.inverted[0, k] == (s is not None)
             if s is not None:
