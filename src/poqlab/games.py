@@ -34,6 +34,17 @@ SEARCH_CEILING = 1 << 32
 # array holds at most this many entries (8 MiB of int64)
 _SINGLE_BLOCK = 1 << 20
 
+# Most multiply-adds in one product of the repeated parity-game search, so
+# that OpenBLAS runs it on the calling thread: once woken, a second thread
+# spins between calls and doubles the search's CPU time, and at these
+# shapes it buys nothing.  On 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31, two BLAS
+# threads) the d = 2 key product 256 x 16 x 256 in float64 took 354 us on
+# two threads against 72 us on one, the k = 4 block 128 x 16 x 1,864 in
+# float32 95 against 90 us; blocks of 127 x 16 x 256 and 17 x 16 x 1,864
+# ran on one thread.  ghz_value_bruteforce(4, "parallel", 2) kept its
+# 3-4 ms, at CPU time equal to wall time against about twice it.
+_PRODUCT_WORK = (1 << 19) - 1
+
 
 class SearchSpaceTooLarge(ValueError):
     """Requested enumeration exceeds the enforced ceiling."""
@@ -298,6 +309,19 @@ def _best_response_sequential(t_slice: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _upper_products(left: np.ndarray, right: np.ndarray):
+    """left[start:stop] @ right[start:].T for row blocks start:stop that tile
+    left's rows in order (left and right have the same shape): the upper
+    triangle of left @ right.T, on and above the diagonal, at most
+    _PRODUCT_WORK multiply-adds a product (one row at least)."""
+    n, inner = left.shape
+    start = 0
+    while start < n:
+        stop = start + max(1, _PRODUCT_WORK // (inner * (n - start)))
+        yield left[start:stop] @ right[start:].T
+        start = stop
+
+
 def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.ndarray:
     """The distinct vectors v_i * v_j over all pairs i <= j (convolution
     commutes), as int64 rows; circulants[h, j * size + g] = v_j(g - h).
@@ -311,8 +335,10 @@ def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.
     powers = base ** np.arange(size)
     # weights[h, j] = sum_g v_j(g - h) base^g, so keys[i, j] keys v_i * v_j
     weights = circulants.reshape(size, n, size) @ powers.astype(np.float64)
+    blocks = _upper_products(vecs.astype(np.float64), weights.T)
+    keys = np.concatenate([b[np.triu_indices(len(b), 0, b.shape[1])] for b in blocks])
     # sorted, then neighbours compared: faster here than np.unique's hashing
-    keys = np.sort((vecs @ weights)[np.triu_indices(n)]).astype(np.int64)
+    keys = np.sort(keys).astype(np.int64)
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
     return keys[:, None] // powers % base
 
@@ -339,8 +365,10 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     (1,864 of the 65,536 ordered pairs in parallel mode at d = 2, 160 of
     4,096 in sequential mode).  For k = 3 the last player's optimal
     (time-ordered, in sequential mode) response is in closed form; k = 4
-    scores pair against pair, in blocks of 128 rows (both pairs are
-    time-ordered in sequential mode).
+    scores pair against pair (both pairs are time-ordered in sequential
+    mode).  Both the keys and the k = 4 scores are the upper triangle of a
+    product, formed in row blocks of at most _PRODUCT_WORK multiply-adds so
+    that BLAS runs each on one thread.
 
     Exactness: a pair entry is at most 2^d, so a key in base 2^d + 1 is below
     5^16 < 2^53 at d = 2, exact in float64 and int64.  A pair-against-pair
@@ -388,8 +416,7 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
         # counts are symmetric (negate g), so a block meets only the pairs
         # from its own first row on
         left, right = _zero_sum_operands(pairs, d)
-        best = max((left[start:start + 128] @ right[start:].T).max()
-                   for start in range(0, len(pairs), 128))
+        best = max(b.max() for b in _upper_products(left, right))
     return Fraction((1 << d) * int(best), (1 << d) ** k)
 
 

@@ -226,6 +226,59 @@ def test_pair_against_pair_count_is_the_strategy_score(mode, d):
             ghz_strategy_score(list(tables[picks]))
 
 
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_search_products_are_bounded_upper_row_blocks(monkeypatch, mode, d):
+    # both sites (the pair keys and the k = 4 scores) form their products
+    # through _upper_products; every product must stay within
+    # _PRODUCT_WORK multiply-adds (or be one row) and the blocks must tile
+    # the upper triangle of left @ right.T row by row, in order
+    calls = []
+    upper_products = games._upper_products
+
+    def recording(left, right):
+        blocks = list(upper_products(left, right))
+        calls.append((left, right, blocks))
+        yield from blocks
+
+    monkeypatch.setattr(games, "_upper_products", recording)
+    ghz_value_bruteforce(4, mode, d)
+    assert len(calls) == 2
+    for left, right, blocks in calls:
+        n, inner = left.shape
+        assert right.shape == (n, inner)
+        full = left @ right.T
+        start = 0
+        for block in blocks:
+            rows, columns = block.shape
+            assert columns == n - start
+            assert rows == 1 or rows * inner * columns <= games._PRODUCT_WORK
+            np.testing.assert_array_equal(block, full[start:start + rows, start:])
+            start += rows
+        assert start == n
+
+
+SEARCH_VALUES = {
+    (3, "parallel", 1): Fraction(3, 4), (4, "parallel", 1): Fraction(3, 4),
+    (3, "sequential", 1): Fraction(3, 4), (4, "sequential", 1): Fraction(3, 4),
+    (3, "parallel", 2): Fraction(5, 8), (4, "parallel", 2): Fraction(9, 16),
+    (3, "sequential", 2): Fraction(9, 16), (4, "sequential", 2): Fraction(9, 16),
+}
+
+
+# one row per product, a few rows, and one block for the whole triangle
+@pytest.mark.parametrize("work", [1, 1000, 1 << 40])
+def test_search_values_hold_at_every_product_bound(monkeypatch, work):
+    monkeypatch.setattr(games, "_PRODUCT_WORK", work)
+    for (k, mode, d), value in SEARCH_VALUES.items():
+        assert ghz_value_bruteforce(k, mode, d) == value
+    for mode, distinct in (("parallel", 1864), ("sequential", 160)):
+        vecs, conv_all = _search_inputs(mode, 2)
+        n, size = vecs.shape
+        circulants = conv_all.transpose(2, 0, 1).reshape(size, n * size)
+        assert len(_distinct_pair_convolutions(vecs, circulants)) == distinct
+
+
 def test_repeated_value_matches_strategy_scores_d1():
     # the searched optimum must be attained by some explicit strategy tuple
     value = ghz_value_bruteforce(4, "parallel", 1)
