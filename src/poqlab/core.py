@@ -142,6 +142,19 @@ def binary_repr(x, width: int) -> np.ndarray:
     return bits.reshape(*xs.shape[:-1], -1).astype(np.uint8)
 
 
+# Most multiply-adds in one float64 or float32 product that should run on
+# the calling thread: OpenBLAS keeps a product of fewer than 2^19 of them
+# there, while a larger one wakes a second thread, which then spins between
+# calls and doubles the CPU time.  On 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31,
+# two BLAS threads) the parity-game search's d = 2 key product
+# 256 x 16 x 256 in float64 took 354 us on two threads against 72 us on
+# one, its k = 4 block 128 x 16 x 1,864 in float32 95 against 90 us;
+# blocks of 127 x 16 x 256 and 17 x 16 x 1,864 ran on one thread.  The
+# games search and the lattice trapdoor products size their row blocks
+# from it.
+_PRODUCT_WORK = (1 << 19) - 1
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a @ b) % q without int64 overflow.
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import _PRODUCT_WORK
 from .fourier import Group, GroupFunction, SubsetOfGroup, dft, eta_set
 
 SEARCH_CEILING = 1 << 32
@@ -33,17 +34,6 @@ SEARCH_CEILING = 1 << 32
 # the one-round search scores its strategy tuples in blocks whose answer
 # array holds at most this many entries (8 MiB of int64)
 _SINGLE_BLOCK = 1 << 20
-
-# Most multiply-adds in one product of the repeated parity-game search, so
-# that OpenBLAS runs it on the calling thread: once woken, a second thread
-# spins between calls and doubles the search's CPU time, and at these
-# shapes it buys nothing.  On 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31, two BLAS
-# threads) the d = 2 key product 256 x 16 x 256 in float64 took 354 us on
-# two threads against 72 us on one, the k = 4 block 128 x 16 x 1,864 in
-# float32 95 against 90 us; blocks of 127 x 16 x 256 and 17 x 16 x 1,864
-# ran on one thread.  ghz_value_bruteforce(4, "parallel", 2) kept its
-# 3-4 ms, at CPU time equal to wall time against about twice it.
-_PRODUCT_WORK = (1 << 19) - 1
 
 
 class SearchSpaceTooLarge(ValueError):

@@ -15,13 +15,20 @@ The two trapdoor products, R Abar in gen_trap and R t_top in recombine, run
 in float64 BLAS and are exact: R is ternary and the other operand canonical
 in [0, q), so every partial sum is an integer of magnitude below (Q+1) n q,
 which _ternary_matmul_mod requires to be under 2^53 (about 2^36 at the desk
-and separating presets).  Every other product goes through core.matmul_mod.
+and separating presets).  Both are taken a row block of R at a time, each
+block small enough (core._PRODUCT_WORK) that OpenBLAS runs it on the
+calling thread, and reduced once at the end.  Every other product goes
+through core.matmul_mod.
 
 R is drawn from the raw bytes of the stream (_ternary_draw): a byte below
 243 = 3^5 becomes its five base-3 digits minus one, and a byte of 243 or
 more is dropped.  Each kept byte is uniform on the 243 strings in
 {-1, 0, 1}^5, so the entries of R are independent and exactly uniform on
-{-1, 0, 1}; the rejection only costs bytes.
+{-1, 0, 1}; the rejection only costs bytes.  gen_trap draws all of R's
+kept bytes at once, so the stream is read as if R were drawn whole, but
+expands them into R one row block at a time, just before that block is
+multiplied by Abar, so the product reads the block while it is still in
+cache (R is 1.5 MB at d = n = 16, a block 250 KB).
 
 Each residue is reduced once.  ZqArray copies its input to int64 and takes
 % q only when a min/max scan finds an entry outside [0, q), so a canonical
@@ -51,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Params, balanced, matmul_mod
+from .core import _PRODUCT_WORK, Params, balanced, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,10 @@ class GaussianSampler:
 
 @dataclass(frozen=True)
 class TrapdoorKey:
-    # Qn x (Q+1)n float64, uniform on {-1, 0, 1}, five entries per accepted
-    # stream byte (see _ternary_draw); products with residues stay exact
-    # while (Q+1) n q < 2^53 (see _ternary_matmul_mod)
+    # Qn x (Q+1)n float64, uniform on {-1, 0, 1}, five entries per kept
+    # stream byte (see _ternary_draw), expanded a row block at a time as
+    # gen_trap multiplies it; products with residues stay exact while
+    # (Q+1) n q < 2^53 (see _ternary_matmul_mod)
     r: np.ndarray
 
 
@@ -139,11 +147,12 @@ _TRITS = (np.arange(243)[:, None] // 3 ** np.arange(5) % 3 - 1).astype(np.float6
 _TRITS.setflags(write=False)
 
 
-def _ternary_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols float64 matrix uniform on {-1, 0, 1}, five entries per
-    stream byte below 243 (bytes of 243 or more are dropped), in row-major
-    order."""
-    need = -(-rows * cols // 5)
+def _ternary_draw(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The ceil(count / 5) uint8 stream bytes below 243 that carry count
+    entries uniform on {-1, 0, 1}, five per byte (its row of _TRITS);
+    bytes of 243 or more are dropped.  gen_trap expands them into R a row
+    block at a time."""
+    need = -(-count // 5)
     kept, have = [], 0
     while have < need:
         # about 5% of bytes are dropped; the margin makes a second call rare
@@ -151,25 +160,51 @@ def _ternary_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
                             dtype=np.uint8)
         kept.append(raw[raw < 243])
         have += len(kept[-1])
-    trits = np.take(_TRITS, np.concatenate(kept)[:need], axis=0)
-    return trits.reshape(-1)[:rows * cols].reshape(rows, cols)
+    return np.concatenate(kept)[:need]
 
 
-def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+def _block_rows(row_work: int) -> int:
+    """Rows per block of a trapdoor product at row_work multiply-adds per
+    row: at most _PRODUCT_WORK multiply-adds a block (five rows at least),
+    so that BLAS runs each block on the calling thread, and a multiple of
+    five rows, so that each block of R starts on a whole byte of its draw."""
+    return max(5, _PRODUCT_WORK // row_work // 5 * 5)
+
+
+def _ternary_matmul_mod(r: np.ndarray, x: np.ndarray, q: int,
+                        fill=None) -> np.ndarray:
     """(r @ x) % q as int64, for float64 r with entries in {-1, 0, 1} and x
     canonical in [0, q).
 
     Every partial sum is an integer of magnitude below k q, k the inner
     dimension; while k q < 2^53 each one is a float64, so the BLAS product
     is exact in any summation order.  The bound depends on shapes and q
-    only, so no operand is scanned.  The exact float sums convert to int64
-    without loss and are reduced there: integer % by a scalar costs a fifth
-    of float64 % or np.fmod, which go through a division per entry.
+    only, so no operand is scanned.  r is multiplied a block of rows at a
+    time (_block_rows), each block on the calling thread; fill(rows), when
+    given, first writes those rows of r, so that gen_trap expands each
+    block of R while it is still in cache.  One block, as at the desk
+    preset, is one product with no loop: with cold caches the loop's
+    Python steps cost 10-20 us a call, about 4% of an honest desk game.
+    The exact float sums convert to int64 without loss and are reduced
+    once, at the end: integer % by a scalar costs a fifth of float64 % or
+    np.fmod, which go through a division per entry.
     """
     if r.shape[-1] * q >= 1 << 53:
         raise ValueError(f"ternary product not exact in float64: "
                          f"{r.shape[-1]} * q = {r.shape[-1] * q} >= 2^53")
-    return (r @ x.astype(np.float64)).astype(np.int64) % q
+    x = x.astype(np.float64)
+    rows, step = len(r), _block_rows(x.size)
+    if step >= rows:
+        if fill is not None:
+            fill(slice(0, rows))
+        return (r @ x).astype(np.int64) % q
+    out = np.empty(r.shape[:1] + x.shape[1:])
+    for start in range(0, rows, step):
+        block = slice(start, min(start + step, rows))
+        if fill is not None:
+            fill(block)
+        np.matmul(r[block], x, out=out[block])
+    return out.astype(np.int64) % q
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,12 +222,28 @@ def gen_trap(params: Params, rng: np.random.Generator) -> tuple[ZqArray, Trapdoo
     trapdoor R that makes invert() work (Abar is drawn first, then R)."""
     q, top_rows = params.q, (params.Q + 1) * params.n
     abar = rng.integers(0, q, size=(top_rows, params.n), dtype=np.int64)
-    r = _ternary_draw(rng, params.Q * params.n, top_rows)
+    count = params.Q * params.n * top_rows
+    kept = _ternary_draw(rng, count)
+    # row b holds byte b's five trits; R is the first count of them, row-major
+    trits = np.empty((len(kept), 5))
+    r = trits.reshape(-1)[:count].reshape(-1, top_rows)
+
+    def expand(rows: slice):
+        # rows.start is a multiple of five (_block_rows), so the block
+        # starts on a whole byte; only the last block's last byte is cut.
+        # mode="clip" writes straight into out, where the default "raise"
+        # buffers the whole output and ran nearly three times slower on all
+        # of R's bytes at d = n = 16 (380 against 135 us)
+        first, stop = rows.start * top_rows // 5, -(-rows.stop * top_rows // 5)
+        np.take(_TRITS, kept[first:stop], axis=0, mode="clip",
+                out=trits[first:stop])
+
     a = np.empty((params.m, params.n), dtype=np.int64)
     a[:top_rows] = abar
     # G and R Abar are canonical, so their difference lies in (-q, q)
     bottom = a[top_rows:]
-    np.subtract(_gadget(params), _ternary_matmul_mod(r, abar, q), out=bottom)
+    np.subtract(_gadget(params), _ternary_matmul_mod(r, abar, q, expand),
+                out=bottom)
     np.add(bottom, q, out=bottom, where=bottom < 0)
     return ZqArray(q, a), TrapdoorKey(r=r)
 

@@ -17,9 +17,9 @@ from poqlab.fourier import (BOUND_TOL, SUPPORT_EPS, Group, GroupFunction,
 from poqlab.games import (_best_response_parallel, _best_response_sequential,
                           _counting_vectors, _differences, _parity_sets,
                           _tables, j_sample_inputs, j_score)
-from poqlab.lattice import (EncryptionRecord, GaussianSampler, TrapdoorKey,
-                            ZqArray, _gadget, _ternary_draw,
-                            _ternary_matmul_mod, decode_preimages, encrypt)
+from poqlab.lattice import (_TRITS, EncryptionRecord, GaussianSampler,
+                            TrapdoorKey, ZqArray, _gadget, _ternary_draw,
+                            decode_preimages, encrypt)
 from poqlab.protocol import (ScoreStats, check_bits, play_round,
                              referee_first_assessment, referee_score)
 from poqlab.provers import ClassicalProver
@@ -97,14 +97,25 @@ def zq_matmul(a: ZqArray, b: ZqArray) -> ZqArray:
     return ZqArray(a.q, matmul_mod(a.values, b.values, a.q))
 
 
-def gen_trap_oracle(params: Params, rng: np.random.Generator
-                    ) -> tuple[ZqArray, TrapdoorKey]:
-    """gen_trap as it was before A was assembled in place: the same draws,
-    the bottom block reduced with % q and stacked under Abar."""
+def ternary_matrix(rng: np.random.Generator, rows: int, cols: int
+                   ) -> np.ndarray:
+    """R drawn whole: the kept bytes of lattice._ternary_draw expanded
+    through _TRITS at once, then cut to rows x cols."""
+    trits = np.take(_TRITS, _ternary_draw(rng, rows * cols), axis=0)
+    return trits.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
+def gen_trap_oracle(params: Params, rng: np.random.Generator,
+                    draw_r=ternary_matrix) -> tuple[ZqArray, TrapdoorKey]:
+    """gen_trap as it was before A was assembled in place and R expanded a
+    row block at a time: the same draws, R from draw_r(rng, rows, cols) in
+    one piece and multiplied in one int64 product, the bottom block
+    reduced with % q and stacked under Abar."""
     top_rows = (params.Q + 1) * params.n
     abar = rng.integers(0, params.q, size=(top_rows, params.n), dtype=np.int64)
-    r = _ternary_draw(rng, params.Q * params.n, top_rows)
-    bottom = (_gadget(params) - _ternary_matmul_mod(r, abar, params.q)) % params.q
+    r = draw_r(rng, params.Q * params.n, top_rows)
+    product = (r.astype(np.int64) @ abar) % params.q
+    bottom = (_gadget(params) - product) % params.q
     return ZqArray(params.q, np.vstack([abar, bottom])), TrapdoorKey(r)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poqlab import lattice
-from poqlab.core import Rng, balanced, derive_params, desk_params
+from poqlab.core import Params, Rng, balanced, derive_params, desk_params
 from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _gadget,
                             _ternary_draw, _ternary_matmul_mod,
                             commitment_shifts, decrypt, encrypt, gen_trap,
@@ -96,12 +96,39 @@ def test_gen_trap_dimensions():
         np.testing.assert_array_equal(trap.r, again.r)
 
 
-@pytest.mark.parametrize("params", [PARAMS, desk_params(d=16, n=16)],
-                         ids=["desk", "d16n16"])
-def test_gen_trap_equals_stacked_form(params, monkeypatch):
+def _recorded_steps(monkeypatch):
+    """Every (work per row, rows per block) that lattice._block_rows gives
+    from now on, in order."""
+    seen, block_rows = [], lattice._block_rows
+
+    def recording(row_work):
+        seen.append((row_work, block_rows(row_work)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(lattice, "_block_rows", recording)
+    return seen
+
+
+def _assert_blocks(seen, rows, row_work, work, blocks):
+    # one product, in blocks of a multiple of five rows (so each block of R
+    # starts on a whole byte) within the work bound; the last block holds
+    # what is left
+    [(got_work, step)] = seen
+    assert got_work == row_work and step % 5 == 0
+    assert step * row_work <= work
+    assert -(-rows // step) == blocks
+
+
+@pytest.mark.parametrize("params, blocks",
+                         [(PARAMS, 1), (desk_params(d=8), 1),
+                          (desk_params(d=16, n=16), 7)],
+                         ids=["desk", "d8", "d16n16"])
+def test_gen_trap_equals_stacked_form(params, blocks, monkeypatch):
     # A assembled in place equals vstack([Abar, (G - R Abar) % q]) drawn
-    # from the same stream, and the trapdoor is the same; A is canonical
-    # before ZqArray sees it, so ZqArray only scans it
+    # from the same stream with R drawn whole, and the trapdoor is the
+    # same; A is canonical before ZqArray sees it, so ZqArray only scans
+    # it.  R is expanded and multiplied in row blocks within the work
+    # bound, and the generator is left where the whole draw leaves it
     handed = []
 
     def recording(q, values):
@@ -109,12 +136,17 @@ def test_gen_trap_equals_stacked_form(params, monkeypatch):
         return ZqArray(q, values)
 
     monkeypatch.setattr(lattice, "ZqArray", recording)
-    a, trap = gen_trap(params, stream("stacked"))
+    seen = _recorded_steps(monkeypatch)
+    gen, ref = stream("stacked"), stream("stacked")
+    a, trap = gen_trap(params, gen)
     assert handed[0].min() >= 0 and handed[0].max() < params.q
-    want, want_trap = gen_trap_oracle(params, stream("stacked"))
+    want, want_trap = gen_trap_oracle(params, ref)
     assert a.values.dtype == np.int64
     np.testing.assert_array_equal(a.values, want.values)
     np.testing.assert_array_equal(trap.r, want_trap.r)
+    assert gen.bytes(32) == ref.bytes(32)
+    rows, cols = trap.r.shape
+    _assert_blocks(seen, rows, cols * params.n, lattice._PRODUCT_WORK, blocks)
 
 
 def test_trit_table_holds_each_ternary_string_once():
@@ -156,26 +188,94 @@ class _RejectedBytesFirst:
 
 @pytest.mark.parametrize("whole", [True, False], ids=["all", "partly"])
 def test_ternary_draw_rejection_loop(whole):
-    rows, cols = 7, 9  # 63 trits: 13 bytes, the last one trimmed
+    count = 63  # 13 kept bytes, the last one's trits trimmed to three
     stub = _RejectedBytesFirst(stream("rej"), whole)
-    got = _ternary_draw(stub, rows, cols)
+    kept = _ternary_draw(stub, count)
     assert len(stub.handed) == 2
-    want = _trits_oracle(b"".join(stub.handed), rows * cols)
-    np.testing.assert_array_equal(got, want.reshape(rows, cols))
+    assert kept.dtype == np.uint8 and len(kept) == 13
+    want = _trits_oracle(b"".join(stub.handed), count)
+    np.testing.assert_array_equal(_TRITS[kept].reshape(-1)[:count], want)
     if whole:  # the retry asks as many bytes as an unstubbed first call
-        np.testing.assert_array_equal(got, _ternary_draw(stream("rej"), rows, cols))
+        np.testing.assert_array_equal(kept, _ternary_draw(stream("rej"), count))
 
 
 def test_ternary_draw_law():
-    # each trit uniform on {-1, 0, 1}, and adjacent trits independent both
-    # within one byte's five and across a byte boundary
+    # each kept byte expands to trits uniform on {-1, 0, 1}, and adjacent
+    # trits are independent both within one byte's five and across a byte
+    # boundary
     from scipy.stats import chisquare
-    trits = (_ternary_draw(stream("law"), 432, 448).reshape(-1) + 1).astype(int)
+    count = 432 * 448
+    kept = _ternary_draw(stream("law"), count)
+    assert len(kept) == -(-count // 5) and kept.max() < 243
+    trits = (_TRITS[kept].reshape(-1)[:count] + 1).astype(int)
     assert chisquare(np.bincount(trits, minlength=3)).pvalue > 1e-3
     first = np.arange(len(trits) - 1)
     for starts in (first[first % 5 != 4], first[first % 5 == 4]):
         pairs = 3 * trits[starts] + trits[starts + 1]
         assert chisquare(np.bincount(pairs, minlength=9)).pvalue > 1e-3
+
+
+def _recorded_numpy_calls(monkeypatch):
+    """("take", bytes expanded) and ("product", rows) for every np.take and
+    np.matmul call from now on, in order."""
+    calls, take, matmul = [], np.take, np.matmul
+
+    def recording_take(a, indices, *args, **kwargs):
+        calls.append(("take", len(indices)))
+        return take(a, indices, *args, **kwargs)
+
+    def recording_matmul(a, b, *args, **kwargs):
+        calls.append(("product", len(a)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    return calls
+
+
+@pytest.mark.parametrize("work, step", [(5 * 224 * 8, 5),
+                                        (15 * 224 * 8 - 1, 10)],
+                         ids=["5-row", "10-row"])
+def test_gen_trap_many_blocks_equal_whole_draw(work, step, monkeypatch):
+    # at desk R is 216 x 224, 48,384 trits: with the bound cut to blocks of
+    # 5 (or 10) rows, each block's bytes are expanded just before that
+    # block is multiplied, each block starts on its own byte, and the last
+    # block is 1 (or 6) rows with four trits of its last byte kept
+    monkeypatch.setattr(lattice, "_PRODUCT_WORK", work)
+    gen, ref = stream("many"), stream("many")
+    want, want_trap = gen_trap_oracle(PARAMS, ref)
+    with monkeypatch.context() as patch:
+        calls = _recorded_numpy_calls(patch)
+        a, trap = gen_trap(PARAMS, gen)
+    np.testing.assert_array_equal(a.values, want.values)
+    np.testing.assert_array_equal(trap.r, want_trap.r)
+    assert gen.bytes(32) == ref.bytes(32)
+    assert trap.r.shape == (216, 224) and trap.r.size % 5 == 4
+    last = 216 % step
+    want_calls = [("take", step * 224 // 5), ("product", step)] * (216 // step)
+    want_calls += [("take", -(-last * 224 // 5)), ("product", last)]
+    assert calls == want_calls
+    assert step * 224 * PARAMS.n <= work
+
+
+def test_recombine_row_blocks_at_separation_scale():
+    # at d = n = 24, q = 2^31 - 1 the product of R (744 x 768) with the tops
+    # of two targets is 1.1M multiply-adds: it runs in blocks of 340 rows,
+    # each within the work bound, and each target recombines as
+    # R t_top + t_bottom in exact int64
+    params = Params(n=24, q=(1 << 31) - 1, d=24, sigma=24 ** 0.5)
+    gen = stream("recombine")
+    _, trap = gen_trap(params, gen)
+    targets = gen.integers(0, params.q, size=(2, params.m), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _recorded_numpy_calls(patch)
+        got = lattice.recombine(trap, targets, params)
+    top = (params.Q + 1) * params.n
+    want = (targets[:, :top] @ trap.r.astype(np.int64).T
+            + targets[:, top:]) % params.q
+    np.testing.assert_array_equal(got, want)
+    assert calls == [("product", 340), ("product", 340), ("product", 64)]
+    assert 340 * 768 * 2 <= lattice._PRODUCT_WORK
 
 
 def test_gen_trap_peak_memory():

@@ -23,9 +23,9 @@ from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
                             answer_table)
 from poqlab.quantum import HonestProver, honest_first_round
 
-from oracles import (best_score_oracle, honest_first_round_oracle,
-                     round_record, run_experiment_s, seedsequence_stream,
-                     zq_add)
+from oracles import (best_score_oracle, gen_trap_oracle,
+                     honest_first_round_oracle, round_record,
+                     run_experiment_s, seedsequence_stream, zq_add)
 
 PARAMS = desk_params()
 
@@ -347,10 +347,11 @@ def test_seedsequence_stream_reproduces_earlier_pins(monkeypatch, tmp_path):
         got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40,
                                Rng(2024))
         assert dataclasses.astuple(got) == earlier, case.id
-    # with the integers draw of R put back as well, the three honest pins
-    # from before the byte draw come back, so nothing but the draw of R
-    # moved them then
-    monkeypatch.setattr(lattice, "_ternary_draw", _integers_draw)
+    # with the integers draw of R put back as well (gen_trap as the oracle
+    # drawing R whole through it), the three honest pins from before the
+    # byte draw come back, so nothing but the draw of R moved them then
+    monkeypatch.setattr(lattice, "gen_trap", lambda params, rng:
+                        gen_trap_oracle(params, rng, _integers_draw))
     res = run_game_r("honest", PARAMS, 20, Rng(2024), keep_transcripts=True)
     assert _transcript_digest(res) == \
         "3f2d3090f6bac7b5c684b87fddc0813acf929cc6544871b2539b8fb322232015"
