@@ -5,8 +5,8 @@ the primitives here.  Conventions, fixed once and used everywhere:
 
 * Residues mod q are stored canonically in ``[0, q)``.
 * ``balanced_abs``/``balanced`` give the representative in ``(-q/2, q/2)``,
-  which exists only for odd q (they, ``norm1`` and ``norminf`` reject an
-  even q); norms and noise are measured on balanced representatives, binary
+  which exists only for odd q (they and ``norminf`` reject an even q);
+  norms and noise are measured on balanced representatives, binary
   representations and parity tests use the canonical one.
 * Binary representations are big-endian, ``Q = ceil(log2 q)`` bits per
   residue; bit positions are 1-based when a whole vector is indexed.
@@ -113,10 +113,6 @@ def balanced_abs(x, q: int):
     return int(out) if np.ndim(x) == 0 else out.astype(np.int64)
 
 
-def norm1(v, q: int) -> int:
-    return int(balanced_abs(np.asarray(v), q).sum())
-
-
 def norminf(v, q: int) -> int:
     _require_odd(q)
     v = np.atleast_1d(np.asarray(v))
@@ -206,8 +202,10 @@ class Params:
 
     Invariants: q is an odd prime, Q = ceil(log2 q), m = (2Q+1)n,
     tau = floor(q / (4 m Q)), d <= n.  Whether the encrypted game can run
-    (tau >= 1, sigma <= tau, the trapdoor error margin; see gadget_bound) is
-    reported by runnability_problems, and desk_params requires it.
+    (tau >= 1 and sigma <= tau) is reported by runnability_problems, and
+    desk_params requires it.  The trapdoor decode's margin 6 gadget_bound < q
+    needs no check here: tau >= 1 forces Q >= 3, where this tau gives it
+    (see lattice), and tau = 0 makes gadget_bound 0.
     """
 
     n: int
@@ -244,10 +242,6 @@ class Params:
             problems.append("tau = 0 (noise box is empty)")
         elif self.sigma > self.tau:
             problems.append(f"sigma = {self.sigma} exceeds tau = {self.tau}")
-        if 4 * self.gadget_bound >= self.q:
-            problems.append(
-                f"gadget error margin violated: 2*tau*(1+(Q+1)n) = "
-                f"{self.gadget_bound} >= q/4")
         return problems
 
     @property

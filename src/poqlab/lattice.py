@@ -30,6 +30,12 @@ expands them into R one row block at a time, just before that block is
 multiplied by Abar, so the product reads the block while it is still in
 cache (R is 1.5 MB at d = n = 16, a block 250 KB).
 
+The noise s and e is the integer Gaussian of width sigma truncated to
+[-tau, tau], tabulated once per Params (_noise_sampler, GaussianSampler).
+Each entry is drawn by inverting the table's CDF at one uniform, with no
+rejection loop, and honest_e_log_rate reads the exact law of the honest E
+event off the same table.
+
 Each residue is reduced once.  ZqArray copies its input to int64 and takes
 % q only when a min/max scan finds an entry outside [0, q), so a canonical
 A, v or w costs a scan and no division.  gen_trap writes Abar and G - R Abar
@@ -86,48 +92,39 @@ class ZqArray:
 
 @dataclass(frozen=True)
 class GaussianSampler:
-    """Integer Gaussian with weight exp(-j^2 / 2 sigma^2), optionally
-    truncated to [-tau, tau] by rejection.
+    """The integer Gaussian with weight exp(-j^2 / 2 sigma^2) truncated to
+    [-tau, tau], drawn by inversion of its table.
 
-    The pmf is tabulated exactly over [-ceil(8 sigma), ceil(8 sigma)]; the
-    tail beyond that carries less than 1e-14 of the mass and is folded into
-    the extreme entries by the normalization.
+    support holds [-c, c] with c = min(max(ceil(8 sigma), 1), tau) and pmf
+    the weights normalized over it, read-only.  Beyond 8 sigma the weights
+    carry less than 1e-14 of the mass, so the table is the law conditioned
+    on |j| <= tau.  The CDF's last entry is pinned to 1.0, so every uniform
+    in [0, 1) lands on the table, and sample(rng, size) reads exactly size
+    uniforms.
     """
 
     sigma: float
-    tau: int | None = None
+    tau: int
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.tau is not None and self.tau < 0:
+        if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        cut = max(int(np.ceil(8 * self.sigma)), 1)
-        support = np.arange(-cut, cut + 1)
+        cut = min(max(math.ceil(8 * self.sigma), 1), self.tau)
+        support = np.arange(-cut, cut + 1, dtype=np.int64)
         weights = np.exp(-(support.astype(float) ** 2) / (2 * self.sigma ** 2))
         pmf = weights / weights.sum()
-        accept = 1.0
-        if self.tau is not None:
-            accept = max(float(pmf[np.abs(support) <= self.tau].sum()), 1e-12)
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_cdf", np.cumsum(pmf))
-        object.__setattr__(self, "_pmf", pmf)
-        object.__setattr__(self, "_accept", accept)
+        cdf = np.cumsum(pmf)
+        cdf[-1] = 1.0
+        for table in (support, pmf, cdf):
+            table.setflags(write=False)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "_cdf", cdf)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        accept = self._accept
-        out = np.empty(size, dtype=np.int64)
-        filled = 0
-        while filled < size:
-            want = size - filled
-            batch = int(want / accept * 1.2) + 8
-            draws = self._support[np.searchsorted(self._cdf, rng.random(batch))]
-            if self.tau is not None:
-                draws = draws[np.abs(draws) <= self.tau]
-            take = min(len(draws), want)
-            out[filled:filled + take] = draws[:take]
-            filled += take
-        return out
+        return self.support[np.searchsorted(self._cdf, rng.random(size))]
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +326,11 @@ def honest_e_log_rate(params: Params) -> float:
     other's is the box plus or minus e, e truncated-Gaussian, which stays in
     the box with probability (2 tau + 1 - |e|) / (2 tau + 1) per coordinate.
     So P(E) = (sum_e P(e) (2 tau + 1 - |e|) / (2 tau + 1))^m, which is
-    (1 - E|e| / (2 tau + 1))^m, taken as m log1p(...) since it underflows a
-    float at the paper-asymptotic sets."""
+    (1 - E|e| / (2 tau + 1))^m, E|e| read off the noise sampler's table
+    (already the law on |e| <= tau), taken as m log1p(...) since it
+    underflows a float at the paper-asymptotic sets."""
     sampler = _noise_sampler(params)
-    kept = np.abs(sampler._support) <= params.tau
-    pmf = sampler._pmf[kept]
-    mean_abs = float(pmf @ np.abs(sampler._support[kept]) / pmf.sum())
+    mean_abs = float(sampler.pmf @ np.abs(sampler.support))
     return params.m * math.log1p(-mean_abs / (2 * params.tau + 1))
 
 

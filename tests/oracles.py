@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -120,15 +122,54 @@ def gen_trap_oracle(params: Params, rng: np.random.Generator,
 
 
 def gaussian_pmf(sampler: GaussianSampler, j: int) -> float:
-    """Probability of j under the sampler's (possibly truncated) table."""
-    sup, pmf = sampler._support, sampler._pmf
-    if (sup == j).sum() == 0:
-        return 0.0
-    if sampler.tau is None:
-        return float(pmf[sup == j].sum())
-    if abs(j) > sampler.tau:
-        return 0.0
-    return float(pmf[sup == j].sum() / pmf[np.abs(sup) <= sampler.tau].sum())
+    """Probability of j under the sampler's table (0 off it)."""
+    return float(sampler.pmf[sampler.support == j].sum())
+
+
+@dataclass(frozen=True)
+class RejectionGaussianSampler:
+    """lattice.GaussianSampler as it was before it drew by inversion: the
+    untruncated law tabulated on [-ceil(8 sigma), ceil(8 sigma)] (one entry
+    at least), |j| <= tau enforced by rejection, each pass drawing
+    floor(1.2 want / accept) + 8 uniforms and keeping the first want that
+    pass.  Its support and pmf are the conditional law on |j| <= tau.  At
+    some sigma its CDF ends below the largest uniform, 1 - 2^-53, which
+    then lands past the table: sample raises IndexError."""
+
+    sigma: float
+    tau: int
+
+    def __post_init__(self):
+        cut = max(int(np.ceil(8 * self.sigma)), 1)
+        support = np.arange(-cut, cut + 1)
+        weights = np.exp(-(support.astype(float) ** 2) / (2 * self.sigma ** 2))
+        pmf = weights / weights.sum()
+        kept = np.abs(support) <= self.tau
+        object.__setattr__(self, "_cdf", np.cumsum(pmf))
+        object.__setattr__(self, "_accept", max(float(pmf[kept].sum()), 1e-12))
+        object.__setattr__(self, "_full_support", support)
+        object.__setattr__(self, "support", support[kept])
+        object.__setattr__(self, "pmf", pmf[kept] / pmf[kept].sum())
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        out = np.empty(size, dtype=np.int64)
+        filled = 0
+        while filled < size:
+            want = size - filled
+            batch = int(want / self._accept * 1.2) + 8
+            draws = self._full_support[np.searchsorted(self._cdf,
+                                                       rng.random(batch))]
+            draws = draws[np.abs(draws) <= self.tau]
+            take = min(len(draws), want)
+            out[filled:filled + take] = draws[:take]
+            filled += take
+        return out
+
+
+def rejection_noise_sampler(params: Params) -> RejectionGaussianSampler:
+    """lattice._noise_sampler as it was before the noise was drawn by
+    inversion.  Patched over it, it replays every transcript of that time."""
+    return RejectionGaussianSampler(params.sigma, params.tau)
 
 
 def lwe_oracle(kind: str, params: Params, rng: np.random.Generator,
@@ -140,7 +181,8 @@ def lwe_oracle(kind: str, params: Params, rng: np.random.Generator,
     q, n = params.q, params.n
     if kind == "real":
         secret = rng.integers(0, q, size=n, dtype=np.int64)
-        sampler = GaussianSampler(sigma if sigma is not None else params.sigma)
+        sigma = sigma if sigma is not None else params.sigma
+        sampler = GaussianSampler(sigma, math.ceil(8 * sigma))
         while True:
             a = rng.integers(0, q, size=n, dtype=np.int64)
             b = (int(matmul_mod(a, secret, q)) + sampler.sample(rng, 1)[0]) % q

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from poqlab import lattice
 from poqlab.cli import _config_argv, build_parser, main
 from poqlab.core import Rng
 
-from oracles import seedsequence_stream
+from oracles import rejection_noise_sampler, seedsequence_stream
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +104,7 @@ def test_run_r_reports_event_rates(capsys):
 CLI_TRANSCRIPT_PINS = [
     pytest.param(
         "honest",
-        "705291dcaf5728af60750bb869d01cbd418ba2fdc0aea0f807c6b756bc90d6dd",
+        "f1f77351af459cf888d87898017f5f2cb85547d530fd6499006ffee0e6c5d03b",
         "2f96209210fab278b66357287807e4044e31eac4addc70327ec8560579052f67",
         id="honest"),
     pytest.param(
@@ -129,11 +130,31 @@ def test_run_transcripts_pinned_at_fixed_seed(tmp_path, capsys, prover, digest,
     assert _transcript_digest(tmp_path, capsys, prover) == digest
 
 
+# the pins that drawing the noise by inversion moved, each with the digest it
+# had while the noise was drawn by rejection
+REJECTION_PINS = {
+    "honest":
+        "705291dcaf5728af60750bb869d01cbd418ba2fdc0aea0f807c6b756bc90d6dd",
+}
+
+
+def test_rejection_sampler_reproduces_earlier_pins(tmp_path, capsys,
+                                                   monkeypatch):
+    # with the rejection sampler put back, the moved CLI transcript comes
+    # back byte for byte and the other holds
+    monkeypatch.setattr(lattice, "_noise_sampler", rejection_noise_sampler)
+    for case in CLI_TRANSCRIPT_PINS:
+        prover, digest, _ = case.values
+        assert _transcript_digest(tmp_path, capsys, prover) == \
+            REJECTION_PINS.get(case.id, digest), case.id
+
+
 def test_seedsequence_stream_reproduces_earlier_pins(tmp_path, capsys,
                                                      monkeypatch):
-    # with the SeedSequence derivation put back, each earlier CLI transcript
-    # comes back byte for byte
+    # with the SeedSequence derivation and the rejection sampler put back,
+    # each earlier CLI transcript comes back byte for byte
     monkeypatch.setattr(Rng, "stream", seedsequence_stream)
+    monkeypatch.setattr(lattice, "_noise_sampler", rejection_noise_sampler)
     for case in CLI_TRANSCRIPT_PINS:
         prover, _, earlier = case.values
         assert _transcript_digest(tmp_path, capsys, prover) == earlier, case.id

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from poqlab.core import (InvalidDeskParams, NoPrimeInRange, Params, Rng,
                          balanced, balanced_abs, binary_repr, derive_params,
-                         desk_params, find_prime, is_prime, matmul_mod, norm1,
+                         desk_params, find_prime, is_prime, matmul_mod,
                          norminf)
 from poqlab.protocol import run_game_r
 
@@ -36,7 +36,7 @@ def test_balanced_abs_symmetry(x, q):
     x %= q
     if q % 2 == 0:
         # an even modulus has no balanced representative
-        for fn in (balanced, balanced_abs, norm1, norminf):
+        for fn in (balanced, balanced_abs, norminf):
             with pytest.raises(ValueError):
                 fn(x, q)
         return
@@ -54,21 +54,9 @@ def test_balanced_representative():
 # --- norms -------------------------------------------------------------------
 
 def test_norm_examples():
-    assert norm1(np.array([1, 4, 2]), 5) == 4
     assert norminf(np.array([1, 4, 2]), 5) == 2
-    assert norm1(np.zeros(3, dtype=np.int64), 5) == 0
     assert norminf(np.zeros(3, dtype=np.int64), 5) == 0
-    assert norm1(np.array([6]), 7) == 1
     assert norminf(np.array([6]), 7) == 1
-
-
-def test_norm1_triangle_inequality():
-    rng = np.random.default_rng(0)
-    q = 101
-    for _ in range(1000):
-        v = rng.integers(0, q, size=8)
-        w = rng.integers(0, q, size=8)
-        assert norm1((v + w) % q, q) <= norm1(v, q) + norm1(w, q)
 
 
 # --- binary representation ---------------------------------------------------
@@ -177,6 +165,19 @@ def test_default_desk_margins():
     assert 6 * p.gadget_bound < p.q  # margin the decoder relies on
     bound_e, bound_f = p.event_bounds()
     assert bound_e > 0.95 and bound_f > 0.999
+
+
+@given(st.integers(min_value=3, max_value=2 ** 40),
+       st.integers(min_value=1, max_value=1024))
+@settings(max_examples=300, deadline=None)
+def test_every_params_leaves_the_decode_its_margin(lo, n):
+    # tau = floor(q / (4 m Q)) keeps 6B < q wherever tau >= 1, and tau = 0
+    # makes B = 0, so runnability_problems has no margin of its own to check
+    p = Params(n=n, q=find_prime(lo, 2 * lo), d=1, sigma=1.0)
+    if p.tau >= 1:
+        assert 6 * p.gadget_bound < p.q
+    else:
+        assert p.gadget_bound == 0
 
 
 def test_params_reject_composite_modulus():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from poqlab.lattice import (_TRITS, GaussianSampler, ZqArray, _gadget,
                             commitment_shifts, decrypt, encrypt, gen_trap,
                             honest_e_log_rate, honest_e_rate, invert)
 
-from oracles import (gaussian_pmf, gen_trap_oracle, lwe_oracle,
-                     solve_linear_mod, zq_add, zq_matmul)
+from oracles import (RejectionGaussianSampler, gaussian_pmf, gen_trap_oracle,
+                     lwe_oracle, solve_linear_mod, zq_add, zq_matmul)
 
 PARAMS = desk_params()
 
@@ -26,7 +27,7 @@ def stream(label, idx=0, seed=99):
 # --- discrete Gaussian ---------------------------------------------------------
 
 def test_tiny_sigma_concentrates_at_zero():
-    s = GaussianSampler(0.1)
+    s = GaussianSampler(0.1, tau=1)
     assert gaussian_pmf(s, 0) > 0.9999
     draws = s.sample(stream("g0"), size=2000)
     assert (draws == 0).all()
@@ -35,7 +36,7 @@ def test_tiny_sigma_concentrates_at_zero():
 def test_mean_absolute_value_below_sigma():
     # per-coordinate first-moment bound, checked empirically
     for sigma in (0.35, 1.0, 3.0):
-        s = GaussianSampler(sigma)
+        s = GaussianSampler(sigma, tau=math.ceil(8 * sigma))
         draws = s.sample(stream(f"g{sigma}"), size=100_000)
         mean_abs = np.abs(draws).mean()
         se = np.abs(draws).std(ddof=1) / np.sqrt(len(draws))
@@ -54,12 +55,56 @@ def test_truncation_contract():
 
 def test_pmf_matches_direct_formula():
     sigma = 1.3
-    s = GaussianSampler(sigma)
+    s = GaussianSampler(sigma, tau=math.ceil(8 * sigma))
     support = np.arange(-15, 16)
     weights = np.exp(-(support.astype(float) ** 2) / (2 * sigma ** 2))
     for j in (-3, -1, 0, 2, 5):
         want = float(weights[support == j][0] / weights.sum())
         assert abs(gaussian_pmf(s, j) - want) < 1e-12
+
+
+@pytest.mark.parametrize("sigma, tau", [(0.35, 2824), (5.0, 2), (1.3, 3),
+                                        (0.1, 1)])
+def test_sampler_table_draws_and_law(sigma, tau):
+    s = GaussianSampler(sigma, tau)
+    # the table is the law the rejection sampler drew, conditioned on
+    # |j| <= tau
+    reference = RejectionGaussianSampler(sigma, tau)
+    np.testing.assert_array_equal(s.support, reference.support)
+    np.testing.assert_allclose(s.pmf, reference.pmf, rtol=0, atol=1e-15)
+    # one uniform per entry: the stream moves on exactly as random(k) moves
+    # a twin stream
+    rng, twin = stream("inv"), stream("inv")
+    s.sample(rng, 37)
+    twin.random(37)
+    assert rng.random() == twin.random()
+    # and the draws follow the table
+    trials = 40_000
+    draws = s.sample(stream("inv-law"), trials)
+    counts = (draws[:, None] == s.support).sum(axis=0)
+    assert counts.sum() == trials
+    freq = counts / trials
+    stderr = np.sqrt(s.pmf * (1 - s.pmf) / trials)
+    assert (np.abs(freq - s.pmf) <= 4 * stderr).all()
+
+
+class _LargestUniform:
+    """A stub generator whose random(size) returns the largest value
+    Generator.random can return, 1 - 2^-53."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2.0 ** -53)
+
+
+def test_largest_uniform_lands_on_the_table():
+    # at this sigma the summed pmf ends at 1 - 2^-52, below the largest
+    # uniform; the rejection sampler indexed past its table on it
+    sigma = 0.13743435858964742
+    s = GaussianSampler(sigma, tau=2)
+    assert np.cumsum(s.pmf)[-1] < 1 - 2.0 ** -53
+    with pytest.raises(IndexError):
+        RejectionGaussianSampler(sigma, tau=2).sample(_LargestUniform(), 3)
+    np.testing.assert_array_equal(s.sample(_LargestUniform(), 3), [2, 2, 2])
 
 
 @given(st.floats(min_value=0.05, max_value=20.0, allow_nan=False),

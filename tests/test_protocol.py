@@ -24,8 +24,9 @@ from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
 from poqlab.quantum import HonestProver, honest_first_round
 
 from oracles import (best_score_oracle, gen_trap_oracle,
-                     honest_first_round_oracle, round_record,
-                     run_experiment_s, seedsequence_stream, zq_add)
+                     honest_first_round_oracle, rejection_noise_sampler,
+                     round_record, run_experiment_s, seedsequence_stream,
+                     zq_add)
 
 PARAMS = desk_params()
 
@@ -164,12 +165,12 @@ class _HooksOnly:
 TRANSCRIPT_PINS = [
     pytest.param(
         "honest", PARAMS, 20, False,
-        "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+        "98c275c1d1d9dd4fc6e87079368e985dfbff302d4aacdc748e09e87ac0a8bded",
         "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b",
         id="honest-R-desk"),
     pytest.param(
         "honest", desk_params(d=16, n=16), 4, True,
-        "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+        "f5846ab633cfb26c6c49c55693b33d8e36cf414796edbae8ae085fd01fcd9f03",
         "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10",
         id="honest-Rseq-separation"),
     pytest.param(
@@ -180,15 +181,26 @@ TRANSCRIPT_PINS = [
     # the hooks are the engine's whole contract with a prover
     pytest.param(
         _HooksOnly(PARAMS), PARAMS, 20, False,
-        "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+        "98c275c1d1d9dd4fc6e87079368e985dfbff302d4aacdc748e09e87ac0a8bded",
         "8cbe550ceae4da4e2f4edfadecf57d562d253ef54088e2ea0d5fcc29c76a4c5b",
         id="hooks-only-R-desk"),
     pytest.param(
         _HooksOnly(desk_params(d=16, n=16)), desk_params(d=16, n=16), 4, True,
-        "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+        "f5846ab633cfb26c6c49c55693b33d8e36cf414796edbae8ae085fd01fcd9f03",
         "a5eb58aff59a0b13c402289fa03700debbb15929c6b8987474322bd79be98a10",
         id="hooks-only-Rseq-separation"),
 ]
+
+
+# the pins that drawing the noise by inversion moved, each with the digest it
+# had while the noise was drawn by rejection (see
+# test_rejection_sampler_reproduces_earlier_pins)
+REJECTION_PINS = {
+    "honest-R-desk": "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+    "honest-Rseq-separation": "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+    "hooks-only-R-desk": "300faa017e9cc866941e4b4fc21c051aa3a3c40aa354cf0a818bda15cc8fa39b",
+    "hooks-only-Rseq-separation": "2fb29cf4c308c61a8ff3420fe90c5504d0e9261a260a46a5aa313f2527123e54",
+}
 
 
 @pytest.mark.parametrize("prover, params, trials, sequential, digest, _",
@@ -200,6 +212,19 @@ def test_transcripts_pinned_at_fixed_seed(prover, params, trials, sequential,
     res = run_game_r(prover, params, trials, Rng(2024), sequential=sequential,
                      keep_transcripts=True)
     assert _transcript_digest(res) == digest
+
+
+def test_rejection_sampler_reproduces_earlier_pins(monkeypatch):
+    # the rejection sampler read floor(1.2 size) + 8 uniforms per draw where
+    # inversion reads size, so e, drawn after s, moved; with it put back,
+    # each moved pin comes back byte for byte and every other holds
+    monkeypatch.setattr(lattice, "_noise_sampler", rejection_noise_sampler)
+    for case in TRANSCRIPT_PINS:
+        prover, params, trials, sequential, digest, _ = case.values
+        res = run_game_r(prover, params, trials, Rng(2024),
+                         sequential=sequential, keep_transcripts=True)
+        assert _transcript_digest(res) == REJECTION_PINS.get(case.id, digest), \
+            case.id
 
 
 @pytest.mark.parametrize("prover, params, sequential", [
@@ -335,8 +360,9 @@ def test_seedsequence_stream_reproduces_earlier_pins(monkeypatch, tmp_path):
     # keying streams straight from their digest moved every pin of this
     # module; with the SeedSequence derivation put back, each earlier digest
     # and report comes back byte for byte, so nothing but the derivation
-    # moved them
+    # moved them (with the noise drawn by rejection, as it was then)
     monkeypatch.setattr(Rng, "stream", seedsequence_stream)
+    monkeypatch.setattr(lattice, "_noise_sampler", rejection_noise_sampler)
     for case in TRANSCRIPT_PINS:
         prover, params, trials, sequential, _, earlier = case.values
         res = run_game_r(prover, params, trials, Rng(2024),
