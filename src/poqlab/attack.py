@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .core import Params, Rng, require_count
-from .games import j_sample_inputs, j_score
+from .games import _questions, j_sample_inputs, j_score
 from .protocol import check_bits, play_round
 from .provers import ClassicalProver, answer_table
 
@@ -127,10 +127,7 @@ def rewind(prover: ClassicalProver, mem: Any, d: int,
     if count > 1 << REWIND_LIMIT:
         raise ValueError(f"rewinding runs {count} second responses; "
                          f"the limit is 2^{REWIND_LIMIT}")
-    indices = (np.arange(count) if indices is None
-               else np.asarray(indices, dtype=np.int64))
-    ys = np.ones((count, d + 1), dtype=np.uint8)
-    ys[:, :d] = (indices[:, None] >> np.arange(d)) & 1
+    ys = _questions(d, indices)
     return ys, answer_table(prover, ys, mem)
 
 
@@ -253,8 +250,7 @@ def attack_plan(d: int, epsilon: float, alpha: int) -> AttackPlan:
     2 * alpha * weight_cap bit operations each.
     """
     require_count("alpha", alpha)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    require_count("d", d)
     ceiling = 2 * (3 / 4) ** (d / 4)
     ceiling_4dp = math.ceil(ceiling * 10 ** 4) / 10 ** 4
     # smallest weight cap whose binomial tail drops below 0.12%
@@ -278,7 +274,7 @@ def attack_plan(d: int, epsilon: float, alpha: int) -> AttackPlan:
         d=d, epsilon=epsilon, alpha=alpha,
         classical_ceiling=ceiling, ceiling_4dp=ceiling_4dp,
         threshold=ceiling_4dp + epsilon,
-        slack_natural=sampling_bound(alpha, 2.0 ** d, base="e"),
-        slack_base2=sampling_bound(alpha, 2.0 ** d, base="2"),
+        slack_natural=sampling_bound(alpha, 1 << d, base="e"),
+        slack_base2=sampling_bound(alpha, 1 << d, base="2"),
         weight_cap=cap, weight_tail=tail, decode_work_log2=work,
         published=published)

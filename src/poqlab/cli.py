@@ -282,9 +282,9 @@ def cmd_attack(args) -> int:
         print(f"classical ceiling 2*(3/4)^(d/4) = {plan.classical_ceiling:.6f}"
               f"  (< {plan.ceiling_4dp:.4f})")
         print(f"distinguishing threshold        = {plan.threshold:.4f}")
-        mode = "base-2" if args.log2_mode else "natural"
-        slack = plan.slack_base2 if args.log2_mode else plan.slack_natural
-        print(f"sampling slack ({mode:>7})       = {slack:.5f}")
+        for mode, slack in (("natural", plan.slack_natural),
+                            ("base-2", plan.slack_base2)):
+            print(f"sampling slack ({mode:>7})       = {slack:.5f}")
         print(f"question weight cap             = {plan.weight_cap} "
               f"(tail {plan.weight_tail:.4f})")
         print(f"decode work                     = 2^{plan.decode_work_log2:.1f} bit ops")
@@ -393,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=64)
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--log2-mode", action="store_true",
-                   help="use base-2 logs in the plan's sampling slack")
     p.set_defaults(func=cmd_attack)
     return parser
 

@@ -200,12 +200,13 @@ def require_count(name: str, value: int) -> None:
 class Params:
     """The protocol sizes: n, q, d and sigma as given, Q, m and tau derived.
 
-    Invariants: q is an odd prime, Q = ceil(log2 q), m = (2Q+1)n,
-    tau = floor(q / (4 m Q)), d <= n.  Whether the encrypted game can run
-    (tau >= 1 and sigma <= tau) is reported by runnability_problems, and
-    desk_params requires it.  The trapdoor decode's margin 6 gadget_bound < q
-    needs no check here: tau >= 1 forces Q >= 3, where this tau gives it
-    (see lattice), and tau = 0 makes gadget_bound 0.
+    Invariants: n >= 1, q is an odd prime, Q = ceil(log2 q), m = (2Q+1)n,
+    tau = floor(q / (4 m Q)), 0 <= d <= n (d = 0 encrypts the empty
+    message).  Whether the encrypted game can run (d >= 1, tau >= 1 and
+    sigma <= tau) is reported by runnability_problems, and desk_params and
+    protocol.run_game_r require it.  The trapdoor decode's margin
+    6 gadget_bound < q needs no check here: tau >= 1 forces Q >= 3, where
+    this tau gives it (see lattice), and tau = 0 makes gadget_bound 0.
     """
 
     n: int
@@ -217,6 +218,9 @@ class Params:
     tau: int = field(init=False)
 
     def __post_init__(self):
+        require_count("n", self.n)
+        if self.d < 0:
+            raise ValueError(f"d must be at least 0, got {self.d}")
         if not is_prime(self.q) or self.q == 2:
             raise ValueError(f"q = {self.q} is not an odd prime")
         if self.d > self.n:
@@ -238,15 +242,13 @@ class Params:
     def runnability_problems(self) -> list[str]:
         """Reasons this parameter set cannot run the encrypted game."""
         problems = []
+        if self.d < 1:
+            problems.append("d = 0 (no question bit besides the final 1)")
         if self.tau < 1:
             problems.append("tau = 0 (noise box is empty)")
         elif self.sigma > self.tau:
             problems.append(f"sigma = {self.sigma} exceeds tau = {self.tau}")
         return problems
-
-    @property
-    def game_r_runnable(self) -> bool:
-        return not self.runnability_problems()
 
     def event_bounds(self) -> tuple[float, float]:
         """Analytic lower bounds for the honest-prover events (E, F)."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _PRODUCT_WORK
+from .core import _PRODUCT_WORK, require_count
 from .fourier import Group, GroupFunction, SubsetOfGroup, dft, eta_set
 
 SEARCH_CEILING = 1 << 32
@@ -53,15 +53,13 @@ def _input_bits(d: int) -> np.ndarray:
     return (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
 
 
-def _questions(d: int) -> np.ndarray:
-    """The claw game's questions {0,1}^d x {1}: row i holds the bits of i,
-    then 1, shape (2^d, d + 1)."""
-    return np.append(_input_bits(d), np.ones((1 << d, 1), dtype=np.int64), axis=1)
-
-
-def _require_d(d: int) -> None:
-    if d < 1:
-        raise ValueError("need d >= 1")
+def _questions(d: int, indices=None) -> np.ndarray:
+    """The claw game's questions {0,1}^d x {1} as uint8 rows: row i holds
+    the little-endian bits of indices[i] (of i when indices is None), then 1."""
+    idx = np.arange(1 << d) if indices is None else np.asarray(indices, dtype=np.int64)
+    rows = np.ones((len(idx), d + 1), dtype=np.uint8)
+    rows[:, :d] = (idx[:, None] >> np.arange(d)) & 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ def max_eta_parity_balanced(d: int, time_ordered: bool) -> Fraction:
     and eta_c = sum_g N_c(g)^2 / t^3 with t = 2^d, as in eta_set.  The
     counts are exact integers (256 sets x 16 x 16 int64, 0.5 MB, at d = 2).
     """
-    _require_d(d)
+    require_count("d", d)
     if d > 2:
         raise SearchSpaceTooLarge(f"eta enumeration capped at d <= 2, got {d}")
     vecs = _counting_vectors(_parity_sets(_tables(d, d, time_ordered)))
@@ -241,7 +239,7 @@ def ghz_strategy_score(tables: list[np.ndarray]) -> Fraction:
     if len(set(shapes)) > 1:
         raise NotParityBalanced(f"tables must share one shape, got {shapes}")
     d = shapes[0][-1]
-    _require_d(d)
+    require_count("d", d)
     sub = _differences(d)
     vecs = _counting_vectors(_parity_sets(np.stack(tables)))
     acc = vecs[0]
@@ -367,9 +365,10 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     if k < 3:
         raise ValueError(f"need k >= 3 players, got {k}")
     if mode == "single":
-        space = (4 ** k) * (1 << (k - 1))
-        if space > SEARCH_CEILING:
-            raise SearchSpaceTooLarge(f"single-mode space {space} > 2^32")
+        # 4^k tables x 2^(k-1) questions, compared by exponent (k is unbounded)
+        if 3 * k - 1 > SEARCH_CEILING.bit_length() - 1:
+            raise SearchSpaceTooLarge(
+                f"single-mode space 2^{3 * k - 1} exceeds the 2^32 ceiling")
         xs = np.array([x for x in itertools.product((0, 1), repeat=k)
                        if sum(x) % 2 == 0])
         shifts = 2 * np.arange(k) + xs          # (questions, k)
@@ -386,11 +385,9 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
         raise ValueError(f"unknown mode {mode!r}")
     if d is None:
         raise ValueError("repeated modes need d")
-    _require_d(d)
-    n_sets = (1 << d) ** (1 << d)
-    if n_sets ** k > SEARCH_CEILING or d > 2:
-        raise SearchSpaceTooLarge(
-            f"{n_sets ** k} strategy tuples exceed the 2^32 ceiling")
+    require_count("d", d)
+    if d > 2:
+        raise SearchSpaceTooLarge(f"repeated modes capped at d <= 2, got {d}")
     if k > 4:
         raise SearchSpaceTooLarge(f"repeated modes support k in (3, 4), got {k}")
     vecs = _counting_vectors(_parity_sets(_tables(d, d, mode == "sequential")))
@@ -430,7 +427,7 @@ class DeterministicStrategy:
 
 def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform question pair on {0,1}^d x {1}."""
-    _require_d(d)
+    require_count("d", d)
     x = np.ones(d + 1, dtype=np.uint8)
     y = np.ones(d + 1, dtype=np.uint8)
     x[:d] = rng.integers(0, 2, size=d)
@@ -458,7 +455,7 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     takes, per x, the answer a with the largest (for the most negative
     bias, the smallest) score summed over the questions y.
     """
-    _require_d(d)
+    require_count("d", d)
     if d > 2:
         raise SearchSpaceTooLarge(f"claw-game enumeration capped at d <= 2, got {d}")
     nq = 1 << d

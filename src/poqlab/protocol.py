@@ -53,7 +53,8 @@ from .core import Params, Rng, balanced_abs, integer_array, require_count
 from .games import j_sample_inputs, j_score
 from .lattice import (Preimages, Shifts, ZqArray, commitment_shifts,
                       decode_preimages, encrypt)
-from .quantum import HonestProver, round_one_answer, sample_claw_outcomes
+from .quantum import (HonestProver, round_one_answer, round_one_positions,
+                      sample_claw_outcomes)
 
 # Trials per block of the encrypted game.  A block holds A, both targets and
 # their images for each of its trials, about 45 kB a trial at the desk preset
@@ -164,8 +165,7 @@ def run_game_j(d: int, trials: int, rng: Rng,
     uniform first-round outcome, which leaves the claw
     (a[:d], a[:d] ^ x[:d], (-1)^{a_d}), and b is that claw measured in y."""
     require_count("trials", trials)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    require_count("d", d)
     gen = rng.stream("gameJ/inputs")
     xs = np.hstack([gen.integers(0, 2, size=(trials, d)),
                     np.ones((trials, 1), dtype=np.int64)])
@@ -230,7 +230,7 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
     w, ells, mem = prover.commit(
         a_mat, v_vec, lambda name: rng.stream(f"{label}/{name}", index),
         None if record is None else record.trapdoor)
-    (bits,), (ok,) = check_bits([ells], 1, n * params.Q - params.d)
+    (bits,), (ok,) = check_bits([ells], 1, len(round_one_positions(params)))
     if (not ok or not isinstance(w, ZqArray) or w.q != q
             or w.values.shape != (m,)):
         bits = None
@@ -263,11 +263,11 @@ def referee_first_assessment(firsts: Sequence[FirstRound], params: Params,
     the accepted trials, in row order (the honest prover reads its claws off
     them and a; its commitments are always accepted), a (trials, d + 1) and
     three (trials,) bool arrays.  A trial whose commitment was rejected (w
-    not a ZqArray of shape (m,) modulo q, or ells not nQ - d bits) has
-    committed False, a row of zeros and both flags off.  On inversion
-    failure a trial's a is sampled uniformly from fallback(i), i its row,
-    which is called only then, so a block whose inversions succeed derives
-    no fallback stream.
+    not a ZqArray of shape (m,) modulo q, or ells not one bit per round-one
+    position) has committed False, a row of zeros and both flags off.  On
+    inversion failure a trial's a is sampled uniformly from fallback(i), i
+    its row, which is called only then, so a block whose inversions succeed
+    derives no fallback stream.
     """
     q, n, d = params.q, params.n, params.d
     count = len(firsts)
@@ -364,8 +364,9 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
     one question bit at a time.  Trials are played in blocks of _BLOCK; the
     transcripts do not depend on the block size."""
     require_count("trials", trials)
-    if not params.game_r_runnable:
-        raise ValueError("; ".join(params.runnability_problems()))
+    problems = params.runnability_problems()
+    if problems:
+        raise ValueError("; ".join(problems))
     if prover == "honest":
         prover = HonestProver(params)
     scores = np.zeros(trials, dtype=np.int64)

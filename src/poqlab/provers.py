@@ -24,6 +24,7 @@ import numpy as np
 from .core import Params, integer_array
 from .games import j_score
 from .lattice import TrapdoorKey, ZqArray, decrypt
+from .quantum import round_one_positions
 
 
 class ClassicalProver:
@@ -99,6 +100,12 @@ def _coin_bits(coins: np.ndarray, j: int, prefixes: np.ndarray) -> np.ndarray:
     return np.frombuffer(first, dtype=np.uint8) & 1
 
 
+def _zero_commitment(params: Params) -> tuple[ZqArray, np.ndarray]:
+    """(w, ells) = (A.0, zero bits), which the referee decodes as a = 0."""
+    return (ZqArray(params.q, np.zeros(params.m, dtype=np.int64)),
+            np.zeros(len(round_one_positions(params)), dtype=np.uint8))
+
+
 @dataclass
 class BlindProver(ClassicalProver):
     """Ignores the ciphertext entirely: zero commitment, zero answers."""
@@ -106,10 +113,7 @@ class BlindProver(ClassicalProver):
     params: Params
 
     def first_response(self, a, v, coins):
-        w = ZqArray(self.params.q, np.zeros(self.params.m, dtype=np.int64))
-        ells = np.zeros(self.params.n * self.params.Q - self.params.d,
-                        dtype=np.uint8)
-        return w, ells, None
+        return (*_zero_commitment(self.params), None)
 
     def respond_bit(self, j, prefixes, mem):
         return np.zeros(len(prefixes), dtype=np.uint8)
@@ -141,11 +145,9 @@ class TrapdoorLeakProver(ClassicalProver):
             self.leak = None
 
     def first_response(self, a, v, coins):
-        p = self.params
-        w = ZqArray(p.q, np.zeros(p.m, dtype=np.int64))
-        ells = np.zeros(p.n * p.Q - p.d, dtype=np.uint8)
-        known = None if self.leak is None else decrypt(a, self.leak, v, p)
-        return w, ells, {"x": known, "coins": coins}
+        known = (None if self.leak is None
+                 else decrypt(a, self.leak, v, self.params))
+        return (*_zero_commitment(self.params), {"x": known, "coins": coins})
 
     def respond_bit(self, j, prefixes, mem):
         if mem["x"] is None:

@@ -305,7 +305,7 @@ class HonestProver:
         coin = int(rng.integers(0, 2))
         box = rng.integers(-tau, tau + 1, size=m, dtype=np.int64)
         w = ZqArray(q, matmul_mod(a.values, r, q) - coin * v.values + box)
-        ells = rng.integers(0, 2, size=n * params.Q - params.d)
+        ells = rng.integers(0, 2, size=len(round_one_positions(params)))
         return w, ells.astype(np.uint8), None
 
     def answer(self, ys, mems, preimages, a, streams, sequential: bool):

@@ -53,7 +53,7 @@ def test_criterion_01_honest_claw_game_score():
 
 def test_criterion_02_honest_encrypted_game_pipeline():
     trials = 10_000
-    assert DESK.game_r_runnable
+    assert not DESK.runnability_problems()
     start = time.perf_counter()
     result = run_game_r("honest", DESK, trials, Rng(20_250_102))
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -492,6 +493,17 @@ def test_attack_plan_reproduces_worked_example():
     assert plan.weight_cap == 30
     assert plan.weight_tail <= 0.0012
     assert 53.5 <= plan.decode_work_log2 <= 55.5
+
+
+def test_attack_plan_sizes_past_float_range():
+    # 2^1100 is beyond float64; the slacks take the set size as an exact int
+    plan = attack_plan(1100, 0.05, 64)
+    assert plan.slack_natural == sampling_bound(64, 1 << 1100, base="e")
+    assert plan.slack_base2 == (2 + math.sqrt(6 + 2200)) / 8
+    for d in (1, 8, 40, 200, 1023):
+        plan = attack_plan(d, 0.05, 400_000)
+        assert plan.slack_natural == sampling_bound(400_000, 2.0 ** d, base="e")
+        assert plan.slack_base2 == sampling_bound(400_000, 2.0 ** d, base="2")
 
 
 def test_attack_plan_other_inputs_have_no_published_reference():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from poqlab import lattice
+from poqlab import games, lattice
 from poqlab.cli import _config_argv, build_parser, main
 from poqlab.core import Rng
 
@@ -199,7 +199,8 @@ def test_brute_j_d2_against_parallel_value(capsys):
 def test_brute_rejects_d_below_one(capsys, target):
     assert main(["brute", "--target", target, "--d", "0"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: need d >= 1\n" and captured.out == ""
+    assert captured.err == "error: d must be at least 1, got 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -283,19 +284,23 @@ def test_fourier_run_that_checked_nothing_fails(capsys):
 
 def test_attack_plan_prints_worked_figures(capsys):
     code, out = run_cli(capsys, "attack", "--experiment", "plan",
-                        "--d", "40", "--epsilon", "0.05", "--alpha", "400000",
-                        "--log2-mode")
+                        "--d", "40", "--epsilon", "0.05", "--alpha", "400000")
     assert code == 0
     assert "0.1127" in out
-    assert "0.01886" in out
+    # both sampling slacks, natural and base-2
+    assert "sampling slack (natural)       = 0.01623" in out
+    assert "sampling slack ( base-2)       = 0.01886" in out
     assert "0.1617" in out       # published threshold figure
     assert "0.1627" in out       # recomputed sum, shown alongside
 
 
 def test_log2_mode_belongs_to_attack_only(capsys):
-    # only the attack plan reads --log2-mode
-    assert main(["params", "--log2-mode"]) == 2
-    assert "unrecognized arguments: --log2-mode" in capsys.readouterr().err
+    # only the attack plan prints the base-2 slack, and it always does: no
+    # command takes a switch for it
+    for argv in (["params"], ["attack", "--experiment", "plan"]):
+        assert main([*argv, "--log2-mode"]) == 2
+        assert ("unrecognized arguments: --log2-mode"
+                in capsys.readouterr().err)
 
 
 def test_attack_eprime_smoke(capsys):
@@ -338,15 +343,22 @@ def test_config_skips_comments_and_reads_booleans(tmp_path):
         assert (args.target, args.d, args.time_ordered) == ("eta-parb", 2, flag)
 
 
-def test_config_boolean_switches_the_plan_to_base_2(tmp_path, capsys):
-    cfg = tmp_path / "plan.cfg"
-    cfg.write_text("# the worked example\nexperiment=plan\nd=40\n"
-                   "alpha=400000\nlog2_mode=true\n")
-    code, out = run_cli(capsys, "attack", "--config", str(cfg))
-    assert code == 0 and "sampling slack ( base-2)       = 0.01886" in out
-    assert (code, out) == run_cli(capsys, "attack", "--experiment", "plan",
-                                  "--d", "40", "--alpha", "400000",
-                                  "--log2-mode")
+def test_config_boolean_matches_its_flag(tmp_path, capsys, monkeypatch):
+    # both families have the ceiling 9/16 at d = 2, so the search records
+    # which one each run asked for
+    asked = []
+    search = games.max_eta_parity_balanced
+    monkeypatch.setattr(games, "max_eta_parity_balanced",
+                        lambda d, time_ordered: asked.append(time_ordered)
+                        or search(d, time_ordered))
+    cfg = tmp_path / "brute.cfg"
+    cfg.write_text("# the time-ordered ceiling\ntarget=eta-parb\nd=2\n"
+                   "time_ordered=true\n")
+    code, out = run_cli(capsys, "brute", "--config", str(cfg))
+    assert code == 0 and "bound=9/16 PASS" in out
+    assert (code, out) == run_cli(capsys, "brute", "--target", "eta-parb",
+                                  "--d", "2", "--time-ordered")
+    assert asked == [True, True]
 
 
 def test_config_given_twice_fails(tmp_path, capsys):
@@ -422,10 +434,14 @@ def test_config_without_a_path_fails(capsys):
      "samples must be at least 1, got 0"),
     (("fourier", "--check", "uncertainty", "--samples", "-2"),
      "samples must be at least 1, got -2"),
-    (("run", "--game", "J", "--d", "0", "--trials", "5"), "need d >= 1"),
-    (("run", "--game", "J", "--d", "-2", "--trials", "5"), "need d >= 1"),
-    (("attack", "--experiment", "plan", "--d", "0"), "need d >= 1"),
-    (("attack", "--experiment", "plan", "--d", "-3"), "need d >= 1"),
+    (("run", "--game", "J", "--d", "0", "--trials", "5"),
+     "d must be at least 1, got 0"),
+    (("run", "--game", "J", "--d", "-2", "--trials", "5"),
+     "d must be at least 1, got -2"),
+    (("attack", "--experiment", "plan", "--d", "0"),
+     "d must be at least 1, got 0"),
+    (("attack", "--experiment", "plan", "--d", "-3"),
+     "d must be at least 1, got -3"),
 ])
 def test_counts_below_one_fail_with_their_name(capsys, argv, message):
     assert main(list(argv)) == 1

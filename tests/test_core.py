@@ -141,14 +141,14 @@ def test_paper_asymptotic_lambda_4_not_runnable():
     p = derive_params(lam=4)
     assert p.q == 67 and p.Q == 7 and p.m == 60
     assert p.tau == 0
-    assert not p.game_r_runnable
+    assert p.runnability_problems()
     assert any("tau" in reason for reason in p.runnability_problems())
 
 
 def test_desk_example_accepted():
     p = desk_params(n=64, q=524309, d=6, sigma=1.0)
     assert p.tau >= 1 and p.sigma <= p.tau
-    assert p.game_r_runnable
+    assert not p.runnability_problems()
 
 
 def test_desk_validation_rejects():
@@ -156,11 +156,24 @@ def test_desk_validation_rejects():
         desk_params(n=4, q=67, d=2, sigma=1.0)  # tau = 0
     with pytest.raises(InvalidDeskParams):
         desk_params(n=64, q=524309, d=6, sigma=10.0)  # sigma>tau
+    with pytest.raises(InvalidDeskParams,
+                       match=r"^d = 0 \(no question bit besides the final 1\)$"):
+        desk_params(d=0)  # the game needs a free question bit
+
+
+@pytest.mark.parametrize("n, d, message", [
+    (0, 0, "n must be at least 1, got 0"),
+    (-3, -4, "n must be at least 1, got -3"),
+    (8, -1, "d must be at least 0, got -1"),
+])
+def test_params_reject_sizes_without_a_game(n, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Params(n=n, q=134_217_689, d=d, sigma=0.35)
 
 
 def test_default_desk_margins():
     p = desk_params()
-    assert p.game_r_runnable
+    assert not p.runnability_problems()
     assert 4 * p.gadget_bound < p.q
     assert 6 * p.gadget_bound < p.q  # margin the decoder relies on
     bound_e, bound_f = p.event_bounds()

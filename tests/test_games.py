@@ -295,6 +295,21 @@ def test_search_ceilings():
         ghz_value_bruteforce(5, "parallel", 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ghz_value_bruteforce(4, "sequential", 8),
+     "repeated modes capped at d <= 2, got 8"),
+    (lambda: ghz_value_bruteforce(4, "sequential", 9),
+     "repeated modes capped at d <= 2, got 9"),
+    (lambda: ghz_value_bruteforce(5000, "single"),
+     "single-mode space 2^14999 exceeds the 2^32 ceiling"),
+])
+def test_search_caps_name_large_inputs_in_one_line(call, message):
+    # the cap is tested before any power of the input is formed or printed
+    with pytest.raises(SearchSpaceTooLarge) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("mode", ["single", "parallel", "sequential"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_bruteforce_needs_three_players(mode, k):
@@ -315,7 +330,8 @@ def test_bruteforce_needs_three_players(mode, k):
 ])
 @pytest.mark.parametrize("d", [0, -1])
 def test_searches_reject_sizes_without_a_game(search, d):
-    with pytest.raises(ValueError, match="^need d >= 1$"):
+    # the strategy score reads d = 0 off its tables' shape
+    with pytest.raises(ValueError, match="^d must be at least 1, got -?[0-9]+$"):
         search(d)
 
 

@@ -460,7 +460,8 @@ def test_tampered_ciphertext_never_crashes():
 
 
 def test_zero_length_message_edge():
-    params = desk_params(d=0)
+    # d = 0 is a valid Params (the game needs d >= 1, encryption does not)
+    params = Params(n=PARAMS.n, q=PARAMS.q, d=0, sigma=PARAMS.sigma)
     gen = stream("enc4")
     record = encrypt(np.zeros(0, dtype=np.int64), params, gen)
     out = decrypt(record.a, record.trapdoor, record.v, params)

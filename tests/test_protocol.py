@@ -109,10 +109,12 @@ def test_game_r_rejects_bad_params():
 
 
 def test_game_r_rejects_d_below_one():
-    # desk_params accepts d = 0; the game needs a question bit besides the
-    # final 1
-    with pytest.raises(ValueError, match="^need d >= 1$"):
-        run_game_r("honest", desk_params(d=0), 1, Rng(0))
+    # Params accepts d = 0 (the empty message); the game needs a question
+    # bit besides the final 1
+    params = dataclasses.replace(desk_params(), d=0)
+    with pytest.raises(ValueError, match=r"^d = 0 \(no question bit besides "
+                                         r"the final 1\)$"):
+        run_game_r("honest", params, 1, Rng(0))
 
 
 @pytest.mark.parametrize("trials", [0, -1])
