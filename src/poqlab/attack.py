@@ -104,10 +104,12 @@ def best_score(x, ys, bs) -> tuple[float, np.ndarray]:
 def sampling_bound(alpha: int, set_size: float, base: str = "e") -> float:
     """(2 + sqrt(log alpha + 2 log set_size)) / sqrt(alpha).
 
-    Natural logarithms match the Hoeffding derivation; base-2 mode is kept
-    alongside because the worked numbers in circulation use it.
+    Natural logarithms (base "e") match the Hoeffding derivation; base "2"
+    is kept alongside because the worked numbers in circulation use it.
     """
     require_count("alpha", alpha)
+    if base not in ("e", "2"):
+        raise ValueError(f"base must be 'e' or '2', got {base!r}")
     log = math.log if base == "e" else math.log2
     return (2 + math.sqrt(log(alpha) + 2 * log(set_size))) / math.sqrt(alpha)
 

@@ -221,9 +221,9 @@ def _random_function(group, gen) -> fourier.GroupFunction:
 
 def cmd_fourier(args) -> int:
     """Run one check on --samples random functions.  The donoho and
-    uncertainty checks skip a draw whose sparsification left the zero
-    function, so samples= reports the functions actually checked, and a
-    run that checked none fails."""
+    uncertainty checks skip a draw whose sparsification left no entry above
+    fourier.SUPPORT_EPS (the zero function), so samples= reports the
+    functions actually checked, and a run that checked none fails."""
     require_count("samples", args.samples)
     group = _parse_group(args.group)
     if group.size > 4 ** 12:
@@ -249,7 +249,7 @@ def cmd_fourier(args) -> int:
             f = _random_function(group, gen)
             keep = gen.random(group.size) < 0.25
             f = fourier.GroupFunction(group, f.values * keep)
-            if not np.abs(f.values).any():
+            if not fourier.support_size(f):
                 checked -= 1
                 continue
             if args.check == "donoho":

@@ -15,17 +15,18 @@ character matrix, in one product; the tables are built on first use and
 cached read-only.  Larger moduli go to np.fft, where a dense matrix would be
 slower and, near the CLI's 4^12 cap, too large to hold.  The linearity
 coefficient takes one forward transform: by Parseval, sum_s P[x+y=s]^2 =
-|G| sum |p_hat|^4.  Each uncertainty check makes one transform call:
-uncertainty_product and uncertainty_bound_check transform f together with
-p = |f| / ||f||_1, and read nu and eta off that stack.
+|G| sum |p_hat|^4.  Each uncertainty check makes one transform call, on
+the stack of f and p = |f| / ||f||_1.  The support product
+|Supp h| |Supp h_hat| nu(h) eta(h) / |G| needs neither Supp h nor nu:
+|Supp h| nu(h) = 1 / sum p^2 and eta(h) / |G| = sum |p_hat|^4 / sum p^2,
+so the product is |Supp h_hat| C(p) with C(p) = sum |p_hat|^4 / (sum p^2)^2.
 
 The transform runs in floating point for every input.  Supports, on either
 side of the transform and in the uniformity coefficient nu, are the entries
-whose modulus exceeds SUPPORT_EPS, so support sizes and the uncertainty
-products built on them depend on that one cutoff; uncertainty_bound_check
-tests unit norms and the bound within BOUND_TOL.  Only the Fraction-valued
-linearity coefficient of an indicator (eta_set, which counts pair sums in
-integers) is exact.
+whose modulus exceeds SUPPORT_EPS, and a function with no such entry is the
+zero function; uncertainty_bound_check tests unit norms and the bound within
+BOUND_TOL.  Only the Fraction-valued linearity coefficient of an indicator
+(eta_set, which counts pair sums in integers) is exact.
 """
 
 from __future__ import annotations
@@ -241,24 +242,17 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 # uniformity and linearity coefficients
 
 def _distribution(f: GroupFunction, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The moduli w = |f| and the distribution p = w / ||w||_1; the zero
-    function raises ZeroFunction."""
+    """The moduli w = |f| and the distribution p = w / ||w||_1; a function
+    with no entry above SUPPORT_EPS raises ZeroFunction."""
     w = np.abs(f.values)
-    total = w.sum()
-    if not total:
+    if not _count(w):
         raise ZeroFunction(f"{what} of the zero function")
-    return w, w / total
+    return w, w / w.sum()
 
 
 def _count(w: np.ndarray) -> int:
     """Support size of a function whose moduli are w."""
     return int(np.count_nonzero(w > SUPPORT_EPS))
-
-
-def _nu(count: int, square: float) -> float:
-    """Uniformity coefficient of a distribution p from its support size under
-    the cutoff and square = sum p^2."""
-    return 1.0 / (count * square)
 
 
 def _eta(moduli: np.ndarray, square: float, size: int) -> float:
@@ -269,13 +263,12 @@ def _eta(moduli: np.ndarray, square: float, size: int) -> float:
     return size * float(power @ power) / square
 
 
-def _support_product(count: int, other: int, p: np.ndarray,
-                     moduli: np.ndarray, size: int) -> float:
-    """count * other * nu * eta / |G| for the distribution p with support
-    size count and transform moduli |p_hat|, sum p^2 taken once for nu and
-    eta."""
+def _concentration(p: np.ndarray, moduli: np.ndarray) -> float:
+    """C(p) = sum |p_hat|^4 / (sum p^2)^2 from the distribution p and the
+    moduli |p_hat| of its transform."""
+    power = moduli ** 2
     square = float(p @ p)
-    return count * other * _nu(count, square) * _eta(moduli, square, size) / size
+    return float(power @ power) / (square * square)
 
 
 def uniformity_nu(f: GroupFunction) -> float:
@@ -288,7 +281,7 @@ def uniformity_nu(f: GroupFunction) -> float:
     of ||f||_1.
     """
     w, p = _distribution(f, "uniformity coefficient")
-    return _nu(_count(w), float(p @ p))
+    return 1.0 / (_count(w) * float(p @ p))
 
 
 def linearity_eta(f: GroupFunction) -> float:
@@ -338,26 +331,25 @@ def support_size(f: GroupFunction) -> int:
 
 
 def uncertainty_product(h: GroupFunction) -> float:
-    """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, every support under the
-    cutoff; at least 1 for nonzero h."""
-    w, p = _distribution(h, "uncertainty product")
+    """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, at least 1 for nonzero h.
+    Supp h and nu cancel: the product is |Supp h_hat| C(p) for
+    p = |h| / ||h||_1 and C(p) = sum |p_hat|^4 / (sum p^2)^2."""
+    _, p = _distribution(h, "uncertainty product")
     hh_abs, p_hat_abs = np.abs(_transform(np.array([h.values, p]), h.group, 1))
-    return _support_product(_count(w), _count(hh_abs), p, p_hat_abs,
-                            h.group.size)
+    return _count(hh_abs) * _concentration(p, p_hat_abs)
 
 
 def donoho_stark_check(h: GroupFunction) -> bool:
     """|Supp h| * |Supp h_hat| >= |G| under the support cutoff."""
-    w = np.abs(h.values)
-    if not w.any():
-        raise ZeroFunction("support product of the zero function")
+    w, _ = _distribution(h, "support product")
     hh = _transform(h.values, h.group, 1)
     return _count(w) * _count(np.abs(hh)) >= h.group.size
 
 
 def uncertainty_bound_check(f: GroupFunction,
                             g: GroupFunction) -> tuple[float, float, bool]:
-    """lhs = |<f_hat, g>| against rhs = (|Supp f||Supp g| nu(f) eta(f)/|G|)^(1/4).
+    """lhs = |<f_hat, g>| against rhs = (|Supp f||Supp g| nu(f) eta(f)/|G|)^(1/4),
+    read as (|Supp g| C(p))^(1/4) for p = |f| / ||f||_1 (uncertainty_product).
 
     Both arguments must be unit vectors; g lives on the transform side, which
     shares the index space with the group itself.
@@ -370,6 +362,5 @@ def uncertainty_bound_check(f: GroupFunction,
     p = w / w.sum()
     fh, p_hat = _transform(np.array([f.values, p]), f.group, 1)
     lhs = abs(complex(np.vdot(g.values, fh)))
-    rhs = _support_product(_count(w), _count(v), p, np.abs(p_hat),
-                           f.group.size) ** 0.25
+    rhs = (_count(v) * _concentration(p, np.abs(p_hat))) ** 0.25
     return lhs, rhs, lhs <= rhs + BOUND_TOL

@@ -21,6 +21,7 @@ index of Z_4^d comes from fourier.Group's encode and decode.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,13 +54,18 @@ def _input_bits(d: int) -> np.ndarray:
     return (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
 
 
+def _question_rows(bits) -> np.ndarray:
+    """The claw game's questions {0,1}^d x {1} as uint8 rows: each row of
+    d bits on the last axis, then 1."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.concatenate([bits, np.ones_like(bits[..., :1])], axis=-1)
+
+
 def _questions(d: int, indices=None) -> np.ndarray:
-    """The claw game's questions {0,1}^d x {1} as uint8 rows: row i holds
-    the little-endian bits of indices[i] (of i when indices is None), then 1."""
+    """_question_rows of the little-endian bits of indices[i] (of i when
+    indices is None)."""
     idx = np.arange(1 << d) if indices is None else np.asarray(indices, dtype=np.int64)
-    rows = np.ones((len(idx), d + 1), dtype=np.uint8)
-    rows[:, :d] = (idx[:, None] >> np.arange(d)) & 1
-    return rows
+    return _question_rows((idx[:, None] >> np.arange(d)) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +371,10 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     if k < 3:
         raise ValueError(f"need k >= 3 players, got {k}")
     if mode == "single":
-        # 4^k tables x 2^(k-1) questions, compared by exponent (k is unbounded)
-        if 3 * k - 1 > SEARCH_CEILING.bit_length() - 1:
-            raise SearchSpaceTooLarge(
-                f"single-mode space 2^{3 * k - 1} exceeds the 2^32 ceiling")
+        # 4^k tables x 2^(k-1) questions x k bits, by exponent (k is unbounded)
+        if 3 * k - 1 + math.log2(k) > SEARCH_CEILING.bit_length() - 1:
+            raise SearchSpaceTooLarge(f"single-mode space 2^{3 * k - 1} x {k} "
+                                      "answer bits exceeds the 2^32 ceiling")
         xs = np.array([x for x in itertools.product((0, 1), repeat=k)
                        if sum(x) % 2 == 0])
         shifts = 2 * np.arange(k) + xs          # (questions, k)
@@ -428,10 +434,7 @@ class DeterministicStrategy:
 def j_sample_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform question pair on {0,1}^d x {1}."""
     require_count("d", d)
-    x = np.ones(d + 1, dtype=np.uint8)
-    y = np.ones(d + 1, dtype=np.uint8)
-    x[:d] = rng.integers(0, 2, size=d)
-    y[:d] = rng.integers(0, 2, size=d)
+    x, y = _question_rows(rng.integers(0, 2, size=(2, d)))
     return x, y
 
 

@@ -50,7 +50,7 @@ from typing import Any
 import numpy as np
 
 from .core import Params, Rng, balanced_abs, integer_array, require_count
-from .games import j_sample_inputs, j_score
+from .games import _question_rows, j_sample_inputs, j_score
 from .lattice import (Preimages, Shifts, ZqArray, commitment_shifts,
                       decode_preimages, encrypt)
 from .quantum import (HonestProver, round_one_answer, round_one_positions,
@@ -167,10 +167,7 @@ def run_game_j(d: int, trials: int, rng: Rng,
     require_count("trials", trials)
     require_count("d", d)
     gen = rng.stream("gameJ/inputs")
-    xs = np.hstack([gen.integers(0, 2, size=(trials, d)),
-                    np.ones((trials, 1), dtype=np.int64)])
-    ys = np.hstack([gen.integers(0, 2, size=(trials, d)),
-                    np.ones((trials, 1), dtype=np.int64)])
+    xs, ys = _question_rows(gen.integers(0, 2, size=(2, trials, d)))
     gen = rng.stream("gameJ/answers")
     a = gen.integers(0, 2, size=(trials, d + 1))
     b = sample_claw_outcomes(a[:, :d], a[:, :d] ^ xs[:, :d], 1 - 2 * a[:, d],
@@ -181,8 +178,8 @@ def run_game_j(d: int, trials: int, rng: Rng,
     if keep_transcripts:
         for t in range(trials):
             transcripts.append(Transcript(
-                game="J", trial=t, x=xs[t].astype(np.uint8),
-                y=ys[t].astype(np.uint8), a=a[t].astype(np.uint8), b=b[t],
+                game="J", trial=t, x=xs[t], y=ys[t],
+                a=a[t].astype(np.uint8), b=b[t],
                 w=np.zeros(0, dtype=np.int64), ells=np.zeros(0, dtype=np.uint8),
                 score=int(scores[t]), e_flag=True, f_flag=True,
                 seed=f"{rng.seed}:gameJ:{t}"))

@@ -213,6 +213,12 @@ def test_sampling_bound_worked_values():
         sampling_bound(400_000, 2.0 ** 40, base="2")
 
 
+@pytest.mark.parametrize("base", ["E", "10", "log2", 2])
+def test_sampling_bound_names_its_two_bases(base):
+    with pytest.raises(ValueError, match="base must be 'e' or '2'"):
+        sampling_bound(400_000, 2.0 ** 40, base=base)
+
+
 def test_sampling_bound_decreases_in_alpha():
     vals = [sampling_bound(a, 2.0 ** 10) for a in (10, 100, 1000, 10_000)]
     assert all(x > y for x, y in zip(vals, vals[1:]))

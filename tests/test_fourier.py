@@ -310,6 +310,16 @@ def test_nu_zero_function_raises():
         uniformity_nu(GroupFunction(Z4, np.zeros(4)))
 
 
+@pytest.mark.parametrize("check", [uniformity_nu, linearity_eta,
+                                   uncertainty_product, donoho_stark_check])
+def test_function_below_the_cutoff_is_zero(check):
+    # no entry exceeds SUPPORT_EPS: every check calls it the zero function
+    f = GroupFunction(Z4, [1e-11, 0, 0, 0])
+    assert support_size(f) == 0
+    with pytest.raises(ZeroFunction):
+        check(f)
+
+
 def test_coefficients_bounded_by_one():
     gen = np.random.default_rng(13)
     for _ in range(300):

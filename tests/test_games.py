@@ -295,13 +295,29 @@ def test_search_ceilings():
         ghz_value_bruteforce(5, "parallel", 2)
 
 
+class _Scored(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k, refused", [(9, False), (10, True), (11, True)])
+def test_single_mode_cap_counts_answer_bits(k, refused, monkeypatch):
+    # k 2^(3k-1) answer bits pass 2^32 at k = 10, where the space 2^29 of
+    # (tuple, question) pairs does not; the cap comes before any scoring
+    def scored(*args):
+        raise _Scored
+
+    monkeypatch.setattr(games, "ghz_score", scored)
+    with pytest.raises(SearchSpaceTooLarge if refused else _Scored):
+        ghz_value_bruteforce(k, "single")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: ghz_value_bruteforce(4, "sequential", 8),
      "repeated modes capped at d <= 2, got 8"),
     (lambda: ghz_value_bruteforce(4, "sequential", 9),
      "repeated modes capped at d <= 2, got 9"),
     (lambda: ghz_value_bruteforce(5000, "single"),
-     "single-mode space 2^14999 exceeds the 2^32 ceiling"),
+     "single-mode space 2^14999 x 5000 answer bits exceeds the 2^32 ceiling"),
 ])
 def test_search_caps_name_large_inputs_in_one_line(call, message):
     # the cap is tested before any power of the input is formed or printed
