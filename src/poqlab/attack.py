@@ -21,17 +21,12 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng, require_count
-from .games import _questions, j_sample_inputs, j_score
+from .core import Params, Rng, _scan_blocks, require_count
+from .games import _input_bits, _questions, j_sample_inputs, j_score
 from .protocol import check_bits, play_round
 from .provers import ClassicalProver, answer_table
 
 REWIND_LIMIT = 14
-
-# decode_error scores its answer patterns in blocks whose c-column product
-# holds at most this many entries (1 MiB of uint8); at d = 8 every pattern
-# of a full enumeration fits in one block
-_DECODE_BLOCK = 1 << 20
 
 
 def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
@@ -41,8 +36,10 @@ def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
     Zero columns of B cannot affect the product, so the search runs over
     the nonzero columns only (their count k is at most the weight of the
     question string that built B).  The 2^k patterns are scored in index
-    order, in blocks of at most _DECODE_BLOCK product entries, and the
-    argmin is the first pattern that reaches the minimum.
+    order, in blocks of at most core._SCAN_ENTRIES product entries (the
+    budget every exact search's scan shares; at d = 8 a full enumeration is
+    one block), and the argmin is the first pattern that reaches the
+    minimum.
     """
     b_matrix = np.asarray(b_matrix, dtype=np.uint8) % 2
     w = np.asarray(w, dtype=np.uint8) % 2
@@ -54,11 +51,8 @@ def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
     best_z = np.zeros(width, dtype=np.uint8)
     k = len(nonzero)
     bn_t = b_matrix[:, nonzero].T
-    step = max(_DECODE_BLOCK // c, 1)
-    for start in range(0, 1 << k, step):
-        stop = min(start + step, 1 << k)
-        patterns = ((np.arange(start, stop)[:, None] >> np.arange(k))
-                    & 1).astype(np.uint8)
+    for block in _scan_blocks(1 << k, c):
+        patterns = _input_bits(k, np.arange(block.start, block.stop)).astype(np.uint8)
         # uint8 sums may wrap past 255, which keeps their parity
         flips = patterns @ bn_t
         flips &= 1

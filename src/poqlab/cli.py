@@ -165,38 +165,32 @@ def cmd_run(args) -> int:
 # brute
 
 def cmd_brute(args) -> int:
-    if args.target == "ghz":
-        value = games.ghz_value_bruteforce(args.k, "single")
-        bound = Fraction(3, 4) if args.k in (3, 4) else None
+    target, k, d = args.target, args.k, args.d
+    if target == "ghz":
+        value = games.ghz_value_bruteforce(k, "single")
+        bound = Fraction(3, 4) if k in (3, 4) else None
         passed = bound is None or value == bound
-        row = ("ghz", args.k, None, value, bound, passed)
-    elif args.target == "ghz-seq":
-        value = games.ghz_value_bruteforce(args.k, "sequential", args.d)
-        bound = Fraction(3, 4) ** args.d if args.k == 4 else None
+    elif target == "ghz-seq":
+        value = games.ghz_value_bruteforce(k, "sequential", d)
+        bound = Fraction(3, 4) ** d if k == 4 else None
         passed = bound is None or value <= bound
-        row = ("ghz-seq", args.k, args.d, value, bound, passed)
-    elif args.target == "j":
-        value = games.j_bias_bruteforce(args.d, sequential=False)
-        bound = 2 * float(games.ghz_value_bruteforce(4, "parallel", args.d)) ** 0.25
-        passed = float(value) <= bound + 1e-12
-        row = ("j", None, args.d, value, f"{bound:.6f}", passed)
-    elif args.target == "j-seq":
-        value = games.j_bias_bruteforce(args.d, sequential=True)
-        bound = 2 * 0.75 ** (args.d / 4)
-        passed = float(value) <= bound + 1e-12
-        row = ("j-seq", None, args.d, value, f"{bound:.6f}", passed)
-    elif args.target == "eta-parb":
-        value = games.max_eta_parity_balanced(args.d, args.time_ordered)
-        if args.time_ordered:
-            bound = Fraction(3, 4) ** args.d
-        else:
-            bound = games.ghz_value_bruteforce(4, "parallel", args.d)
+    elif target in ("j", "j-seq"):
+        value = games.j_bias_bruteforce(d, sequential=target == "j-seq")
+        ceiling = (0.75 ** (d / 4) if target == "j-seq"
+                   else float(games.ghz_value_bruteforce(4, "parallel", d)) ** 0.25)
+        passed = float(value) <= 2 * ceiling + 1e-12
+        bound = f"{2 * ceiling:.6f}"
+    elif target == "eta-parb":
+        value = games.max_eta_parity_balanced(d, args.time_ordered)
+        bound = (Fraction(3, 4) ** d if args.time_ordered
+                 else games.ghz_value_bruteforce(4, "parallel", d))
         passed = value <= bound
-        row = ("eta-parb", None, args.d, value, bound, passed)
     else:
-        raise ValueError(f"unknown target {args.target!r}")
+        raise ValueError(f"unknown target {target!r}")
 
-    target, k, d, value, bound, passed = row
+    # the parity game is sized by k (and d when repeated), the others by d
+    k = k if target.startswith("ghz") else None
+    d = None if target == "ghz" else d
     where = " ".join(f"{name}={size}" for name, size in (("k", k), ("d", d))
                      if size is not None)
     print(f"{target} ({where}): value={value} bound={bound} "

@@ -150,6 +150,17 @@ def binary_repr(x, width: int) -> np.ndarray:
 # from it.
 _PRODUCT_WORK = (1 << 19) - 1
 
+# Most entries one block of an exact search's scan holds (8 MiB of int64),
+# in the one-round parity-game search, attack.decode_error and eta_set
+_SCAN_ENTRIES = 1 << 20
+
+
+def _scan_blocks(total: int, per_item: int):
+    """Consecutive ranges tiling range(total), each of at most
+    _SCAN_ENTRIES // per_item items and at least one."""
+    step = max(_SCAN_ENTRIES // per_item, 1)
+    return (range(i, min(i + step, total)) for i in range(0, total, step))
+
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a @ b) % q without int64 overflow.
@@ -202,11 +213,11 @@ class Params:
 
     Invariants: n >= 1, q is an odd prime, Q = ceil(log2 q), m = (2Q+1)n,
     tau = floor(q / (4 m Q)), 0 <= d <= n (d = 0 encrypts the empty
-    message).  Whether the encrypted game can run (d >= 1, tau >= 1 and
-    sigma <= tau) is reported by runnability_problems, and desk_params and
-    protocol.run_game_r require it.  The trapdoor decode's margin
-    6 gadget_bound < q needs no check here: tau >= 1 forces Q >= 3, where
-    this tau gives it (see lattice), and tau = 0 makes gadget_bound 0.
+    message), 0 < sigma < inf.  Whether the encrypted game can run (d >= 1,
+    tau >= 1 and sigma <= tau) is reported by runnability_problems, and
+    desk_params and protocol.run_game_r require it.  The trapdoor decode's
+    margin 6 gadget_bound < q needs no check here: tau >= 1 forces Q >= 3,
+    where this tau gives it (see lattice), and tau = 0 makes gadget_bound 0.
     """
 
     n: int
@@ -225,8 +236,8 @@ class Params:
             raise ValueError(f"q = {self.q} is not an odd prime")
         if self.d > self.n:
             raise ValueError(f"d = {self.d} exceeds n = {self.n}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:   # nan fails too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         Q = bit_length(self.q)
         m = (2 * Q + 1) * self.n
         tau = self.q // (4 * m * Q)

@@ -37,6 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import _scan_blocks
+
 SUPPORT_EPS = 1e-9
 BOUND_TOL = 1e-9
 
@@ -57,9 +59,6 @@ _MATRIX_MAX_M = 32
 # A cap of 32 matched 16 on Z_4^n, gained on Z_3^8 (117 against 145 us)
 # and lost on Z_2^16 (1.13 ms).
 _BLOCK_MAX = 16
-
-# eta_set counts pair sums in row blocks of at most this many pairs
-_PAIR_BLOCK = 1 << 16
 
 
 class ZeroFunction(ValueError):
@@ -298,8 +297,9 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
     """Exact linearity coefficient of an indicator: with t = |S| and N(g)
     the number of ordered pairs summing to g, eta = sum_g N(g)^2 / t^3.
 
-    N is counted with np.bincount in row blocks of at most _PAIR_BLOCK
-    pairs, so the pair sums held at once stay bounded for any t.
+    N is counted with np.bincount in row blocks of at most
+    core._SCAN_ENTRIES pairs (the budget every exact search's scan shares),
+    so the pair sums held at once stay bounded for any t.
     """
     els = np.flatnonzero(s.mask)
     if els.size == 0:
@@ -309,9 +309,8 @@ def eta_set(s: SubsetOfGroup) -> Fraction:
     powers = m ** np.arange(g.n)
     coords = g.decode(els)
     counts = np.zeros(g.size, dtype=np.int64)
-    block = max(_PAIR_BLOCK // t, 1)
-    for start in range(0, t, block):
-        rows = coords[start:start + block]
+    for block in _scan_blocks(t, t):
+        rows = coords[block.start:block.stop]
         idx = np.zeros((len(rows), t), dtype=np.int64)
         for j in range(g.n):
             idx += (rows[:, j, None] + coords[None, :, j]) % m * powers[j]

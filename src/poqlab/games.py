@@ -20,21 +20,16 @@ index of Z_4^d comes from fourier.Group's encode and decode.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import _PRODUCT_WORK, require_count
+from .core import _PRODUCT_WORK, _scan_blocks, require_count
 from .fourier import Group, GroupFunction, SubsetOfGroup, dft, eta_set
 
 SEARCH_CEILING = 1 << 32
-
-# the one-round search scores its strategy tuples in blocks whose answer
-# array holds at most this many entries (8 MiB of int64)
-_SINGLE_BLOCK = 1 << 20
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -49,9 +44,11 @@ class NotParityBalanced(ValueError):
     pass
 
 
-def _input_bits(d: int) -> np.ndarray:
-    """Row i holds the d little-endian bits of i, shape (2^d, d)."""
-    return (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+def _input_bits(d: int, indices=None) -> np.ndarray:
+    """Row i holds the d little-endian bits of indices[i] (of i when indices
+    is None, shape (2^d, d)); every expansion of an index into bits is this."""
+    idx = np.arange(1 << d) if indices is None else np.asarray(indices, dtype=np.int64)
+    return (idx[:, None] >> np.arange(d)) & 1
 
 
 def _question_rows(bits) -> np.ndarray:
@@ -63,9 +60,14 @@ def _question_rows(bits) -> np.ndarray:
 
 def _questions(d: int, indices=None) -> np.ndarray:
     """_question_rows of the little-endian bits of indices[i] (of i when
-    indices is None)."""
-    idx = np.arange(1 << d) if indices is None else np.asarray(indices, dtype=np.int64)
-    return _question_rows((idx[:, None] >> np.arange(d)) & 1)
+    indices is None).  An index outside [0, 2^d) raises ValueError naming
+    the first one, where its low d bits would ask another index's question."""
+    if indices is not None:
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = indices[(indices < 0) | (indices >= 1 << d)]
+        if outside.size:
+            raise ValueError(f"question index {outside[0]} is outside [0, 2^{d})")
+    return _question_rows(_input_bits(d, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,7 @@ def _tables(d: int, width: int, time_ordered: bool) -> np.ndarray:
     cols = []   # per output bit: (choices, 2^d) values of each allowed function
     for i in range(width):
         inputs = 2 << i if time_ordered and i < d else nq
-        funcs = (np.arange(1 << inputs)[:, None] >> np.arange(inputs)) & 1
-        cols.append(funcs[:, np.arange(nq) & (inputs - 1)])
+        cols.append(_input_bits(inputs)[:, np.arange(nq) & (inputs - 1)])
     grids = np.meshgrid(*[np.arange(len(c)) for c in cols], indexing="ij")
     return np.stack([c[g.ravel()] for c, g in zip(cols, grids)],
                     axis=-1).astype(np.uint8)
@@ -351,7 +352,8 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
 
     mode 'single' is the one-round k-player game.  Its search scores every
     tuple of one-bit strategies on every even-parity question through
-    ghz_score, in blocks of at most _SINGLE_BLOCK answer entries: tuple c
+    ghz_score, in blocks of at most core._SCAN_ENTRIES answer entries (the
+    budget every exact search's scan shares): tuple c
     answers f_j(x_j) = bit 2j + x_j of c.  'parallel' and 'sequential' are
     the d-fold variants, the latter restricted to time-ordered strategies.
     The repeated search sees two players only through the convolution of
@@ -375,13 +377,12 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
         if 3 * k - 1 + math.log2(k) > SEARCH_CEILING.bit_length() - 1:
             raise SearchSpaceTooLarge(f"single-mode space 2^{3 * k - 1} x {k} "
                                       "answer bits exceeds the 2^32 ceiling")
-        xs = np.array([x for x in itertools.product((0, 1), repeat=k)
-                       if sum(x) % 2 == 0])
+        bits = _input_bits(k)
+        xs = bits[bits.sum(axis=1) % 2 == 0]
         shifts = 2 * np.arange(k) + xs          # (questions, k)
-        step = max(_SINGLE_BLOCK // shifts.size, 1)
         best = 0
-        for start in range(0, 1 << (2 * k), step):
-            tuples = np.arange(start, min(start + step, 1 << (2 * k)))
+        for block in _scan_blocks(1 << (2 * k), shifts.size):
+            tuples = np.arange(block.start, block.stop)
             answers = (tuples[:, None, None] >> shifts) & 1
             wins = (ghz_score(xs, answers) == 1).sum(axis=1)
             best = max(best, int(wins.max()))
@@ -476,15 +477,6 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     return Fraction(int(best), nq * nq)
 
 
-def _strategy_image_sets(s: DeterministicStrategy, t: DeterministicStrategy):
-    """(U, V): images of the referee's u- and v-vectors inside Z_4^{d+1},
-    with u entries -1,0,1 stored as 3,0,1."""
-    xs = _questions(s.d)
-    g = Group(4, s.d + 1)
-    return (SubsetOfGroup.from_elements(g, xs * (1 - 2 * s.outputs.astype(np.int64))),
-            SubsetOfGroup.from_elements(g, xs + 2 * t.outputs))
-
-
 @dataclass(frozen=True)
 class BiasIdentity:
     direct: Fraction
@@ -522,14 +514,17 @@ def j_bias_fourier_identity(s: DeterministicStrategy,
                      t.outputs[None, :])
     direct = Fraction(int(scores.sum()), (1 << d) ** 2)
 
-    u_sub, v_sub = _strategy_image_sets(s, t)
+    # the images of the referee's u- and v-vectors in Z_4^{d+1}, u's -1 as 3
+    group = Group(4, d + 1)
+    u_sub = SubsetOfGroup.from_elements(group, xs * (1 - 2 * s.outputs.astype(np.int64)))
+    v_sub = SubsetOfGroup.from_elements(group, xs + 2 * t.outputs)
     scale = 2 ** (-d / 2)
-    f = GroupFunction(u_sub.group, v_sub.mask.astype(complex) * scale)
-    g = GroupFunction(u_sub.group, u_sub.mask.astype(complex) * scale)
+    f = GroupFunction(group, v_sub.mask.astype(complex) * scale)
+    g = GroupFunction(group, u_sub.mask.astype(complex) * scale)
     inner = complex(np.vdot(g.values, dft(f).values))
     fourier = float(2 * ((1 - 1j) * inner).real)
 
-    dropped = v_sub.group.decode(np.flatnonzero(v_sub.mask))[:, :-1]
+    dropped = group.decode(np.flatnonzero(v_sub.mask))[:, :-1]
     eta_dropped = eta_set(SubsetOfGroup.from_elements(Group(4, d), dropped))
     return BiasIdentity(direct=direct, fourier=fourier, inner=inner,
                         eta_dropped=eta_dropped)

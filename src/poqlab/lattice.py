@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _PRODUCT_WORK, Params, balanced, matmul_mod
+from .core import _PRODUCT_WORK, Params, balanced, integer_array, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,24 @@ class GaussianSampler:
     carry less than 1e-14 of the mass, so the table is the law conditioned
     on |j| <= tau.  The CDF's last entry is pinned to 1.0, so every uniform
     in [0, 1) lands on the table, and sample(rng, size) reads exactly size
-    uniforms.
+    uniforms.  A weight off j = 0 is 0 where j^2 / 2 sigma^2 overflows or
+    2 sigma^2 underflows to 0, so a tiny sigma gives the point mass at 0.
     """
 
     sigma: float
     tau: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:   # nan fails too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         cut = min(max(math.ceil(8 * self.sigma), 1), self.tau)
         support = np.arange(-cut, cut + 1, dtype=np.int64)
-        weights = np.exp(-(support.astype(float) ** 2) / (2 * self.sigma ** 2))
+        squares = support.astype(float) ** 2
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            weights = np.exp(-np.divide(squares, 2 * np.float64(self.sigma) ** 2,
+                                        out=np.zeros_like(squares), where=support != 0))
         pmf = weights / weights.sum()
         cdf = np.cumsum(pmf)
         cdf[-1] = 1.0
@@ -342,8 +346,8 @@ def honest_e_rate(params: Params) -> float:
 def encrypt(message, params: Params, rng: np.random.Generator) -> EncryptionRecord:
     """v = A (2s + M) + e with s, e truncated-Gaussian and M carrying the
     message bits in the last d coordinates."""
-    h = np.asarray(message, dtype=np.int64)
-    if h.shape != (params.d,) or not ((h == 0) | (h == 1)).all():
+    h = integer_array(message, (params.d,))
+    if h is None or not ((h == 0) | (h == 1)).all():
         raise ValueError(f"message must be {params.d} bits")
     if params.tau < 1:
         raise ValueError("parameters are not runnable: tau = 0")

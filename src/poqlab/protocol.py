@@ -212,7 +212,8 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
     real=True encrypts x[:d] (stream encrypt); real=False sends a uniform
     pair (A, v) that hides nothing (stream uniform).  The encryption record
     is dropped on return, once the Shifts are taken; the prover's commit
-    hook is handed its trapdoor, or None.
+    hook is handed its trapdoor, or None.  A commit return that is not a
+    3-tuple (w, ells, mem) is a rejected commitment with mem None.
     """
     q, m, n = params.q, params.m, params.n
     if real:
@@ -224,9 +225,11 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         gen = rng.stream(f"{label}/uniform", index)
         a_mat = ZqArray(q, gen.integers(0, q, size=(m, n), dtype=np.int64))
         v_vec = ZqArray(q, gen.integers(0, q, size=m, dtype=np.int64))
-    w, ells, mem = prover.commit(
+    message = prover.commit(
         a_mat, v_vec, lambda name: rng.stream(f"{label}/{name}", index),
         None if record is None else record.trapdoor)
+    w, ells, mem = (message if isinstance(message, tuple) and len(message) == 3
+                    else (None, None, None))
     (bits,), (ok,) = check_bits([ells], 1, len(round_one_positions(params)))
     if (not ok or not isinstance(w, ZqArray) or w.q != q
             or w.values.shape != (m,)):
@@ -334,7 +337,11 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng,
     answers = prover.answer(
         ys, [first.mem for first in firsts], preimages, a,
         lambda name: [rng.stream(f"gameR/{name}", t) for t in ts], sequential)
-    # each answer is checked alone, so a malformed one loses only its trial
+    # each answer is checked alone, so a malformed one loses only its trial;
+    # a block that is not one answer per trial pairs none with its trial
+    answers = list(answers) if np.iterable(answers) else []
+    if len(answers) != len(ts):
+        answers = [None] * len(ts)
     checked = [check_bits([b], 1, d + 1) for b in answers]
     b, b_ok = (np.concatenate(col) for col in zip(*checked))
     a, b, scores, accepted = referee_score(xs, ys, a, committed, b, b_ok)
@@ -366,17 +373,12 @@ def run_game_r(prover, params: Params, trials: int, rng: Rng,
         raise ValueError("; ".join(problems))
     if prover == "honest":
         prover = HonestProver(params)
-    scores = np.zeros(trials, dtype=np.int64)
-    e_flags = np.zeros(trials, dtype=bool)
-    f_flags = np.zeros(trials, dtype=bool)
-    transcripts: list[Transcript] = []
-    for start in range(0, trials, _BLOCK):
-        ts = range(start, min(start + _BLOCK, trials))
-        rows = slice(start, ts.stop)
-        scores[rows], e_flags[rows], f_flags[rows], lines = _game_r_block(
-            prover, params, ts, rng, sequential, keep_transcripts)
-        transcripts.extend(lines)
-
+    scores, e_flags, f_flags, lines = zip(*(
+        _game_r_block(prover, params, range(start, min(start + _BLOCK, trials)),
+                      rng, sequential, keep_transcripts)
+        for start in range(0, trials, _BLOCK)))
+    scores, e_flags, f_flags = map(np.concatenate, (scores, e_flags, f_flags))
+    transcripts = [line for block in lines for line in block]
     both = e_flags & f_flags
     conditional = float(scores[both].mean()) if both.any() else None
     return GameResult(stats=ScoreStats.from_scores(scores),

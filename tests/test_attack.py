@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poqlab import attack
+from poqlab import attack, core
 from poqlab.attack import (REWIND_LIMIT, attack_plan, best_score,
                            decode_error, experiment_e, experiment_e_campaign,
                            rewind, sampling_bound)
@@ -80,7 +80,7 @@ def _decode_instances():
 
 @pytest.mark.parametrize("block", [1, 7, 300, 1 << 20])
 def test_decode_error_blocks_equal_one_shot(monkeypatch, block):
-    monkeypatch.setattr(attack, "_DECODE_BLOCK", block)
+    monkeypatch.setattr(core, "_SCAN_ENTRIES", block)
     for b, w in _decode_instances():
         err, z = decode_error(b, w)
         want_err, want_z = _decode_one_shot(b, w)
@@ -368,6 +368,15 @@ def test_rewind_asks_each_distinct_prefix_once(d):
         assert sorted(prover.asked) == sorted(prefixes)
         for y, b in zip(ys.tolist(), bs.tolist()):
             assert b == [hash(tuple(y[:j + 1])) & 1 for j in range(d + 1)]
+
+
+@pytest.mark.parametrize("indices, bad", [([4], 4), ([0, 3, -1, 9], -1),
+                                          ([1 << 40], 1 << 40)])
+def test_rewind_rejects_question_indices_out_of_range(indices, bad):
+    # the low d bits of 4 would ask index 0's question, those of -1 index 3's
+    with pytest.raises(ValueError, match=rf"^question index {bad} is outside "
+                                         r"\[0, 2\^2\)$"):
+        rewind(BlindProver(desk_params(d=2)), None, 2, indices)
 
 
 # --- distinguishing experiments -------------------------------------------------

@@ -31,6 +31,21 @@ def test_params_lambda_4_flags_tau(capsys):
     assert "tau = 0" in out
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_params_reports_sigma_that_is_not_finite(capsys, sigma):
+    code, out = run_cli(capsys, "params", "--sigma", sigma)
+    assert code == 1
+    assert out == f"invalid parameters: sigma must be finite and positive, got {sigma}\n"
+
+
+def test_params_at_underflowing_sigma_reads_the_point_mass(capsys):
+    # 2 sigma^2 underflows to 0; the noise is the point mass at 0, so P(E) = 1
+    code, out = run_cli(capsys, "params", "--sigma", "1e-300")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["       honest_E_rate: 1.000000e+0",
+                                     "    ln_honest_E_rate: 0.000000"]
+
+
 @pytest.mark.parametrize("argv, rate, log_rate", [
     ((), "9.974595e-1", "-0.002544"),
     (("--sigma", "10"), "5.371962e-1", "-0.621392"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poqlab import core
 from poqlab.core import (InvalidDeskParams, NoPrimeInRange, Params, Rng,
                          balanced, balanced_abs, binary_repr, derive_params,
                          desk_params, find_prime, is_prime, matmul_mod,
@@ -191,6 +192,27 @@ def test_every_params_leaves_the_decode_its_margin(lo, n):
         assert 6 * p.gadget_bound < p.q
     else:
         assert p.gadget_bound == 0
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"),
+                                   float("-inf"), 0.0, -0.35])
+def test_params_reject_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(ValueError,
+                       match=f"^sigma must be finite and positive, got {sigma}$"):
+        Params(n=8, q=134_217_689, d=4, sigma=sigma)
+
+
+@pytest.mark.parametrize("total, per_item, entries", [
+    (0, 3, 8), (1, 3, 8), (10, 3, 8), (10, 9, 8), (9, 1, 3), (5, 2, 1 << 20),
+])
+def test_scan_blocks_tile_the_range(monkeypatch, total, per_item, entries):
+    monkeypatch.setattr(core, "_SCAN_ENTRIES", entries)
+    blocks = list(core._scan_blocks(total, per_item))
+    assert [i for block in blocks for i in block] == list(range(total))
+    assert all(1 <= len(block) <= max(entries // per_item, 1)
+               for block in blocks)
+    assert all(len(block) == max(entries // per_item, 1)
+               for block in blocks[:-1])
 
 
 def test_params_reject_composite_modulus():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poqlab import fourier
+from poqlab import core, fourier
 from poqlab.fourier import (Group, GroupFunction, GroupMismatch, SubsetOfGroup,
                             ZeroFunction, convolve, dft, donoho_stark_check,
                             eta_set, idft, linearity_eta, support_size,
@@ -431,7 +431,7 @@ def test_eta_set_matches_dict_oracle(monkeypatch):
     for s in cases:
         assert eta_set(s) == eta_set_dict(s)
     # one pair row per block gives the same counts
-    monkeypatch.setattr(fourier, "_PAIR_BLOCK", 1)
+    monkeypatch.setattr(core, "_SCAN_ENTRIES", 1)
     for s in cases[::7]:
         assert eta_set(s) == eta_set_dict(s)
 
@@ -442,7 +442,7 @@ def test_eta_set_large_subset_matches_dict_oracle():
     mask = np.zeros(g.size, dtype=bool)
     mask[np.random.default_rng(15).choice(g.size, 2048, replace=False)] = True
     s = SubsetOfGroup(g, mask)
-    assert fourier._PAIR_BLOCK < 2048 * 2048
+    assert core._SCAN_ENTRIES < 2048 * 2048
     assert eta_set(s) == eta_set_dict(s)
 
 

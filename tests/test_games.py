@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poqlab import games
+from poqlab import core, games
 from poqlab.fourier import Group, GroupFunction, uniformity_nu
 from poqlab.games import (DeterministicStrategy, NotParityBalanced, OddParityInput,
                           ParityBalancedSet, SearchSpaceTooLarge,
@@ -94,7 +94,7 @@ def test_one_round_values():
 
 def test_one_round_blocks_equal_one_shot(monkeypatch):
     # a block of one strategy tuple scores the same as the whole search
-    monkeypatch.setattr(games, "_SINGLE_BLOCK", 1)
+    monkeypatch.setattr(core, "_SCAN_ENTRIES", 1)
     assert ghz_value_bruteforce(4, "single") == Fraction(3, 4)
     assert ghz_value_bruteforce(5, "single") == Fraction(5, 8)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ def test_tiny_sigma_concentrates_at_zero():
     assert gaussian_pmf(s, 0) > 0.9999
     draws = s.sample(stream("g0"), size=2000)
     assert (draws == 0).all()
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-300, 5e-324])
+def test_underflowing_sigma_gives_the_point_mass(sigma):
+    # 2 sigma^2 overflows the exponent or underflows to 0; the table is
+    # still finite, with no floating-point warning even where numpy raises
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        s = GaussianSampler(sigma, tau=10)
+    np.testing.assert_array_equal(s.pmf, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(s.support, [-1, 0, 1])
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sampler_rejects_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        GaussianSampler(sigma, tau=10)
 
 
 def test_mean_absolute_value_below_sigma():
@@ -466,6 +484,17 @@ def test_zero_length_message_edge():
     record = encrypt(np.zeros(0, dtype=np.int64), params, gen)
     out = decrypt(record.a, record.trapdoor, record.v, params)
     assert out is not None and out.shape == (0,)
+
+
+@pytest.mark.parametrize("message", [[0.5, 1, 0, 1], [0.0, 1.0, 0.0, 1.0],
+                                     ["0", "1", "0", "1"], [0, 1, 0],
+                                     [[0, 1, 0, 1]], None],
+                         ids=["half", "floats", "strings", "short", "nested",
+                              "none"])
+def test_encrypt_reads_the_message_through_the_gate(message):
+    # a float or string entry is never truncated into a bit
+    with pytest.raises(ValueError, match="message must be 4 bits"):
+        encrypt(message, PARAMS, stream("enc6"))
 
 
 def test_non_runnable_params_rejected():

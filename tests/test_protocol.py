@@ -827,6 +827,54 @@ def test_malformed_messages_lose_every_trial():
         assert res.e_rate == res.f_rate == 0.0
 
 
+class _MisshapenHooks:
+    """A key-leak prover whose hooks return the wrong shape in the first
+    block: an answer block one answer short or long, None, a bare int or a
+    generator (of the right length, so well formed), or a commit that
+    returns the pair (w, ells) at trial 3."""
+
+    def __init__(self, params, shape):
+        self.leak, self.shape = TrapdoorLeakProver(params), shape
+        self.commits = self.blocks = 0
+
+    def commit(self, a, v, streams, trapdoor):
+        message = self.leak.commit(a, v, streams, trapdoor)
+        self.commits += 1
+        return message[:2] if self.shape == "pair" and self.commits == 4 else message
+
+    def answer(self, ys, mems, preimages, a, streams, sequential):
+        self.blocks += 1
+        b = [np.zeros(len(y), dtype=np.int64) if mem is None
+             else self.leak.second_response(y, mem) for y, mem in zip(ys, mems)]
+        if self.blocks > 1:
+            return b
+        return {"short": b[:-1], "long": b + b[:1], "none": None, "scalar": 1,
+                "generator": (row for row in b), "pair": b}[self.shape]
+
+
+@pytest.mark.parametrize("shape, lost", [
+    ("short", range(8)), ("long", range(8)), ("none", range(8)),
+    ("scalar", range(8)), ("generator", []), ("pair", [3]),
+], ids=["short", "long", "none", "scalar", "generator", "pair"])
+def test_misshapen_hook_returns_lose_their_trials(shape, lost):
+    # ten trials are two blocks; an answer block that is not one answer per
+    # trial loses its whole block, and every other trial plays as the
+    # well-behaved prover's does
+    assert protocol._BLOCK == 8
+    res = run_game_r(_MisshapenHooks(PARAMS, shape), PARAMS, 10, Rng(29),
+                     keep_transcripts=True)
+    plain = run_game_r(TrapdoorLeakProver(PARAMS), PARAMS, 10, Rng(29),
+                       keep_transcripts=True)
+    for t, (got, want) in enumerate(zip(res.transcripts, plain.transcripts)):
+        if t in lost:
+            assert got.score == -1 and not got.e_flag and not got.f_flag
+            assert got.rescore() == -1
+        else:
+            assert got.to_line() == want.to_line()
+        assert Transcript.from_line(got.to_line()).to_line() == got.to_line()
+    assert res.stats.mean == np.mean([t.score for t in res.transcripts])
+
+
 def test_sequential_matches_one_shot_for_time_ordered_provers():
     # built-in provers derive full answers from per-bit answers, so both modes
     # produce identical transcripts under the same seed
