@@ -119,7 +119,7 @@ def rewind(prover: ClassicalProver, mem: Any, d: int,
     indices is None.  Each distinct question prefix is asked once
     (provers.answer_table); repeated indices keep their rows.  At most
     2^REWIND_LIMIT questions."""
-    count = 1 << d if indices is None else len(indices)
+    count = 1 << d if indices is None else np.size(indices)
     if count > 1 << REWIND_LIMIT:
         raise ValueError(f"rewinding runs {count} second responses; "
                          f"the limit is 2^{REWIND_LIMIT}")

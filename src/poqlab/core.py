@@ -198,6 +198,16 @@ def integer_array(x, shape: tuple[int, ...]) -> np.ndarray | None:
     return arr
 
 
+def _integer_indices(x, what: str) -> np.ndarray:
+    """x as an int64 array; a non-empty x whose dtype is not integer (bools
+    count, as in integer_array) raises ValueError naming what, where int64
+    would truncate 1.5 to 1."""
+    arr = np.asarray(x)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # parameters
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _scan_blocks
+from .core import _integer_indices, _scan_blocks
 
 SUPPORT_EPS = 1e-9
 BOUND_TOL = 1e-9
@@ -85,10 +85,10 @@ class Group:
         return self.m ** self.n
 
     def encode(self, element):
-        """Flat index of an element, its coordinates taken mod m.  The last
-        axis of an array holds the n coordinates and leading axes broadcast
-        to an array of indices; one element gives an int."""
-        x = np.asarray(element, dtype=np.int64)
+        """Flat index of an element, its integer coordinates taken mod m.  The
+        last axis of an array holds the n coordinates and leading axes
+        broadcast to an array of indices; one element gives an int."""
+        x = _integer_indices(element, "coordinates")
         if x.ndim == 0 or x.shape[-1] != self.n:
             raise ValueError(f"an element of Z_{self.m}^{self.n} has "
                              f"{self.n} coordinates, got shape {x.shape}")
@@ -98,7 +98,7 @@ class Group:
     def decode(self, idx):
         """Inverse of encode: one index gives a tuple, an array of indices an
         array with the n coordinates on a new last axis."""
-        i = np.asarray(idx, dtype=np.int64)
+        i = _integer_indices(idx, "indices")
         outside = i[(i < 0) | (i >= self.size)]
         if outside.size:
             raise ValueError(f"index {outside.flat[0]} of Z_{self.m}^{self.n} "
@@ -240,13 +240,14 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # uniformity and linearity coefficients
 
-def _distribution(f: GroupFunction, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The moduli w = |f| and the distribution p = w / ||w||_1; a function
-    with no entry above SUPPORT_EPS raises ZeroFunction."""
+def _support(f: GroupFunction, what: str) -> tuple[np.ndarray, int]:
+    """The zero-function gate: the moduli w = |f| and |Supp f|, counted once
+    for the gate and its callers; a function with no entry above
+    SUPPORT_EPS raises ZeroFunction."""
     w = np.abs(f.values)
-    if not _count(w):
+    if not (count := _count(w)):
         raise ZeroFunction(f"{what} of the zero function")
-    return w, w / w.sum()
+    return w, count
 
 
 def _count(w: np.ndarray) -> int:
@@ -279,8 +280,9 @@ def uniformity_nu(f: GroupFunction) -> float:
     the support, and can lift nu above 1 by up to about twice their share
     of ||f||_1.
     """
-    w, p = _distribution(f, "uniformity coefficient")
-    return 1.0 / (_count(w) * float(p @ p))
+    w, count = _support(f, "uniformity coefficient")
+    p = w / w.sum()
+    return 1.0 / (count * float(p @ p))
 
 
 def linearity_eta(f: GroupFunction) -> float:
@@ -289,7 +291,8 @@ def linearity_eta(f: GroupFunction) -> float:
     The numerator is sum_s P[x+y=s]^2, which by Parseval equals
     |G| sum |p_hat|^4 for the unitary transform p_hat.
     """
-    _, p = _distribution(f, "linearity coefficient")
+    w, _ = _support(f, "linearity coefficient")
+    p = w / w.sum()
     return _eta(np.abs(_transform(p, f.group, 1)), float(p @ p), f.group.size)
 
 
@@ -333,16 +336,17 @@ def uncertainty_product(h: GroupFunction) -> float:
     """|Supp h| |Supp h_hat| nu(h) eta(h) / |G|, at least 1 for nonzero h.
     Supp h and nu cancel: the product is |Supp h_hat| C(p) for
     p = |h| / ||h||_1 and C(p) = sum |p_hat|^4 / (sum p^2)^2."""
-    _, p = _distribution(h, "uncertainty product")
+    w, _ = _support(h, "uncertainty product")
+    p = w / w.sum()
     hh_abs, p_hat_abs = np.abs(_transform(np.array([h.values, p]), h.group, 1))
     return _count(hh_abs) * _concentration(p, p_hat_abs)
 
 
 def donoho_stark_check(h: GroupFunction) -> bool:
     """|Supp h| * |Supp h_hat| >= |G| under the support cutoff."""
-    w, _ = _distribution(h, "support product")
+    _, count = _support(h, "support product")
     hh = _transform(h.values, h.group, 1)
-    return _count(w) * _count(np.abs(hh)) >= h.group.size
+    return count * _count(np.abs(hh)) >= h.group.size
 
 
 def uncertainty_bound_check(f: GroupFunction,

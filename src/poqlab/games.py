@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _PRODUCT_WORK, _scan_blocks, require_count
+from .core import _PRODUCT_WORK, _integer_indices, _scan_blocks, require_count
 from .fourier import Group, GroupFunction, SubsetOfGroup, dft, eta_set
 
 SEARCH_CEILING = 1 << 32
@@ -60,10 +60,14 @@ def _question_rows(bits) -> np.ndarray:
 
 def _questions(d: int, indices=None) -> np.ndarray:
     """_question_rows of the little-endian bits of indices[i] (of i when
-    indices is None).  An index outside [0, 2^d) raises ValueError naming
-    the first one, where its low d bits would ask another index's question."""
+    indices is None).  Indices must be integers (int64 would read 1.5 as 1)
+    in one dimension, and one outside [0, 2^d) raises ValueError naming the
+    first, where its low d bits would ask another index's question."""
     if indices is not None:
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _integer_indices(indices, "question indices")
+        if indices.ndim != 1:
+            raise ValueError(f"question indices must be one-dimensional, "
+                             f"got shape {indices.shape}")
         outside = indices[(indices < 0) | (indices >= 1 << d)]
         if outside.size:
             raise ValueError(f"question index {outside[0]} is outside [0, 2^{d})")
@@ -317,25 +321,36 @@ def _upper_products(left: np.ndarray, right: np.ndarray):
         start = stop
 
 
-def _distinct_pair_convolutions(vecs: np.ndarray, circulants: np.ndarray) -> np.ndarray:
+def _distinct_pair_convolutions(vecs: np.ndarray, d: int) -> np.ndarray:
     """The distinct vectors v_i * v_j over all pairs i <= j (convolution
-    commutes), as int64 rows; circulants[h, j * size + g] = v_j(g - h).
+    commutes) of the counting vectors vecs on Z_4^d, as int64 rows.
 
-    (v_i * v_j)(g) counts the pairs of S_i x S_j summing to g, at most |S_i|,
-    so the entries are the digits of one key in base max |S_i| + 1, and each
-    distinct key is read back into its row.
+    (v_i * v_j)(g) counts the pairs of S_i x S_j summing to g, at most
+    |S_i|, so the entries are the w-bit digits of one key, w the bit length
+    of max |S_i|: key = sum_g (v_i * v_j)(g) 2^(w g) = v_i M v_j for the
+    table M[h, u] = 2^(w idx(g_h + g_u)).  The keys are the upper triangle
+    of vecs M vecs^T, read back into rows by shift and mask.  Every partial
+    sum is an integer below 2^(w 4^d), so the float64 products are exact
+    while w 4^d < 53, checked before any product.
     """
-    n, size = vecs.shape
-    base = int(vecs.sum(axis=1).max()) + 1
-    powers = base ** np.arange(size)
-    # weights[h, j] = sum_g v_j(g - h) base^g, so keys[i, j] keys v_i * v_j
-    weights = circulants.reshape(size, n, size) @ powers.astype(np.float64)
-    blocks = _upper_products(vecs.astype(np.float64), weights.T)
-    keys = np.concatenate([b[np.triu_indices(len(b), 0, b.shape[1])] for b in blocks])
+    size = vecs.shape[1]
+    w = int(vecs.sum(axis=1).max()).bit_length()
+    if w * size >= 53:
+        raise ValueError(f"pair keys not exact in float64: {w} bits x "
+                         f"{size} entries = {w * size} >= 53")
+    sub = _differences(d)
+    # idx(g_h + g_u) = sub[h, idx(-g_u)], and row 0 of sub negates
+    table = 2.0 ** (w * sub[:, sub[0]])
+    weighted = vecs.astype(np.float64)
+    blocks = _upper_products(weighted, weighted @ table)
+    # a block's row r starts at the diagonal's column r; a boolean mask
+    # reads its upper triangle in half the time of np.triu_indices
+    keys = np.concatenate([b[np.arange(b.shape[1]) >= np.arange(len(b))[:, None]]
+                           for b in blocks]).astype(np.int64)
     # sorted, then neighbours compared: faster here than np.unique's hashing
-    keys = np.sort(keys).astype(np.int64)
+    keys.sort()
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    return keys[:, None] // powers % base
+    return (keys[:, None] >> (w * np.arange(size))) & ((1 << w) - 1)
 
 
 def _zero_sum_operands(pairs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,9 +381,11 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     product, formed in row blocks of at most _PRODUCT_WORK multiply-adds so
     that BLAS runs each on one thread.
 
-    Exactness: a pair entry is at most 2^d, so a key in base 2^d + 1 is below
-    5^16 < 2^53 at d = 2, exact in float64 and int64.  A pair-against-pair
-    entry counts zero-sum 4-tuples, at most 2^(3d) <= 64: exact in float32.
+    Exactness: a pair entry is at most |S_i| = 2^d, so it fits in
+    w = d + 1 bits and a key in w 4^d bits, 48 at d = 2: below 2^53, exact
+    in float64 and int64 (_distinct_pair_convolutions checks w 4^d < 53,
+    which fails from d = 3 on).  A pair-against-pair entry counts zero-sum
+    4-tuples, at most 2^(3d) <= 64: exact in float32.
     """
     if k < 3:
         raise ValueError(f"need k >= 3 players, got {k}")
@@ -398,10 +415,7 @@ def ghz_value_bruteforce(k: int, mode: str = "single", d: int | None = None) -> 
     if k > 4:
         raise SearchSpaceTooLarge(f"repeated modes support k in (3, 4), got {k}")
     vecs = _counting_vectors(_parity_sets(_tables(d, d, mode == "sequential")))
-    n, size = vecs.shape
-    # column block j is the circulant of strategy j
-    circulants = vecs[:, _differences(d)].transpose(2, 0, 1).reshape(size, n * size)
-    pairs = _distinct_pair_convolutions(vecs, circulants)
+    pairs = _distinct_pair_convolutions(vecs, d)
     if k == 3:
         respond = (_best_response_sequential if mode == "sequential"
                    else _best_response_parallel)
@@ -457,7 +471,10 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     Only the second player's tables are enumerated.  Against a fixed one,
     the first player answers each question x on its own, so the best reply
     takes, per x, the answer a with the largest (for the most negative
-    bias, the smallest) score summed over the questions y.
+    bias, the smallest) score summed over the questions y.  The score
+    tensor is answer-first, score[a, x, y, b]: the sum over y is one gather
+    per y along b, and the best reply reduces over the leading axis, with
+    no (tables, questions, questions, answers) copy and no short last axis.
     """
     require_count("d", d)
     if d > 2:
@@ -465,15 +482,17 @@ def j_bias_bruteforce(d: int, sequential: bool = False) -> Fraction:
     nq = 1 << d
     xs = _questions(d)
     outs = _input_bits(d + 1)
-    # score[y, b, x, a] over every question and answer index
-    score = j_score(xs[None, None, :, None], xs[:, None, None, None],
-                    outs[None, None, None, :], outs[None, :, None, None])
+    # score[a, x, y, b] over every answer and question index; int8 holds a
+    # sum over y (at most 2^d = 4 in modulus) and keeps the gathers small
+    score = j_score(xs[None, :, None, None], xs[None, None, :, None],
+                    outs[:, None, None, None],
+                    outs[None, None, None, :]).astype(np.int8)
     # the second player's tables, each row its answer indices per question
     tables = _tables(d, d + 1, sequential).astype(np.int64) @ (1 << np.arange(d + 1))
-    # per[t, x, a]: answer a to x summed over y against table t
-    per = score[np.arange(nq), tables].sum(axis=1)
-    best = max(per.max(axis=-1).sum(axis=-1).max(),
-               -per.min(axis=-1).sum(axis=-1).min())
+    # per[a, x, t]: answer a to x summed over y against table t
+    per = sum(np.take(score[:, :, y], tables[:, y], axis=-1) for y in range(nq))
+    best = max(per.max(axis=0).sum(axis=0).max(),
+               -per.min(axis=0).sum(axis=0).min())
     return Fraction(int(best), nq * nq)
 
 

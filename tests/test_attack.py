@@ -379,6 +379,24 @@ def test_rewind_rejects_question_indices_out_of_range(indices, bad):
         rewind(BlindProver(desk_params(d=2)), None, 2, indices)
 
 
+def test_rewind_rejects_question_indices_that_are_not_integers():
+    # np.int64 would truncate them and ask the questions of indices 1 and 2
+    prover = BlindProver(desk_params(d=2))
+    with pytest.raises(ValueError, match=r"^question indices must be integers, "
+                                         r"got dtype float64$"):
+        rewind(prover, None, 2, [1.5, 2.9])
+    ys, _ = rewind(prover, None, 2, np.array([True, False]))
+    np.testing.assert_array_equal(ys, [[1, 0, 1], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("indices, shape", [([[0, 1], [2, 3]], r"\(2, 2\)"),
+                                            (3, r"\(\)")])
+def test_rewind_names_the_shape_of_an_index_array_that_is_not_flat(indices, shape):
+    with pytest.raises(ValueError, match=r"^question indices must be one-dimensional, "
+                                         rf"got shape {shape}$"):
+        rewind(BlindProver(desk_params(d=2)), None, 2, indices)
+
+
 # --- distinguishing experiments -------------------------------------------------
 
 PARAMS6 = desk_params(d=6)

@@ -79,6 +79,17 @@ def test_decode_rejects_an_index_outside_the_group():
         Group(4, 2).decode(np.array([3, -1]))
 
 
+def test_encode_and_decode_reject_values_that_are_not_integers():
+    # converted to int64 they would truncate: 9 for (1.5, 2.7), (1, 1) for 5.9
+    with pytest.raises(ValueError, match="^coordinates must be integers, got dtype float64$"):
+        Group(4, 2).encode([1.5, 2.7])
+    with pytest.raises(ValueError, match="^indices must be integers, got dtype float64$"):
+        Group(4, 2).decode(5.9)
+    # bools are integers, and an empty array has no entry to truncate
+    assert Group(4, 2).encode([True, False]) == 1
+    assert Group(4, 2).decode(np.zeros(0)).shape == (0, 2)
+
+
 def test_from_dict_rejects_a_short_element():
     with pytest.raises(ValueError, match="has 3 coordinates"):
         GroupFunction.from_dict(Group(4, 3), {(1, 2): 1})

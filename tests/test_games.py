@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -194,9 +195,7 @@ def test_repeated_value_matches_all_pairs_reference(k, mode, d):
 ])
 def test_distinct_pair_convolutions_cover_every_ordered_pair(mode, d, distinct):
     vecs, conv_all = _search_inputs(mode, d)
-    n, size = vecs.shape
-    circulants = conv_all.transpose(2, 0, 1).reshape(size, n * size)
-    rows = _distinct_pair_convolutions(vecs, circulants.astype(np.float32))
+    rows = _distinct_pair_convolutions(vecs, d)
     got = {tuple(r) for r in rows.tolist()}
     assert len(got) == len(rows)
     assert got == {tuple(r) for r in _all_ordered_pairs(vecs, conv_all).tolist()}
@@ -273,10 +272,25 @@ def test_search_values_hold_at_every_product_bound(monkeypatch, work):
     for (k, mode, d), value in SEARCH_VALUES.items():
         assert ghz_value_bruteforce(k, mode, d) == value
     for mode, distinct in (("parallel", 1864), ("sequential", 160)):
-        vecs, conv_all = _search_inputs(mode, 2)
-        n, size = vecs.shape
-        circulants = conv_all.transpose(2, 0, 1).reshape(size, n * size)
-        assert len(_distinct_pair_convolutions(vecs, circulants)) == distinct
+        vecs, _ = _search_inputs(mode, 2)
+        assert len(_distinct_pair_convolutions(vecs, 2)) == distinct
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_pair_keys_fit_in_float64_at_d2(mode):
+    # |S_i| = 4 needs w = 3 bits a digit, and 3 x 16 = 48 bits < 53
+    vecs, _ = _search_inputs(mode, 2)
+    assert int(vecs.sum(axis=1).max()).bit_length() * vecs.shape[1] == 48
+    assert len(_distinct_pair_convolutions(vecs, 2)) > 0
+
+
+@pytest.mark.parametrize("d, entries, bits", [(3, 8, 4 * 64), (2, 16, 5 * 16)])
+def test_pair_keys_refuse_shapes_that_float64_cannot_hold(d, entries, bits):
+    # one parity-balanced set at d = 3, or one full set at d = 2
+    vecs = np.zeros((2, 4 ** d), dtype=np.int64)
+    vecs[:, :entries] = 1
+    with pytest.raises(ValueError, match=f"= {bits} >= 53"):
+        _distinct_pair_convolutions(vecs, d)
 
 
 def test_repeated_value_matches_strategy_scores_d1():
@@ -610,6 +624,20 @@ def test_j_bias_best_response_matches_one_hot_reference(d, sequential):
 def test_j_bias_values():
     assert j_bias_bruteforce(1) == j_bias_bruteforce(1, True) == 1
     assert j_bias_bruteforce(2) == j_bias_bruteforce(2, True) == Fraction(7, 8)
+
+
+def test_j_bias_search_peak_memory_at_d2():
+    # the answer-first sums hold (answers, questions, tables) int8 arrays;
+    # gathering every (table, question) slice of a (questions, answers,
+    # questions, answers) int64 tensor peaked above 5 MiB
+    j_bias_bruteforce(2)
+    tracemalloc.start()
+    try:
+        j_bias_bruteforce(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_j_bias_sequential_bounds():
