@@ -64,4 +64,5 @@ print(f"recomputed threshold {plan.threshold:.4f}; published figure "
       f"{plan.published['threshold']} (addition slip in the published example)")
 print(f"question weight cap {plan.weight_cap} "
       f"(tail probability {plan.weight_tail:.5f})")
-print(f"decode work estimate: 2^{plan.decode_work_log2:.1f} bit operations")
+print(f"decode work estimate (brute force): 2^{plan.decode_work_log2:.1f} "
+      "bit operations")

@@ -10,7 +10,9 @@ rewind(), which walks the d + 1 question levels once and asks the prover's
 respond_bit each distinct question prefix once (provers.answer_table).  The
 prover is deterministic and sees only the prefix, so this is the table of
 its second responses exactly.  best_score judges the rewound answers by the
-referee's rules (its answer check protocol.check_bits and games.j_score).
+referee's rules (its answer check protocol.check_bits and games.j_score),
+and decode_error finds the best answer string with one Walsh-Hadamard
+transform, so no step of a rewind loops over single questions.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from typing import Any
 
 import numpy as np
 
-from .core import Params, Rng, _scan_blocks, require_count
-from .games import _input_bits, _questions, j_sample_inputs, j_score
+from .core import _PRODUCT_WORK, Params, Rng, require_count
+from .games import (SearchSpaceTooLarge, _input_bits, _questions,
+                    j_sample_inputs, j_score)
 from .protocol import check_bits, play_round
 from .provers import ClassicalProver, answer_table
 
 REWIND_LIMIT = 14
+DECODE_LIMIT = 22
 
 
 def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
@@ -34,12 +38,15 @@ def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
     z that reaches it, as (errors, z).
 
     Zero columns of B cannot affect the product, so the search runs over
-    the nonzero columns only (their count k is at most the weight of the
-    question string that built B).  The 2^k patterns are scored in index
-    order, in blocks of at most core._SCAN_ENTRIES product entries (the
-    budget every exact search's scan shares; at d = 8 a full enumeration is
-    one block), and the argmin is the first pattern that reaches the
-    minimum.
+    the k nonzero columns only (k is at most the weight of the question
+    string that built B).  Row i of B, read little-endian over those
+    columns, is a pattern p_i; the +-1 histogram h(p) = sum over the rows
+    with p_i = p of (-1)^{w_i} has Walsh-Hadamard transform
+    H(z) = sum_i (-1)^{w_i + <p_i, z>} = c - 2 errors(z), so one transform
+    scores all 2^k answer patterns at once in O(c + k 2^k), and the argmin
+    is the first pattern that reaches the minimum.  The transform holds
+    two float64 arrays of 2^k entries, so past k = DECODE_LIMIT (64 MiB at
+    the limit) it raises SearchSpaceTooLarge naming k.
     """
     b_matrix = np.asarray(b_matrix, dtype=np.uint8) % 2
     w = np.asarray(w, dtype=np.uint8) % 2
@@ -47,23 +54,64 @@ def decode_error(b_matrix, w) -> tuple[int, np.ndarray]:
     if c < 1 or w.shape != (c,):
         raise ValueError("need a c x (d+1) matrix and a length-c vector")
     nonzero = np.flatnonzero(b_matrix.any(axis=0))
-    best = int(w.sum())
-    best_z = np.zeros(width, dtype=np.uint8)
     k = len(nonzero)
-    bn_t = b_matrix[:, nonzero].T
-    for block in _scan_blocks(1 << k, c):
-        patterns = _input_bits(k, np.arange(block.start, block.stop)).astype(np.uint8)
-        # uint8 sums may wrap past 255, which keeps their parity
-        flips = patterns @ bn_t
-        flips &= 1
-        flips ^= w
-        errs = flips.sum(axis=1)
-        idx = int(errs.argmin())
-        if int(errs[idx]) < best:
-            best = int(errs[idx])
-            best_z = np.zeros(width, dtype=np.uint8)
-            best_z[nonzero] = patterns[idx]
-    return best, best_z
+    if k > DECODE_LIMIT:
+        raise SearchSpaceTooLarge(f"decoding over k = {k} nonzero columns "
+                                  f"scores 2^{k} patterns; the limit is "
+                                  f"2^{DECODE_LIMIT}")
+    patterns = b_matrix[:, nonzero] @ (1 << np.arange(k))
+    # float64 sums of +-1 are exact far past any c a rewind reaches
+    scores = np.bincount(patterns, weights=1.0 - 2.0 * w, minlength=1 << k)
+    _walsh_hadamard(scores)
+    best = int(scores.argmax())
+    z = np.zeros(width, dtype=np.uint8)
+    z[nonzero] = _input_bits(k, [best])[0]
+    return (c - int(scores[best])) // 2, z
+
+
+def _sylvester_hadamard(bits: int) -> np.ndarray:
+    """The Hadamard matrix of order 2^bits by Sylvester's doubling
+    H_2s = [[H_s, H_s], [H_s, -H_s]]: entry (i, j) is (-1)^<i, j>, so its
+    leading 2^r x 2^r block is the one of order 2^r."""
+    h = np.ones((1 << bits, 1 << bits))
+    size = 1
+    while size < len(h):
+        block = h[:size, :size]
+        h[size:2 * size, :size] = h[:size, size:2 * size] = block
+        h[size:2 * size, size:2 * size] = -block
+        size *= 2
+    return h
+
+
+# Index bits per chunk of the transform: a chunk costs 2^6 multiply-adds an
+# entry in BLAS products, where one butterfly pass per bit would cost six
+# numpy passes
+_CHUNK_BITS = 6
+_HADAMARD = _sylvester_hadamard(_CHUNK_BITS)
+
+
+def _walsh_hadamard(h: np.ndarray) -> None:
+    """The unnormalized Walsh-Hadamard transform of h (length 2^k), in
+    place: H(z) = sum_p h(p) (-1)^{<p, z>}.
+
+    The transform is one factor per index bit, so it runs in chunks of at
+    most _CHUNK_BITS bits: a product with the chunk's Hadamard matrix over
+    the low index bits, in row blocks of at most core._PRODUCT_WORK
+    multiply-adds (so each stays on the calling thread), then a transposed
+    copy that rotates the index bits so the next chunk comes low.  The
+    chunks add up to k bits, so the last rotation restores the order.
+    """
+    bits = len(h).bit_length() - 1
+    product = np.empty_like(h)
+    while bits > 0:
+        size = 1 << min(bits, _CHUNK_BITS)
+        rows, out = h.reshape(-1, size), product.reshape(-1, size)
+        step = _PRODUCT_WORK // (size * size)
+        for start in range(0, len(rows), step):
+            np.matmul(rows[start:start + step], _HADAMARD[:size, :size],
+                      out=out[start:start + step])
+        h.reshape(size, -1)[...] = out.T
+        bits -= _CHUNK_BITS
 
 
 def best_score(x, ys, bs) -> tuple[float, np.ndarray]:
@@ -142,7 +190,9 @@ def experiment_e(prover: ClassicalProver, params: Params, rng: Rng,
     drawn with mean rho (the minimum-variance choice: P(+1) = (1+rho)/2).
 
     alpha = None enumerates every second-round question; a positive alpha
-    samples min(alpha, 2^d) distinct ones.
+    samples min(alpha, 2^d) distinct ones.  The decode runs over at most
+    weight(x) columns, so from d = 22 on an x of weight above DECODE_LIMIT
+    raises SearchSpaceTooLarge.
     """
     if alpha is not None:
         require_count("alpha", alpha)
@@ -243,7 +293,9 @@ def attack_plan(d: int, epsilon: float, alpha: int) -> AttackPlan:
     and a decode work estimate that ignores the all-zero columns: with
     probability 1 - weight_tail the question weight stays at or below
     weight_cap, leaving 2^{weight_cap} decode candidates of cost
-    2 * alpha * weight_cap bit operations each.
+    2 * alpha * weight_cap bit operations each.  That is the worked
+    example's brute-force model; decode_error's transform does
+    O(alpha + weight_cap 2^{weight_cap}) operations.
     """
     require_count("alpha", alpha)
     require_count("d", d)

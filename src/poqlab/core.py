@@ -151,7 +151,7 @@ def binary_repr(x, width: int) -> np.ndarray:
 _PRODUCT_WORK = (1 << 19) - 1
 
 # Most entries one block of an exact search's scan holds (8 MiB of int64),
-# in the one-round parity-game search, attack.decode_error and eta_set
+# in the one-round parity-game search and eta_set
 _SCAN_ENTRIES = 1 << 20
 
 
@@ -201,10 +201,20 @@ def integer_array(x, shape: tuple[int, ...]) -> np.ndarray | None:
 def _integer_indices(x, what: str) -> np.ndarray:
     """x as an int64 array; a non-empty x whose dtype is not integer (bools
     count, as in integer_array) raises ValueError naming what, where int64
-    would truncate 1.5 to 1."""
+    would truncate 1.5 to 1, and so does an integer entry outside int64
+    (a uint64 past 2^63 - 1, a larger Python int), naming the entry, where
+    int64 would wrap 2^64 - 1 to -1."""
     arr = np.asarray(x)
-    if arr.size and arr.dtype.kind not in "biu":
+    kind = arr.dtype.kind
+    # numpy holds Python ints past uint64 as objects
+    ints = kind == "O" and all(isinstance(v, (int, np.integer))
+                               for v in arr.flat)
+    if arr.size and not ints and kind not in "biu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if ints or (kind == "u" and arr.dtype.itemsize == 8):
+        wide = arr[(arr < -1 << 63) | (arr >= 1 << 63)]
+        if wide.size:
+            raise ValueError(f"{what} must fit in int64, got {wide.flat[0]}")
     return arr.astype(np.int64, copy=False)
 
 

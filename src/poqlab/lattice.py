@@ -282,10 +282,12 @@ def gadget_decode(y: np.ndarray, params: Params) -> np.ndarray:
 def _residual_norms(a: np.ndarray, targets: np.ndarray, z: np.ndarray,
                     q: int) -> np.ndarray:
     """||t - A z||_inf on balanced residues for each row t of targets and z
-    of z: a (..., m, n), targets (..., k, m), z (..., k, n)."""
+    of z: a (..., m, n), targets (..., k, m), z (..., k, n).  The targets
+    are canonical and A z is reduced into [0, q), so r = t - A z lies in
+    (-q, q) and its balanced modulus is min(|r|, q - |r|), no second % q."""
     residual = matmul_mod(z, np.swapaxes(a, -1, -2), q)
     np.subtract(targets, residual, out=residual)
-    residual %= q
+    np.abs(residual, out=residual)
     return np.minimum(residual, q - residual).max(axis=-1)
 
 

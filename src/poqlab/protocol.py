@@ -11,7 +11,9 @@ of a trial, given its TrapdoorKey (None on uniform advice), and returns
 (w, ells, mem); answer(ys, mems, preimages, a, streams, sequential) is round
 two over a block, given the referee's Preimages of the accepted commitments
 and answer strings a, and returns one answer per row of ys.  streams(name)
-derives the trial's stream label/name, or one per trial of the block.
+derives the trial's stream label/name, or one per trial of the block; it
+refuses the names the referee draws from (REFEREE_STREAMS), so no prover
+reads x, y, the encryption's draws or experiment E's arm.
 
 The engine's per-trial step is play_round: it draws a trial's advice from
 the trial's own streams and asks the prover to commit; while the trial's
@@ -62,6 +64,20 @@ from .quantum import (HonestProver, round_one_answer, round_one_positions,
 # trials share the per-block numpy calls; 16 ran no faster at desk and kept
 # about 1 MB more resident.
 _BLOCK = 8
+
+# The stream names the referee draws from, under the game's or experiment E's
+# label; the streams(name) a prover's hooks are handed refuses each of them.
+REFEREE_STREAMS = frozenset(
+    {"inputs", "encrypt", "uniform", "referee", "arm", "questions", "signal"})
+
+
+def _prover_stream(name) -> str:
+    """name, when a prover may derive it: a str that is not one of
+    REFEREE_STREAMS; otherwise ValueError."""
+    if type(name) is not str or name in REFEREE_STREAMS:
+        raise ValueError(f"a prover's stream name must be a str other than "
+                         f"the referee's {sorted(REFEREE_STREAMS)}, got {name!r}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,8 @@ def play_round(prover, params: Params, x: np.ndarray, rng: Rng, label: str,
         a_mat = ZqArray(q, gen.integers(0, q, size=(m, n), dtype=np.int64))
         v_vec = ZqArray(q, gen.integers(0, q, size=m, dtype=np.int64))
     message = prover.commit(
-        a_mat, v_vec, lambda name: rng.stream(f"{label}/{name}", index),
+        a_mat, v_vec,
+        lambda name: rng.stream(f"{label}/{_prover_stream(name)}", index),
         None if record is None else record.trapdoor)
     w, ells, mem = (message if isinstance(message, tuple) and len(message) == 3
                     else (None, None, None))
@@ -336,7 +353,8 @@ def _game_r_block(prover, params: Params, ts: range, rng: Rng,
         firsts, params, lambda i: rng.stream("gameR/referee", ts[i]))
     answers = prover.answer(
         ys, [first.mem for first in firsts], preimages, a,
-        lambda name: [rng.stream(f"gameR/{name}", t) for t in ts], sequential)
+        lambda name: [rng.stream(f"gameR/{_prover_stream(name)}", t)
+                      for t in ts], sequential)
     # each answer is checked alone, so a malformed one loses only its trial;
     # a block that is not one answer per trial pairs none with its trial
     answers = list(answers) if np.iterable(answers) else []

@@ -5,12 +5,14 @@ Round two has one hook, respond_bit(j, prefixes, mem): bit j of the answer to
 each row of prefixes, a (k, j + 1) array of question prefixes, as k integers.
 A prover never sees a question bit past the one it answers, and being
 deterministic it answers a prefix the same way each time it is asked.
-answer_table asks the hook level by level, each distinct prefix once;
-second_response, the sequential game and rewinding (attack.rewind) all go
-through it, so sequential, one-shot and rewound runs of the same prover agree
-by construction.  Answers are kept as given, so the referee rejects any that
-is not a bit; an answer column that is not k integers answers -1 (not a bit)
-for every question it was asked for.
+answer_table asks the hook level by level, each distinct prefix once (ranked
+by a counting pass, not a sort); second_response, the sequential game and
+rewinding (attack.rewind) all go through it, so sequential, one-shot and
+rewound runs of the same prover agree by construction.  Answers are kept as
+given, so the referee rejects any that is not a bit; an answer column that
+is not k integers answers -1 (not a bit) for every question it was asked
+for.  Coin-derived answers (_coin_bits) cost one SHA-256 a level and a few
+uint64 array passes.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def answer_table(prover: ClassicalProver, questions: np.ndarray,
     array, as a (k, d + 1) int64 table.
 
     Level j calls respond_bit once, with each distinct (j + 1)-bit prefix
-    once; repeated questions keep their rows.  A column that is not one
-    integer per prefix answers -1 for all its rows.
+    once, in lexicographic order; repeated questions keep their rows.  A
+    prefix's rank is 2 * (its j-bit prefix's rank) + bit j, a key below
+    twice the previous level's count, so a counting pass over the keys
+    ranks the level without a sort.  A column that is not one integer per
+    prefix answers -1 for all its rows.
     """
     k, width = questions.shape
     table = np.empty((k, width), dtype=np.int64)
@@ -70,34 +75,54 @@ def answer_table(prover: ClassicalProver, questions: np.ndarray,
     for j in range(width):
         # once every row has its own prefix, longer prefixes stay distinct
         if len(first) < k:
-            _, first, group = np.unique(2 * group + questions[:, j],
-                                        return_index=True, return_inverse=True)
+            key = 2 * group + questions[:, j]
+            rank = np.zeros(2 * len(first), dtype=np.int64)
+            rank[key] = 1
+            np.cumsum(rank, out=rank)
+            group = rank[key] - 1
+            first = np.empty(int(rank[-1]), dtype=np.int64)
+            # rows sharing a key share a prefix, so any one may stand for it
+            first[group] = np.arange(k)
         column = integer_array(
             prover.respond_bit(j, questions[first, :j + 1], mem), first.shape)
         table[:, j] = -1 if column is None else column[group]
     return table
 
 
-def _coin_bits(coins: np.ndarray, j: int, prefixes: np.ndarray) -> np.ndarray:
-    """One deterministic pseudorandom bit per row of the (k, width) prefix
-    bits from the coin register: the low bit of SHA-256(coins "/" j "," the
-    prefix bits as ASCII digits joined by ",").
+_FMIX_MULTIPLIERS = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+_FMIX_SHIFT = np.uint64(33)
 
-    The level's payloads are one (k, 2 width - 1) byte array, digits in the
-    even columns and commas between them, and each row is hashed from a
-    copy of one SHA-256 object already fed the shared head, so a row costs
-    one copy, one update and one digest.
+
+def _fmix64(h: np.ndarray) -> None:
+    """MurmurHash3's 64-bit finalizer, in place on a uint64 array."""
+    for multiplier in _FMIX_MULTIPLIERS:
+        h ^= h >> _FMIX_SHIFT
+        h *= multiplier
+    h ^= h >> _FMIX_SHIFT
+
+
+def _coin_bits(coins: np.ndarray, j: int, prefixes: np.ndarray) -> np.ndarray:
+    """One deterministic pseudorandom bit per row of the (k, j + 1) prefix
+    bits from the coin register.
+
+    The rule: the level key K is the first 8 bytes of SHA-256(coins "/" j),
+    read little-endian.  A row's bits, little-endian (a nonzero entry is a
+    1), fill ceil((j + 1) / 64) 64-bit words w_0, w_1, ...; starting from
+    h = K, each word in turn sets h = fmix64(h xor w_t), and the bit is the
+    top bit of the last h.  So a level costs one hash and a few uint64
+    array passes per word, whatever its row count.
     """
     k, width = prefixes.shape
-    payload = np.full((k, 2 * width - 1), ord(","), dtype=np.uint8)
-    np.add(prefixes, ord("0"), out=payload[:, ::2])
-    head = hashlib.sha256(coins.tobytes() + f"/{j},".encode())
-    first = bytearray(k)
-    for i, row in enumerate(payload):
-        h = head.copy()
-        h.update(row)
-        first[i] = h.digest()[0]
-    return np.frombuffer(first, dtype=np.uint8) & 1
+    digest = hashlib.sha256(coins.tobytes() + f"/{j}".encode()).digest()
+    packed = np.zeros((k, -(-width // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-width // 8)] = np.packbits(prefixes, axis=1,
+                                             bitorder="little")
+    h = np.full(k, int.from_bytes(digest[:8], "little"), dtype=np.uint64)
+    for word in packed.view("<u8").T:
+        h ^= word
+        _fmix64(h)
+    h >>= np.uint64(63)
+    return h.astype(np.uint8)
 
 
 def _zero_commitment(params: Params) -> tuple[ZqArray, np.ndarray]:
@@ -127,7 +152,7 @@ class TrapdoorLeakProver(ClassicalProver):
     all-zero first-round answer: commit to w = A.0 so the referee derives
     a = 0, then steer each u.v into {0, 1} mod 4 with the final answer bit.
     Without the key (uniform ciphertext arm) it falls back to coin-derived
-    answers, one hash of each prefix.
+    answers (_coin_bits).
     """
 
     params: Params

@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from poqlab.attack import best_score, rewind
-from poqlab.core import Params, Rng, matmul_mod, require_count
+from poqlab.core import Params, Rng, _scan_blocks, matmul_mod, require_count
 from poqlab.fourier import (BOUND_TOL, SUPPORT_EPS, Group, GroupFunction,
                             SubsetOfGroup, ZeroFunction)
 from poqlab.games import (_best_response_parallel, _best_response_sequential,
-                          _counting_vectors, _differences, _parity_sets,
-                          _tables, j_sample_inputs, j_score)
+                          _counting_vectors, _differences, _input_bits,
+                          _parity_sets, _tables, j_sample_inputs, j_score)
 from poqlab.lattice import (_TRITS, EncryptionRecord, GaussianSampler,
                             TrapdoorKey, ZqArray, _gadget, _ternary_draw,
                             decode_preimages, encrypt)
@@ -73,13 +73,42 @@ def seedsequence_stream(self: Rng, label: str, index: int = 0
     return np.random.Generator(np.random.Philox(ss))
 
 
-def coin_bits_oracle(coins: np.ndarray, j: int, prefixes) -> np.ndarray:
-    """provers._coin_bits one prefix at a time: the low bit of
-    SHA-256(coins "/" j "," the prefix bits joined by ",") per row."""
+def sha_coin_bits(coins: np.ndarray, j: int, prefixes) -> np.ndarray:
+    """The coin rule before each level was hashed once: the low bit of
+    SHA-256(coins "/" j "," the prefix bits joined by ",") per row, one
+    prefix at a time.  Patched over provers._coin_bits, it replays every
+    rewound table and report of that time."""
     head = coins.tobytes() + f"/{j},".encode()
     return np.array([hashlib.sha256(head + ",".join(map(str, row)).encode())
                      .digest()[0] & 1 for row in np.asarray(prefixes).tolist()],
                     dtype=np.uint8)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _fmix64(h: int) -> int:
+    """MurmurHash3's 64-bit finalizer on a Python int."""
+    for mul in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        h = ((h ^ (h >> 33)) * mul) & _MASK64
+    return h ^ (h >> 33)
+
+
+def coin_bits_oracle(coins: np.ndarray, j: int, prefixes) -> np.ndarray:
+    """provers._coin_bits one prefix at a time in Python ints: the level
+    key is SHA-256(coins "/" j)'s first 8 bytes, little-endian; a prefix,
+    read as one little-endian integer, is split into 64-bit words, each
+    folded in as h = fmix64(h xor word); the bit is the top bit of h."""
+    digest = hashlib.sha256(coins.tobytes() + f"/{j}".encode()).digest()
+    key = int.from_bytes(digest[:8], "little")
+    bits = []
+    for row in np.asarray(prefixes).tolist():
+        value = sum(1 << i for i, bit in enumerate(row) if bit)
+        h = key
+        for word in range(-(-len(row) // 64)):
+            h = _fmix64(h ^ ((value >> 64 * word) & _MASK64))
+        bits.append(h >> 63)
+    return np.array(bits, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +520,33 @@ def run_experiment_s(which: int, prover: ClassicalProver, params: Params,
     b, b_ok = (np.concatenate(col) for col in zip(*checked))
     _, _, scores, _ = referee_score(xs, ys, a, committed, b, b_ok)
     return ScoreStats.from_scores(scores)
+
+
+def decode_error_scan(b_matrix, w) -> tuple[int, np.ndarray]:
+    """attack.decode_error as a blocked scan: the 2^k patterns over the
+    nonzero columns scored against every row in index order, in blocks of at
+    most core._SCAN_ENTRIES product entries, the first minimum kept."""
+    b_matrix = np.asarray(b_matrix, dtype=np.uint8) % 2
+    w = np.asarray(w, dtype=np.uint8) % 2
+    c, width = b_matrix.shape
+    nonzero = np.flatnonzero(b_matrix.any(axis=0))
+    best = int(w.sum())
+    best_z = np.zeros(width, dtype=np.uint8)
+    k = len(nonzero)
+    bn_t = b_matrix[:, nonzero].T
+    for block in _scan_blocks(1 << k, c):
+        patterns = _input_bits(k, np.arange(block.start, block.stop)).astype(np.uint8)
+        # uint8 sums may wrap past 255, which keeps their parity
+        flips = patterns @ bn_t
+        flips &= 1
+        flips ^= w
+        errs = flips.sum(axis=1)
+        idx = int(errs.argmin())
+        if int(errs[idx]) < best:
+            best = int(errs[idx])
+            best_z = np.zeros(width, dtype=np.uint8)
+            best_z[nonzero] = patterns[idx]
+    return best, best_z
 
 
 def best_score_oracle(x, pairs) -> float:

@@ -7,18 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poqlab import attack, core
-from poqlab.attack import (REWIND_LIMIT, attack_plan, best_score,
+from poqlab import attack, core, provers
+from poqlab.attack import (DECODE_LIMIT, REWIND_LIMIT, attack_plan, best_score,
                            decode_error, experiment_e, experiment_e_campaign,
                            rewind, sampling_bound)
 from poqlab.core import Rng, desk_params
-from poqlab.games import j_sample_inputs, j_score
+from poqlab.games import SearchSpaceTooLarge, _questions, j_sample_inputs, j_score
 from poqlab.protocol import check_bits, play_round, referee_score
 from poqlab.provers import (BlindProver, ClassicalProver, TrapdoorLeakProver,
                             _coin_bits)
 
-from oracles import (best_score_oracle, coin_bits_oracle, exact_max_mean,
-                     sampled_max_mean, seedsequence_stream)
+from oracles import (best_score_oracle, coin_bits_oracle, decode_error_scan,
+                     exact_max_mean, sampled_max_mean, seedsequence_stream,
+                     sha_coin_bits)
 
 
 # --- decoding ----------------------------------------------------------------
@@ -66,7 +67,8 @@ def _decode_one_shot(b_matrix, w):
 def _decode_instances():
     # random instances, and tied ones: with a repeated column, flipping both
     # copies leaves every error unchanged, so each minimum is reached at
-    # least twice (against w = 0, by z = 0 among others)
+    # least twice (against w = 0, by z = 0 among others); duplicate rows,
+    # zero rows (as a rejected answer leaves them) and k = 0
     gen = np.random.default_rng(11)
     for d in range(1, 10):
         c = 1 << d
@@ -76,22 +78,62 @@ def _decode_instances():
         tied[:, d] = tied[:, 0]
         yield tied, gen.integers(0, 2, size=c)
         yield tied, np.zeros(c, dtype=np.int64)
+        repeated = b[gen.integers(0, 3, size=c)]
+        yield repeated, gen.integers(0, 2, size=c)
+        rejected = b * (gen.random(c) < 0.7)[:, None]
+        yield rejected, gen.integers(0, 2, size=c)
+        yield np.zeros((c, d + 1), dtype=np.int64), gen.integers(0, 2, size=c)
 
 
 @pytest.mark.parametrize("block", [1, 7, 300, 1 << 20])
 def test_decode_error_blocks_equal_one_shot(monkeypatch, block):
+    # the blocked scan the transform replaced, at each block size, and the
+    # one-shot product give the transform's errors and its first argmin
     monkeypatch.setattr(core, "_SCAN_ENTRIES", block)
     for b, w in _decode_instances():
         err, z = decode_error(b, w)
-        want_err, want_z = _decode_one_shot(b, w)
+        assert z.dtype == np.uint8 and z.shape == (b.shape[1],)
+        for want_err, want_z in (_decode_one_shot(b, w),
+                                 decode_error_scan(b, w)):
+            assert err == want_err
+            np.testing.assert_array_equal(z, want_z)
+
+
+@pytest.mark.parametrize("k", [6, 7, 12, 13])
+def test_decode_error_equals_the_scan_across_transform_chunks(k):
+    # the transform runs 6 index bits at a time: one chunk, a chunk and a
+    # bit, two chunks, two chunks and a bit; zero columns interleaved
+    gen = np.random.default_rng(k)
+    b = np.zeros((40, k + 3), dtype=np.uint8)
+    b[:, 2:] = gen.integers(0, 2, size=(40, k + 1))
+    b[:, 5] = 0
+    for w in (gen.integers(0, 2, size=40), np.zeros(40, dtype=np.uint8)):
+        err, z = decode_error(b, w)
+        want_err, want_z = decode_error_scan(b, w)
         assert err == want_err
         np.testing.assert_array_equal(z, want_z)
 
 
+def test_decode_error_refuses_past_its_limit(monkeypatch):
+    # the limit counts nonzero columns: zero columns cost nothing
+    b = np.zeros((3, DECODE_LIMIT + 5), dtype=np.uint8)
+    b[:, :DECODE_LIMIT + 1] = 1
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=rf"k = {DECODE_LIMIT + 1} nonzero columns"):
+        decode_error(b, np.ones(3))
+    monkeypatch.setattr(attack, "DECODE_LIMIT", 3)
+    b = np.eye(4, dtype=np.uint8)
+    err, z = decode_error(b[:, :3], np.ones(4))
+    assert err == 1
+    np.testing.assert_array_equal(z, [1, 1, 1])
+    with pytest.raises(SearchSpaceTooLarge, match=r"k = 4 nonzero"):
+        decode_error(b, np.ones(4))
+
+
 def test_decode_error_memory_at_d11():
     # full enumeration at d = 11: 2^12 patterns against 2^11 rows.  One
-    # product over all patterns would hold 8 Mi entries; a block holds 1 Mi
-    # bytes, so the peak stays far below 16 MiB
+    # product over all patterns would hold 8 Mi entries; the transform
+    # holds 2^12 float64, so the peak stays far below 4 MiB
     d = 11
     gen = np.random.default_rng(5)
     b = np.ones((1 << d, d + 1), dtype=np.uint8)
@@ -137,6 +179,37 @@ def test_best_score_exhaustive_up_to_d3():
                 for y, b in pairs])
             assert got >= zero_avg - 1e-12
             assert -1 <= got <= 1
+
+
+def test_best_score_equals_the_oracle_and_the_blocked_scan():
+    # score and argmin against the referee-scored oracle and the blocked
+    # scan: tied answers, x = 0 (k = 0), x = 0 but its last bit (k <= 1),
+    # repeated questions and rejected answers
+    gen = np.random.default_rng(17)
+    for d in (1, 2, 3, 4):
+        for trial in range(12):
+            x = gen.integers(0, 2, size=d + 1)
+            if trial % 4 < 2:
+                x[:-1] = 0
+            x[-1] = trial % 4 != 0
+            count = (1 << d) + 3 * (trial % 3)
+            ys = np.ones((count, d + 1), dtype=np.int64)
+            ys[:, :d] = gen.integers(0, 2, size=(count, d))
+            bs = gen.integers(0, 2, size=(count, d + 1))
+            if trial % 2:
+                bs[gen.integers(0, count, size=2), 0] = 5
+            score, z = best_score(x, ys, bs)
+            assert abs(score - best_score_oracle(x, list(zip(ys, bs)))) < 1e-12
+            checked = check_bits(bs, *ys.shape)
+            scores = referee_score(x, ys, np.broadcast_to(z, ys.shape),
+                                   np.ones(count, dtype=bool), *checked)[2]
+            assert abs(np.mean(scores) - score) < 1e-12
+            bits, valid = checked
+            targets = np.where(valid, j_score(x, ys, 0 * x, bits) == -1, 1)
+            want_err, want_z = decode_error_scan((x & ys) * valid[:, None],
+                                                 targets)
+            assert score == 1 - 2 * want_err / count
+            np.testing.assert_array_equal(z, want_z)
 
 
 def test_best_score_loses_malformed_answers_like_the_referee():
@@ -286,7 +359,7 @@ REWOUND_PINS = [
         id="leak-real"),
     pytest.param(
         TrapdoorLeakProver, False,
-        "e25d7502eed231c698adbac108a17c855ecbfb2e5ddfb7b2ce0952c2714dadd7",
+        "74444301594e32aa9904e372aee0a2ff09713dc07e91269cb11362e218ecc08b",
         "185e35c2aaeb2735656e692c5b6002fa0fdd93510bf5e6dbddcc4a77b9d9c170",
         id="leak-uniform"),
     pytest.param(
@@ -296,6 +369,14 @@ REWOUND_PINS = [
         id="blind"),
 ]
 
+# the pins that hashing each coin level once moved, each with the digest it
+# had under the per-prefix SHA-256 rule (see
+# test_sha_coin_bits_reproduce_earlier_pins)
+SHA_COIN_PINS = {
+    "leak-uniform":
+        "e25d7502eed231c698adbac108a17c855ecbfb2e5ddfb7b2ce0952c2714dadd7",
+}
+
 
 @pytest.mark.parametrize("prover_cls, real, digest, _", REWOUND_PINS)
 def test_rewound_tables_pinned_at_fixed_seed(prover_cls, real, digest, _):
@@ -303,20 +384,35 @@ def test_rewound_tables_pinned_at_fixed_seed(prover_cls, real, digest, _):
     assert _rewound_digest(prover_cls(desk_params(d=8)), real) == digest
 
 
-@pytest.mark.parametrize("width", range(1, REWIND_LIMIT + 2))
+@pytest.mark.parametrize("width", range(1, 131))
 def test_coin_bits_equal_per_prefix_hashing(width):
-    # every width a rewind reaches (d + 1 <= REWIND_LIMIT + 1), coin words
-    # drawn as the leak prover draws them and at the top of that range
+    # one, two and three words of prefix; coin words drawn as the leak
+    # prover draws them and at the top of that range; no rows, one row (no
+    # scalar arithmetic, so no overflow warning) and many, the all-zero and
+    # all-one prefixes among them
     gen = np.random.default_rng(width)
     top = (1 << 62) - 1
     for coins in (gen.integers(0, 1 << 62, size=4),
                   np.array([top, top - 1, top - 255, 1 << 61], dtype=np.int64)):
-        for k in (0, 1, 256):
+        for k in (0, 1, 33):
             prefixes = gen.integers(0, 2, size=(k, width)).astype(np.uint8)
+            prefixes[:2] = np.arange(min(k, 2))[:, None]
             got = _coin_bits(coins, width - 1, prefixes)
             assert got.dtype == np.uint8 and got.shape == (k,)
             np.testing.assert_array_equal(
                 got, coin_bits_oracle(coins, width - 1, prefixes))
+
+
+def test_coin_bits_are_balanced_and_keyed():
+    # over every 12-bit prefix the bits are near half ones, and another coin
+    # register or level gives other bits
+    prefixes = _questions(11)
+    coins = np.array([1, 2, 3, 4], dtype=np.int64)
+    bits = _coin_bits(coins, 11, prefixes)
+    assert abs(bits.mean() - 0.5) < 4 * 0.5 / 64
+    for other in (_coin_bits(coins + 1, 11, prefixes),
+                  _coin_bits(coins, 12, prefixes)):
+        assert 0.4 < (bits != other).mean() < 0.6
 
 
 def _question_sets(d: int):
@@ -377,6 +473,17 @@ def test_rewind_rejects_question_indices_out_of_range(indices, bad):
     with pytest.raises(ValueError, match=rf"^question index {bad} is outside "
                                          r"\[0, 2\^2\)$"):
         rewind(BlindProver(desk_params(d=2)), None, 2, indices)
+
+
+@pytest.mark.parametrize("index", [2 ** 64 - 1, 2 ** 63, 2 ** 70])
+def test_rewind_names_a_question_index_past_int64(index):
+    # as int64 a uint64 of 2^64 - 1 would wrap to index -1
+    prover = BlindProver(desk_params(d=2))
+    for indices in ([index], np.array([index], dtype=object if index >> 64
+                                      else np.uint64)):
+        with pytest.raises(ValueError, match=f"^question indices must fit in "
+                                             f"int64, got {index}$"):
+            rewind(prover, None, 2, indices)
 
 
 def test_rewind_rejects_question_indices_that_are_not_integers():
@@ -461,6 +568,16 @@ def test_sampled_questions_are_distinct_beyond_d20(monkeypatch):
     assert -1 <= out.rho <= 1
 
 
+def test_sampled_campaign_at_d24_answers_the_real_arm_perfectly():
+    # 4096 of 2^24 questions a rep, rewound and decoded over the nonzero
+    # columns; the key-leak prover wins every question on the real arm
+    params = desk_params(d=24, n=24)
+    report = experiment_e_campaign(TrapdoorLeakProver(params), params, 4,
+                                   Rng(0), alpha=4096)
+    assert report.reps == 4 and report.reps_real >= 1
+    assert report.mean_r_real == 1.0
+
+
 # each case: the campaign's report, and the report it gave before streams
 # were keyed straight from their SHA-256 digest
 CAMPAIGN_PINS = [
@@ -496,11 +613,30 @@ def test_campaign_pinned_at_fixed_seed(alpha, prover_cls, report, _):
     assert dataclasses.astuple(got) == report
 
 
+def test_sha_coin_bits_reproduce_earlier_pins(monkeypatch):
+    # with the per-prefix SHA-256 coin rule put back, each moved pin comes
+    # back byte for byte and the others hold, so the coin rule alone moved
+    # them
+    monkeypatch.setattr(provers, "_coin_bits", sha_coin_bits)
+    for case in REWOUND_PINS:
+        prover_cls, real, digest, _ = case.values
+        assert _rewound_digest(prover_cls(desk_params(d=8)), real) == \
+            SHA_COIN_PINS.get(case.id, digest), case.id
+    params = desk_params(d=8)
+    for case in CAMPAIGN_PINS:
+        alpha, prover_cls, report, _ = case.values
+        got = experiment_e_campaign(prover_cls(params), params, 16,
+                                    Rng(2024), alpha=alpha)
+        assert dataclasses.astuple(got) == report, case.id
+
+
 def test_seedsequence_stream_reproduces_earlier_pins(monkeypatch):
     # keying streams straight from their digest moved the pins of this
-    # module; with the SeedSequence derivation put back, each earlier digest
-    # and report comes back byte for byte
+    # module; with the SeedSequence derivation and the per-prefix coin rule
+    # of that time put back, each earlier digest and report comes back
+    # byte for byte
     monkeypatch.setattr(Rng, "stream", seedsequence_stream)
+    monkeypatch.setattr(provers, "_coin_bits", sha_coin_bits)
     for case in REWOUND_PINS:
         prover_cls, real, _, earlier = case.values
         assert _rewound_digest(prover_cls(desk_params(d=8)), real) == \

@@ -90,6 +90,26 @@ def test_encode_and_decode_reject_values_that_are_not_integers():
     assert Group(4, 2).decode(np.zeros(0)).shape == (0, 2)
 
 
+@pytest.mark.parametrize("values, wide", [
+    (np.array([2 ** 64 - 1], dtype=np.uint64), 2 ** 64 - 1),
+    (np.array([3, 2 ** 63], dtype=np.uint64), 2 ** 63),
+    ([2 ** 70], 2 ** 70), ([5, -2 ** 64], -2 ** 64)])
+def test_encode_and_decode_name_an_entry_past_int64(values, wide):
+    # as int64 a uint64 of 2^64 - 1 would wrap to -1 (encode to 2, not 0)
+    with pytest.raises(ValueError, match=f"^coordinates must fit in int64, got {wide}$"):
+        Group(3, 1).encode(np.reshape(values, (-1, 1)))
+    with pytest.raises(ValueError, match=f"^indices must fit in int64, got {wide}$"):
+        Group(3, 1).decode(values)
+    # uint64 entries that fit, and Python ints held as objects, are exact
+    np.testing.assert_array_equal(
+        Group(3, 1).encode(np.array([[2 ** 63 - 1], [5]], dtype=np.uint64)),
+        [(2 ** 63 - 1) % 3, 2])
+    np.testing.assert_array_equal(
+        Group(3, 2).decode(np.array([7, 8], dtype=object)), [[1, 2], [2, 2]])
+    with pytest.raises(ValueError, match="^indices must be integers, got dtype object$"):
+        Group(3, 2).decode(np.array([7, 1.5], dtype=object))
+
+
 def test_from_dict_rejects_a_short_element():
     with pytest.raises(ValueError, match="has 3 coordinates"):
         GroupFunction.from_dict(Group(4, 3), {(1, 2): 1})

@@ -394,6 +394,25 @@ def test_ternary_product_bound_guard():
             _ternary_matmul_mod(r, x, 1 << 49)
 
 
+@pytest.mark.parametrize("q", [3, 7, 134_217_689])
+def test_residual_norms_equal_the_reduced_balanced_residue(q):
+    # t - A z of canonical t and reduced A z lies in (-q, q), where its
+    # balanced modulus needs no second reduction: targets at 0 and q - 1,
+    # residues at both ends of (-q, q), leading axes
+    gen = np.random.default_rng(q)
+    a = gen.integers(0, q, size=(3, 6, 4))
+    z = gen.integers(0, q, size=(3, 5, 4))
+    targets = gen.integers(0, q, size=(3, 5, 6))
+    targets[0, 0], targets[0, 1] = 0, q - 1
+    az = z @ np.swapaxes(a, -1, -2) % q   # below 2^63 at these sizes
+    targets[1] = az[1]
+    wrapped = (targets - az) % q
+    want = np.minimum(wrapped, q - wrapped).max(axis=-1)
+    got = lattice._residual_norms(a, targets, z, q)
+    np.testing.assert_array_equal(got, want)
+    assert (got[1] == 0).all()
+
+
 def test_invert_noiseless():
     gen = stream("inv0")
     a, trap = gen_trap(PARAMS, gen)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poqlab import attack, lattice, protocol, quantum
+from poqlab import attack, lattice, protocol, provers, quantum
 from poqlab.attack import best_score, experiment_e_campaign, rewind
 from poqlab.cli import main
 from poqlab.core import Rng, derive_params, desk_params, matmul_mod, norminf
 from poqlab.lattice import ZqArray, commitment_shifts, decode_preimages, invert
-from poqlab.games import j_sample_inputs
+from poqlab.games import j_sample_inputs, j_score
 from poqlab.protocol import (ScoreStats, Transcript, check_bits, play_round,
                              referee_first_assessment, referee_score,
                              run_game_j, run_game_r)
@@ -26,7 +26,7 @@ from poqlab.quantum import HonestProver, honest_first_round
 from oracles import (best_score_oracle, gen_trap_oracle,
                      honest_first_round_oracle, rejection_noise_sampler,
                      round_record, run_experiment_s, seedsequence_stream,
-                     zq_add)
+                     sha_coin_bits, zq_add)
 
 PARAMS = desk_params()
 
@@ -362,9 +362,11 @@ def test_seedsequence_stream_reproduces_earlier_pins(monkeypatch, tmp_path):
     # keying streams straight from their digest moved every pin of this
     # module; with the SeedSequence derivation put back, each earlier digest
     # and report comes back byte for byte, so nothing but the derivation
-    # moved them (with the noise drawn by rejection, as it was then)
+    # moved them (with the noise drawn by rejection and the per-prefix coin
+    # rule, as they were then)
     monkeypatch.setattr(Rng, "stream", seedsequence_stream)
     monkeypatch.setattr(lattice, "_noise_sampler", rejection_noise_sampler)
+    monkeypatch.setattr(provers, "_coin_bits", sha_coin_bits)
     for case in TRANSCRIPT_PINS:
         prover, params, trials, sequential, _, earlier = case.values
         res = run_game_r(prover, params, trials, Rng(2024),
@@ -740,6 +742,73 @@ class _FuzzProver(ClassicalProver):
         return super().second_response(y, mem)
 
 
+class _InputsPeekingProver(BlindProver):
+    """Commits to zero, reads each trial's x off the referee's inputs
+    stream and answers so that every trial scores +1."""
+
+    def answer(self, ys, mems, preimages, a, streams, sequential):
+        answers = []
+        for gen, y, a_row in zip(streams("inputs"), ys, a):
+            x, _ = j_sample_inputs(self.params.d, gen)
+            b = np.zeros(len(y), dtype=np.uint8)
+            b[-1] = j_score(x, y, a_row, b) == -1
+            answers.append(b)
+        return answers
+
+
+class _PeekingProver(BlindProver):
+    """Derives the stream `name` through the streams callback of one hook."""
+
+    def __init__(self, params, name, hook):
+        super().__init__(params)
+        self.name, self.hook = name, hook
+
+    def commit(self, a, v, streams, trapdoor):
+        if self.hook == "commit":
+            streams(self.name)
+        return super().commit(a, v, streams, trapdoor)
+
+    def answer(self, ys, mems, preimages, a, streams, sequential):
+        if self.hook == "answer":
+            streams(self.name)
+        return super().answer(ys, mems, preimages, a, streams, sequential)
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_a_prover_reading_x_off_the_inputs_stream_is_refused(monkeypatch,
+                                                             sequential):
+    # the peek wins every trial when the callback hands out the stream
+    prover = _InputsPeekingProver(PARAMS)
+    with pytest.raises(ValueError, match="got 'inputs'"):
+        run_game_r(prover, PARAMS, 24, Rng(7), sequential=sequential)
+    monkeypatch.setattr(protocol, "_prover_stream", lambda name: name)
+    res = run_game_r(prover, PARAMS, 24, Rng(7), sequential=sequential)
+    assert res.stats.mean == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(protocol.REFEREE_STREAMS))
+def test_no_hook_derives_a_referee_stream(name):
+    for hook in ("commit", "answer"):
+        for sequential in (False, True):
+            with pytest.raises(ValueError, match=f"got {name!r}$"):
+                run_game_r(_PeekingProver(PARAMS, name, hook), PARAMS, 2,
+                           Rng(7), sequential=sequential)
+    with pytest.raises(ValueError, match=f"got {name!r}$"):
+        attack.experiment_e(_PeekingProver(PARAMS, name, "commit"), PARAMS,
+                            Rng(7), 0)
+
+
+def test_hooks_derive_streams_of_their_own():
+    # any other str is the prover's; a name that is not a str is refused
+    for hook in ("commit", "answer"):
+        res = run_game_r(_PeekingProver(PARAMS, "mine", hook), PARAMS, 2,
+                         Rng(7))
+        assert res.stats.trials == 2
+    with pytest.raises(ValueError, match=r"got \('inputs',\)$"):
+        run_game_r(_PeekingProver(PARAMS, ("inputs",), "commit"), PARAMS, 2,
+                   Rng(7))
+
+
 @pytest.mark.parametrize("packing", ["column", "bare", "extra", "floats",
                                      "ragged", "objects"])
 @pytest.mark.parametrize("entry", [0, 1, 2])
@@ -942,11 +1011,18 @@ EXPERIMENT_S_PINS = [
                  (40, 0.75, 0.10591481821704042, 0.5424069562946008,
                   0.9575930437053992), id="s3-blind"),
     pytest.param(3, TrapdoorLeakProver,
-                 (40, 0.25, 0.15504341823651058, -0.053885099743560705,
-                  0.5538850997435607),
+                 (40, 0.35, 0.15, 0.055999999999999994, 0.6439999999999999),
                  (40, 0.5, 0.13867504905630726, 0.22819690384963776,
                   0.7718030961503622), id="s3-leak"),
 ]
+
+# the pins that hashing each coin level once moved, each with the report it
+# had under the per-prefix SHA-256 rule (see
+# test_sha_coin_bits_reproduce_earlier_pins)
+SHA_COIN_PINS = {
+    "s3-leak": (40, 0.25, 0.15504341823651058, -0.053885099743560705,
+                0.5538850997435607),
+}
 
 
 @pytest.mark.parametrize("which, prover_cls, stats, _", EXPERIMENT_S_PINS)
@@ -954,6 +1030,18 @@ def test_experiment_s_pinned_at_fixed_seed(which, prover_cls, stats, _):
     # pins the stream layout of the share-the-prover experiments
     got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40, Rng(2024))
     assert dataclasses.astuple(got) == stats
+
+
+def test_sha_coin_bits_reproduce_earlier_pins(monkeypatch):
+    # with the per-prefix SHA-256 coin rule put back, the moved pin comes
+    # back byte for byte and the others hold, so the coin rule alone moved it
+    monkeypatch.setattr(provers, "_coin_bits", sha_coin_bits)
+    for case in EXPERIMENT_S_PINS:
+        which, prover_cls, stats, _ = case.values
+        got = run_experiment_s(which, prover_cls(PARAMS), PARAMS, 40,
+                               Rng(2024))
+        assert dataclasses.astuple(got) == SHA_COIN_PINS.get(case.id, stats), \
+            case.id
 
 
 def test_rewind_budget_enforced():
